@@ -1,4 +1,4 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels.
 
 The particle method spends nearly all of its time summing radial kernel
 profiles over particle ensembles (one O(N*M) pass per velocity evaluation)
@@ -9,9 +9,13 @@ exist in two variants:
 * ``numpy`` -- vectorized broadcasting, used when numba is unavailable or
   when the environment variable ``NONLOCAL_NUMBA`` is set to ``0``.
 
-``benchmarks/bench_accel.py`` compares the two paths on representative
-workloads.  Both compute the same sums; floating point results may differ
-in the last bits because the summation order differs.
+Both compute the same sums; floating point results may differ in the last
+bits because the summation order differs.
+
+The transportation simplex behind exact W1 has one implementation, in
+Python with numpy pricing.  It keeps its spanning tree (parents, depths and
+potentials) from one pivot to the next and reprices only the subtree that a
+pivot cuts off, and it can start from a given basis.
 """
 
 from __future__ import annotations
@@ -93,8 +97,8 @@ def _w1_cdf_merge_numpy(
 def _northwest_corner_py(supply: np.ndarray, demand: np.ndarray):
     """Initial basic solution with exactly N + M - 1 basic cells."""
     n, m = supply.size, demand.size
-    a = supply.copy()
-    b = demand.copy()
+    a = supply.tolist()
+    b = demand.tolist()
     cells = []
     flows = []
     i = j = 0
@@ -112,71 +116,75 @@ def _northwest_corner_py(supply: np.ndarray, demand: np.ndarray):
     return cells, flows
 
 
-def _tree_duals_py(n, m, basis_cells, cost):
-    """Solve u_i + v_j = c_ij on the spanning tree of basic cells."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n + m)]
-    for idx, (i, j) in enumerate(basis_cells):
-        adj[i].append((n + j, idx))
-        adj[n + j].append((i, idx))
-    u = np.zeros(n)
-    v = np.zeros(m)
-    seen = np.zeros(n + m, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    parent = np.full(n + m, -1, dtype=np.int64)
-    parent_edge = np.full(n + m, -1, dtype=np.int64)
+def _hang(root, up, up_edge, n, ends, arc_cost, adj, parent, parent_edge, depth, pi):
+    """Hang the subtree at ``root`` below node ``up`` along ``up_edge`` and price it.
+
+    Nodes are rows ``0..n-1`` and columns ``n..n+m-1``; ``ends[e]`` is the
+    (row, column) node pair of basic cell ``e`` and ``arc_cost[e]`` its cost.
+    Potentials satisfy ``pi[row] - pi[col] = cost`` on every tree arc, with
+    ``pi = 0`` at the global root (``up_edge == -1``).  Each potential is
+    priced from its parent's along the arc, exactly as a full rebuild from
+    the root would price it.  Returns the nodes visited.
+    """
+    hung = []
+    stack = [(root, up, up_edge)]
     while stack:
-        node = stack.pop()
-        for nb, eidx in adj[node]:
-            if not seen[nb]:
-                seen[nb] = True
-                parent[nb] = node
-                parent_edge[nb] = eidx
-                i, j = basis_cells[eidx]
-                if nb >= n:
-                    v[nb - n] = cost[i, j] - u[i]
-                else:
-                    u[nb] = cost[i, j] - v[node - n]
-                stack.append(nb)
-    if not seen.all():
+        node, above, e = stack.pop()
+        parent[node] = above
+        parent_edge[node] = e
+        if e < 0:
+            depth[node] = 0
+            pi[node] = 0.0
+        else:
+            depth[node] = depth[above] + 1
+            pi[node] = pi[above] - arc_cost[e] if node >= n else pi[above] + arc_cost[e]
+        hung.append(node)
+        if len(hung) > len(parent):
+            raise RuntimeError("basic cells contain a cycle")
+        for f in adj[node]:
+            if f != e:
+                r, c = ends[f]
+                stack.append((c if node == r else r, node, f))
+    return hung
+
+
+def _tree_duals_py(n, m, basis_cells, cost):
+    """Root the spanning tree of basic cells at row 0 and solve u_i + v_j = c_ij.
+
+    Returns the tree state ``(ends, arc_cost, adj, parent, parent_edge,
+    depth, pi)`` that the simplex keeps between pivots; ``u = pi[:n]`` and
+    ``v = -pi[n:]``.
+    """
+    ends = [(i, n + j) for i, j in basis_cells]
+    arc_cost = [float(cost[i, j]) for i, j in basis_cells]
+    adj: list[list[int]] = [[] for _ in range(n + m)]
+    for e, (r, c) in enumerate(ends):
+        adj[r].append(e)
+        adj[c].append(e)
+    parent = [-1] * (n + m)
+    parent_edge = [-1] * (n + m)
+    depth = [0] * (n + m)
+    pi = [0.0] * (n + m)
+    if len(_hang(0, -1, -1, n, ends, arc_cost, adj, parent, parent_edge, depth, pi)) != n + m:
         raise RuntimeError("basis does not span the bipartite graph")
-    return u, v, parent, parent_edge
+    return ends, arc_cost, adj, parent, parent_edge, depth, pi
 
 
-def _cycle_path_py(n, parent, parent_edge, i, j):
-    """Tree path from row node i to column node n + j as a list of edge ids."""
-
-    def root_path(node):
-        nodes = [node]
-        while parent[node] != -1:
-            node = parent[node]
-            nodes.append(node)
-        return nodes
-
-    pa = root_path(i)
-    pb = root_path(n + j)
-    sa = set(pa)
-    meet = next(node for node in pb if node in sa)
-    edges = []
-    node = i
-    while node != meet:
-        edges.append(parent_edge[node])
-        node = parent[node]
-    tail = []
-    node = n + j
-    while node != meet:
-        tail.append(parent_edge[node])
-        node = parent[node]
-    return edges + tail[::-1]
-
-
-def _transport_simplex_numpy(cost, supply, demand, piv_tol, dantzig_cap, total_cap):
+def _transport_simplex_numpy(
+    cost, supply, demand, piv_tol, dantzig_cap, total_cap, start=None
+):
     n, m = cost.shape
-    cells, flows = _northwest_corner_py(supply, demand)
+    if start is None:
+        cells, flows = _northwest_corner_py(supply, demand)
+    else:
+        cells = list(zip(start[0].tolist(), start[1].tolist()))
+        flows = start[2].tolist()
+    tree = _tree_duals_py(n, m, cells, cost)
+    ends, arc_cost, adj, parent, parent_edge, depth, pi = tree
+    potentials = np.array(pi)
     pivots = 0
     while True:
-        u, v, parent, parent_edge = _tree_duals_py(n, m, cells, cost)
-        reduced = cost - u[:, None] - v[None, :]
+        reduced = cost - potentials[:n, None] + potentials[None, n:]
         if pivots < dantzig_cap:
             flat = int(np.argmin(reduced))
             ei, ej = divmod(flat, m)
@@ -189,26 +197,47 @@ def _transport_simplex_numpy(cost, supply, demand, piv_tol, dantzig_cap, total_c
                 break
             flat = int(np.argmax(mask.ravel()))
             ei, ej = divmod(flat, m)
-        path = _cycle_path_py(n, parent, parent_edge, ei, ej)
+        # cycle: climb from both ends of the entering arc until they meet
+        a, b = ei, n + ej
+        head, tail = [], []
+        while a != b:
+            if depth[a] >= depth[b]:
+                head.append(parent_edge[a])
+                a = parent[a]
+            else:
+                tail.append(parent_edge[b])
+                b = parent[b]
+        path = head + tail[::-1]
         # entering edge is "+"; signs alternate along the path from row ei
         theta = np.inf
         leave_pos = -1
-        for pos, eidx in enumerate(path):
-            if pos % 2 == 0 and flows[eidx] < theta:  # "-" edges
-                theta = flows[eidx]
+        for pos in range(0, len(path), 2):  # "-" edges
+            if flows[path[pos]] < theta:
+                theta = flows[path[pos]]
                 leave_pos = pos
         theta = max(theta, 0.0)
         for pos, eidx in enumerate(path):
             flows[eidx] += theta if pos % 2 == 1 else -theta
         leaving = path[leave_pos]
-        cells[leaving] = (ei, ej)
+        r, c = ends[leaving]
+        adj[r].remove(leaving)
+        adj[c].remove(leaving)
+        ends[leaving] = (ei, n + ej)
+        arc_cost[leaving] = float(cost[ei, ej])
         flows[leaving] = theta
+        adj[ei].append(leaving)
+        adj[n + ej].append(leaving)
+        # the endpoint on the leaving arc's side of the cycle was cut off
+        # from the root; re-hang its subtree from the entering arc
+        low, high = (ei, n + ej) if leave_pos < len(head) else (n + ej, ei)
+        hung = _hang(low, high, leaving, n, *tree)
+        potentials[hung] = [pi[node] for node in hung]
         pivots += 1
         if pivots > total_cap:
             return None
-    basis_i = np.array([c[0] for c in cells], dtype=np.int64)
-    basis_j = np.array([c[1] for c in cells], dtype=np.int64)
-    return basis_i, basis_j, np.asarray(flows, dtype=np.float64), u, v
+    basis_i = np.array([r for r, _ in ends], dtype=np.int64)
+    basis_j = np.array([c - n for _, c in ends], dtype=np.int64)
+    return basis_i, basis_j, np.asarray(flows, dtype=np.float64), potentials[:n].copy(), -potentials[n:]
 
 
 # ---------------------------------------------------------------------------
@@ -255,169 +284,6 @@ if _HAVE_NUMBA:
                 acc += weights[n] * _profile_scalar(np.sqrt(d2), code, scale, height)
             out[m] = acc
         return out
-
-    @njit(cache=True)
-    def _transport_simplex_numba(cost, supply, demand, piv_tol, dantzig_cap, total_cap):
-        n, m = cost.shape
-        nn = n + m
-        nb = n + m - 1
-        basis_i = np.zeros(nb, np.int64)
-        basis_j = np.zeros(nb, np.int64)
-        flows = np.zeros(nb)
-        # northwest corner start; ties advance one side with a zero-flow cell
-        a = supply.copy()
-        b = demand.copy()
-        i = 0
-        j = 0
-        for e in range(nb):
-            q = a[i] if a[i] < b[j] else b[j]
-            basis_i[e] = i
-            basis_j[e] = j
-            flows[e] = q
-            a[i] -= q
-            b[j] -= q
-            if (a[i] <= b[j] and i < n - 1) or j == m - 1:
-                i += 1
-            else:
-                j += 1
-        u = np.zeros(n)
-        v = np.zeros(m)
-        parent = np.zeros(nn, np.int64)
-        parent_edge = np.zeros(nn, np.int64)
-        head = np.zeros(nn, np.int64)
-        nxt = np.zeros(2 * nb, np.int64)
-        eto = np.zeros(2 * nb, np.int64)
-        eidx = np.zeros(2 * nb, np.int64)
-        stack = np.zeros(nn, np.int64)
-        stamp = np.zeros(nn, np.int64)
-        path_edges = np.zeros(nn, np.int64)
-        up_a = np.zeros(nn, np.int64)
-        up_b = np.zeros(nn, np.int64)
-        stamp_val = 0
-        pivots = 0
-        while True:
-            # rebuild tree adjacency and duals
-            for node in range(nn):
-                head[node] = -1
-                parent[node] = -2
-            cnt = 0
-            for e in range(nb):
-                bi = basis_i[e]
-                bj = n + basis_j[e]
-                eto[cnt] = bj
-                eidx[cnt] = e
-                nxt[cnt] = head[bi]
-                head[bi] = cnt
-                cnt += 1
-                eto[cnt] = bi
-                eidx[cnt] = e
-                nxt[cnt] = head[bj]
-                head[bj] = cnt
-                cnt += 1
-            parent[0] = -1
-            parent_edge[0] = -1
-            u[0] = 0.0
-            sp = 1
-            stack[0] = 0
-            seen = 1
-            while sp > 0:
-                sp -= 1
-                node = stack[sp]
-                slot = head[node]
-                while slot != -1:
-                    nb_node = eto[slot]
-                    if parent[nb_node] == -2:
-                        parent[nb_node] = node
-                        parent_edge[nb_node] = eidx[slot]
-                        e = eidx[slot]
-                        ci = basis_i[e]
-                        cj = basis_j[e]
-                        if nb_node >= n:
-                            v[nb_node - n] = cost[ci, cj] - u[ci]
-                        else:
-                            u[nb_node] = cost[ci, cj] - v[cj]
-                        stack[sp] = nb_node
-                        sp += 1
-                        seen += 1
-                    slot = nxt[slot]
-            if seen != nn:
-                return basis_i, basis_j, flows, u, v, 2
-            # entering arc
-            ei = -1
-            ej = -1
-            if pivots < dantzig_cap:
-                best = -piv_tol
-                for ii in range(n):
-                    ui = u[ii]
-                    for jj in range(m):
-                        rc = cost[ii, jj] - ui - v[jj]
-                        if rc < best:
-                            best = rc
-                            ei = ii
-                            ej = jj
-                if ei < 0:
-                    return basis_i, basis_j, flows, u, v, 0
-            else:
-                done = False
-                for ii in range(n):
-                    if done:
-                        break
-                    ui = u[ii]
-                    for jj in range(m):
-                        if cost[ii, jj] - ui - v[jj] < -piv_tol:
-                            ei = ii
-                            ej = jj
-                            done = True
-                            break
-                if not done:
-                    return basis_i, basis_j, flows, u, v, 0
-            # cycle: tree path from row node ei to column node n + ej
-            stamp_val += 1
-            la = 0
-            node = ei
-            while node != -1:
-                stamp[node] = stamp_val
-                up_a[la] = node
-                la += 1
-                node = parent[node]
-            lb = 0
-            node = n + ej
-            while stamp[node] != stamp_val:
-                up_b[lb] = node
-                lb += 1
-                node = parent[node]
-            meet = node
-            plen = 0
-            node = ei
-            while node != meet:
-                path_edges[plen] = parent_edge[node]
-                plen += 1
-                node = parent[node]
-            for back in range(lb - 1, -1, -1):
-                path_edges[plen] = parent_edge[up_b[back]]
-                plen += 1
-            # theta over "-" edges (even positions from the ei end)
-            theta = np.inf
-            leave_pos = -1
-            for pos in range(0, plen, 2):
-                f = flows[path_edges[pos]]
-                if f < theta:
-                    theta = f
-                    leave_pos = pos
-            if theta < 0.0:
-                theta = 0.0
-            for pos in range(plen):
-                if pos % 2 == 1:
-                    flows[path_edges[pos]] += theta
-                else:
-                    flows[path_edges[pos]] -= theta
-            leaving = path_edges[leave_pos]
-            basis_i[leaving] = ei
-            basis_j[leaving] = ej
-            flows[leaving] = theta
-            pivots += 1
-            if pivots > total_cap:
-                return basis_i, basis_j, flows, u, v, 1
 
     @njit(cache=True)
     def _w1_cdf_merge_numba(xu, wu, xv, wv):
@@ -490,12 +356,22 @@ def w1_cdf_merge(xu: np.ndarray, wu: np.ndarray, xv: np.ndarray, wv: np.ndarray)
     return _w1_cdf_merge_numpy(xu, wu, xv, wv)
 
 
-def transport_simplex(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray):
+def transport_simplex(
+    cost: np.ndarray,
+    supply: np.ndarray,
+    demand: np.ndarray,
+    start: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+):
     """Primal transportation simplex on the dense cost matrix.
 
-    Returns (basis_i, basis_j, flows, u, v).  Dantzig pricing with a
-    Bland-style fallback after a pivot budget; raises RuntimeError if the
-    iteration caps are exhausted or the basis degenerates.
+    Returns (basis_i, basis_j, flows, u, v) for the N + M - 1 basic cells,
+    zero-flow cells included.  ``start`` is an optional spanning basis
+    ``(basis_i, basis_j, flows)`` that is primal-feasible for ``supply`` and
+    ``demand`` (for example the basis of an earlier solve with the same
+    marginals); without it the solve starts from the northwest corner.
+    Dantzig pricing with a Bland-style fallback after a pivot budget; raises
+    RuntimeError if the iteration caps are exhausted or the basis does not
+    span the bipartite graph.
     """
     cost = np.ascontiguousarray(cost, dtype=np.float64)
     supply = np.ascontiguousarray(supply, dtype=np.float64)
@@ -504,17 +380,10 @@ def transport_simplex(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray):
     piv_tol = 1e-12 * max(1.0, float(np.abs(cost).max()))
     dantzig_cap = 60 * (n + m + 1)
     total_cap = dantzig_cap + 600 * (n + m + 1)
-    if _HAVE_NUMBA:
-        basis_i, basis_j, flows, u, v, status = _transport_simplex_numba(
-            cost, supply, demand, piv_tol, dantzig_cap, total_cap
-        )
-        if status == 1:
-            raise RuntimeError("transportation simplex failed to terminate")
-        if status == 2:
-            raise RuntimeError("basis does not span the bipartite graph")
-        return basis_i, basis_j, flows, u, v
+    if start is not None and any(len(part) != n + m - 1 for part in start):
+        raise ValueError(f"a starting basis needs {n + m - 1} cells")
     result = _transport_simplex_numpy(
-        cost, supply, demand, piv_tol, dantzig_cap, total_cap
+        cost, supply, demand, piv_tol, dantzig_cap, total_cap, start
     )
     if result is None:
         raise RuntimeError("transportation simplex failed to terminate")

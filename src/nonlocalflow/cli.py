@@ -63,7 +63,7 @@ from .velocity import (
     sedimentation_field,
     toward_point,
 )
-from .wasserstein import w1_1d, w1_exact, w1_vector
+from .wasserstein import w1_1d, w1_exact, w1_series, w1_vector
 
 SCHEMA_VERSION = 1
 KNOWN_EMITS = ("trajectories", "densities", "reports", "plotdata")
@@ -71,6 +71,10 @@ KNOWN_EMITS = ("trajectories", "densities", "reports", "plotdata")
 
 class ScenarioParseError(ValueError):
     """Configuration file rejected; message names the offending field."""
+
+
+class ScenarioNotFoundError(ScenarioParseError):
+    """No scenario file or bundled scenario of that name."""
 
 
 @dataclass(frozen=True)
@@ -101,6 +105,15 @@ def _build_kernel(cfg: dict, dim: int, context: str) -> Kernel:
         return kernel_library(
             name, dim, float(cfg.get("scale", 1.0)), float(cfg.get("height", 1.0))
         )
+    except ValueError as exc:
+        raise ScenarioParseError(f"{context}: {exc}") from exc
+
+
+def _build_odd_ramp(cfg: dict, context: str) -> Kernel:
+    scale = float(_require(cfg, "scale", context))
+    height = float(_require(cfg, "height", context))
+    try:
+        return odd_ramp_kernel(scale, height)
     except ValueError as exc:
         raise ScenarioParseError(f"{context}: {exc}") from exc
 
@@ -243,11 +256,9 @@ def _build_model(cfg: dict, species: list[ParticleMeasure]) -> VelocityModel:
                 "model.dirac-coupling: gallery form needs one 1D prey species "
                 "plus one predator species"
             )
-        rep = _require(cfg, "repulsion", "model")
-        att = _require(cfg, "attraction", "model")
-        repulsion = odd_ramp_kernel(float(rep["scale"]), float(rep["height"]))
+        repulsion = _build_odd_ramp(_require(cfg, "repulsion", "model"), "model.repulsion")
         attraction = scale_kernel(
-            odd_ramp_kernel(float(att["scale"]), float(att["height"])), -1.0
+            _build_odd_ramp(_require(cfg, "attraction", "model"), "model.attraction"), -1.0
         )
         self_cfg = cfg.get("prey_self_kernel")
         eta00 = (
@@ -294,7 +305,7 @@ def _load_raw(path_or_name: str) -> dict:
     if not path.exists():
         bundled = _bundled_path(path_or_name)
         if bundled is None:
-            raise ScenarioParseError(f"scenario file not found: {path_or_name}")
+            raise ScenarioNotFoundError(f"scenario file not found: {path_or_name}")
         path = bundled
     try:
         raw = json.loads(path.read_text())
@@ -528,9 +539,7 @@ def emit_plotdata(
         return [csv_path, svg_path]
     if kind == "w1-curve":
         ref_states = other.states if other is not None else [record.states[0]] * len(record.states)
-        values = [
-            w1_vector(a, b) for a, b in zip(record.states, ref_states)
-        ]
+        values = w1_series(zip(record.states, ref_states))
         csv_path = plot_dir / "w1-curve.csv"
         _write_csv(
             csv_path,
@@ -643,7 +652,7 @@ def _stability_with_k(scenario, sigma0, k_value: float, slack: float) -> BoundRe
     rec_a = solve_direct(replace(scenario, track_density=False, initial_densities=None))
     rec_b = solve_direct(replace(scenario, initial=sigma0, track_density=False, initial_densities=None))
     d0 = w1_vector(scenario.initial, sigma0)
-    dists = np.array([w1_vector(a, b) for a, b in zip(rec_a.states[1:], rec_b.states[1:])])
+    dists = w1_series(zip(rec_a.states[1:], rec_b.states[1:]))
     growth = np.exp(k_value * rec_a.times[1:])
     ratio = float((dists / (growth * d0)).max()) if d0 > 0 else float(dists.max())
     return BoundReport.make(
@@ -767,9 +776,12 @@ def main(argv=None) -> int:
     if args.verb == "audit":
         try:
             scenario = load_scenario(args.scenario)
-        except (ScenarioParseError, AuditError) as exc:
+        except (ScenarioNotFoundError, AuditError) as exc:
             print(f"audit failed: {exc}", file=sys.stderr)
             return 1
+        except ScenarioParseError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         consts = scenario.constants()
         print(
             f"audit passed: {scenario.name} (k={scenario.initial.k}, "

@@ -27,7 +27,7 @@ from .solver import (
     _uniform_steps,
 )
 from .velocity import VelocityModel, velocity_batch
-from .wasserstein import w1_vector
+from .wasserstein import w1_series, w1_vector
 
 
 @dataclass(frozen=True)
@@ -120,12 +120,7 @@ def check_stability_initial(
         "dt": scenario.step.dt,
         **(fingerprint or {}),
     }
-    dists = np.array(
-        [
-            w1_vector(a, b)
-            for a, b in zip(rec_a.states[1:], rec_b.states[1:])
-        ]
-    )
+    dists = w1_series(zip(rec_a.states[1:], rec_b.states[1:]))
     if d0 == 0.0:
         lhs = float(dists.max()) if dists.size else 0.0
         return BoundReport.make("stability-identical-data", lhs, 1e-9, 1.0, fp)
@@ -222,8 +217,8 @@ def check_stability_general(
     _, states_b, _ = solve_frozen(
         model_b, sigma0, problem_b.source, 0.0, horizon, steps, courant
     )
-    sup_rs = max(
-        w1_vector(problem_a.source.at(t), problem_b.source.at(t)) for t in times_a
+    sup_rs = float(
+        w1_series((problem_a.source.at(t), problem_b.source.at(t)) for t in times_a).max()
     )
     lo, hi = _ensemble_box([rho0, sigma0], inflate=model_a.sup_bound * horizon + 1.0)
     r_radius = mass * max(model_a.kernels.sup_bound, model_b.kernels.sup_bound)
@@ -231,8 +226,8 @@ def check_stability_general(
     gap_k = _sup_kernel_gap(model_a, model_b, lo, hi, samples, seed + 3, (0.0,))
     d0 = w1_vector(rho0, sigma0)
     worst = 0.0
-    for t, sa, sb in zip(times_a[1:], states_a[1:], states_b[1:]):
-        lhs_t = w1_vector(sa, sb)
+    lhs = w1_series(zip(states_a[1:], states_b[1:]))
+    for t, lhs_t in zip(times_a[1:], lhs.tolist()):
         rhs_t = np.exp(c * t) * d0 + c * t * np.exp(c * t) * (sup_rs + gap_k + gap_v)
         if rhs_t > 0:
             worst = max(worst, lhs_t / rhs_t)

@@ -65,6 +65,12 @@ def _kernel_from_terms(dim: int, terms: Sequence[RadialTerm], sup: float, lip: f
 _BUMP_LIP_FACTOR = 8.0 / (3.0 * math.sqrt(3.0))
 
 
+def _require_positive(**params: float) -> None:
+    for name, value in params.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"kernel {name} must be finite and positive, got {value!r}")
+
+
 def kernel_library(name: str, dim: int = 1, scale: float = 1.0, height: float = 1.0) -> Kernel:
     """Library kernels with analytically exact sup_bound and lip_x.
 
@@ -73,8 +79,7 @@ def kernel_library(name: str, dim: int = 1, scale: float = 1.0, height: float = 
     cosine-lobe  h * cos(pi |x| / (2s)) on |x|<=s   sup h, lip pi*h/(2s)
     constant     h                              sup h, lip 0
     """
-    if scale <= 0 or height <= 0:
-        raise ValueError("kernel scale and height must be positive")
+    _require_positive(scale=scale, height=height)
     if name == "tent":
         term = RadialTerm(_accel.PROFILE_TENT, scale, height)
         return _kernel_from_terms(dim, [term], height, height / scale)
@@ -97,8 +102,7 @@ def odd_ramp_kernel(scale: float, height: float) -> Kernel:
     zero beyond.  Carries direction information (repulsion/attraction) that
     even radial kernels cannot; sup = h, lip = h/s.
     """
-    if scale <= 0 or height <= 0:
-        raise ValueError("kernel scale and height must be positive")
+    _require_positive(scale=scale, height=height)
 
     def evaluate(t: float, x: np.ndarray) -> float:
         u = float(np.atleast_1d(x)[0]) / scale

@@ -26,7 +26,7 @@ from .flow import (
 from .kernels import KernelMatrix, scale_kernel
 from .measures import GridDensity, MeasureVector, rescale_to_probability
 from .velocity import VelocityModel, lipschitz_bound_b, velocity_batch
-from .wasserstein import w1_vector
+from .wasserstein import w1_series
 
 
 @dataclass(frozen=True)
@@ -125,12 +125,7 @@ class SolutionRecord:
 
     def consecutive_w1(self) -> np.ndarray:
         """W1 between consecutive snapshots (computed on demand)."""
-        return np.array(
-            [
-                w1_vector(a, b)
-                for a, b in zip(self.states[:-1], self.states[1:])
-            ]
-        )
+        return w1_series(zip(self.states[:-1], self.states[1:]))
 
     def final(self) -> MeasureVector:
         return self.states[-1]
@@ -252,8 +247,8 @@ def picard_window(
             model, rho0, r_prev, t0, t1, steps, scenario.step.courant
         )
         traj = ParticleTrajectory(times, states)
-        dist = max(
-            w1_vector(states[j], r_prev.at(times[j])) for j in range(1, len(states))
+        dist = float(
+            w1_series((states[j], r_prev.at(times[j])) for j in range(1, len(states))).max()
         )
         distances.append(dist)
         r_prev = traj

@@ -9,7 +9,7 @@ together with a complementary-slackness certificate.  A family of certified
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -52,13 +52,39 @@ def w1_1d(mu: ParticleMeasure, nu: ParticleMeasure) -> float:
 
 
 @dataclass(frozen=True)
+class SimplexBasis:
+    """Optimal spanning basis of one simplex solve and the marginals it solved.
+
+    Holds all N + M - 1 basic cells, zero-flow cells included, with their
+    flows as the simplex left them.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    flows: np.ndarray
+    supply: np.ndarray
+    demand: np.ndarray
+
+    def fits(self, supply: np.ndarray, demand: np.ndarray) -> bool:
+        """True iff both weight vectors are bitwise equal to the basis's."""
+        return self.supply.tobytes() == supply.tobytes() and (
+            self.demand.tobytes() == demand.tobytes()
+        )
+
+
+@dataclass(frozen=True)
 class TransportPlan:
-    """Sparse coupling between two ensembles with its transport cost."""
+    """Sparse coupling between two ensembles with its transport cost.
+
+    ``basis`` is the simplex basis the plan came from, if any; ``w1_exact``
+    can start a later solve with the same weights from it.
+    """
 
     source_index: np.ndarray
     target_index: np.ndarray
     mass: np.ndarray
     cost: float
+    basis: SimplexBasis | None = None
 
     def marginal_residual(self, mu: ParticleMeasure, nu: ParticleMeasure) -> float:
         row = np.zeros(len(mu))
@@ -71,13 +97,23 @@ class TransportPlan:
 
 
 def w1_exact(
-    mu: ParticleMeasure, nu: ParticleMeasure, pair_cap: int = DEFAULT_PAIR_CAP
+    mu: ParticleMeasure,
+    nu: ParticleMeasure,
+    pair_cap: int = DEFAULT_PAIR_CAP,
+    *,
+    warm: TransportPlan | None = None,
 ) -> tuple[float, TransportPlan]:
     """Exact W1 with an optimal plan and optimality certificate.
 
     Solves the discrete transportation problem with Euclidean costs by a
     primal transportation simplex; dual feasibility and complementary
     slackness are verified to ``CERT_TOL`` before returning.
+
+    ``warm`` is an earlier plan.  Its basis is primal-feasible for any pair
+    of measures with the same weights (push-forwards never change weights),
+    so the simplex starts from it when both weight vectors are bitwise equal
+    to the ones it solved, and from the northwest corner otherwise.  The
+    certificate is checked either way.
     """
     if mu.dim != nu.dim:
         raise ValueError("dimension mismatch")
@@ -93,7 +129,13 @@ def w1_exact(
         )
     diff = mu.positions[:, None, :] - nu.positions[None, :, :]
     cost = np.sqrt(np.einsum("nmd,nmd->nm", diff, diff))
-    src, tgt, mass, u, v = _accel.transport_simplex(cost, mu.weights, nu.weights)
+    start = None
+    if warm is not None and warm.basis is not None and warm.basis.fits(mu.weights, nu.weights):
+        start = (warm.basis.rows, warm.basis.cols, warm.basis.flows)
+    src, tgt, mass, u, v = _accel.transport_simplex(
+        cost, mu.weights, nu.weights, start=start
+    )
+    basis = SimplexBasis(src, tgt, mass, mu.weights, nu.weights)
     if (mass < -MARGINAL_TOL).any():
         raise RuntimeError("simplex produced a negative flow")
     mass = np.maximum(mass, 0.0)
@@ -111,27 +153,43 @@ def w1_exact(
             f"slackness {slackness}"
         )
     keep = mass > 0
-    plan = TransportPlan(src[keep], tgt[keep], mass[keep], total)
+    plan = TransportPlan(src[keep], tgt[keep], mass[keep], total, basis)
     res = plan.marginal_residual(mu, nu)
     if res > MARGINAL_TOL * max(1.0, float(mu.weights.max())):
         raise RuntimeError(f"plan marginals off by {res}")
     return total, plan
 
 
+def w1_series(pairs: Iterable[tuple[MeasureVector, MeasureVector]]) -> np.ndarray:
+    """Vector W1 (the sum over species) for each pair of a series.
+
+    In 2D and up each species' simplex starts from the optimal basis of the
+    same species in the previous pair; ``w1_exact`` falls back to a cold
+    start wherever the weights differ.  The warm state lives only inside
+    one call.  1D pairs use the closed form.
+    """
+    plans: dict[int, TransportPlan] = {}
+    out = []
+    for rho, sigma in pairs:
+        if rho.k != sigma.k or rho.dim != sigma.dim:
+            raise ValueError("species count / dimension mismatch")
+        total = 0.0
+        for i, (a, b) in enumerate(zip(rho.species, sigma.species)):
+            ma, mb = float(a.weights.sum()), float(b.weights.sum())
+            if abs(ma - mb) > MASS_RTOL * max(ma, mb, 1.0):
+                raise UnequalMassError(f"species {i} mass mismatch ({ma} vs {mb})")
+            if rho.dim == 1:
+                total += w1_1d(a, b)
+            else:
+                cost, plans[i] = w1_exact(a, b, warm=plans.get(i))
+                total += cost
+        out.append(total)
+    return np.array(out, dtype=np.float64)
+
+
 def w1_vector(rho: MeasureVector, sigma: MeasureVector) -> float:
     """Sum of per-species W1 distances (the vector metric)."""
-    if rho.k != sigma.k or rho.dim != sigma.dim:
-        raise ValueError("species count / dimension mismatch")
-    total = 0.0
-    for i, (a, b) in enumerate(zip(rho.species, sigma.species)):
-        ma, mb = float(a.weights.sum()), float(b.weights.sum())
-        if abs(ma - mb) > MASS_RTOL * max(ma, mb, 1.0):
-            raise UnequalMassError(f"species {i} mass mismatch ({ma} vs {mb})")
-        if rho.dim == 1:
-            total += w1_1d(a, b)
-        else:
-            total += w1_exact(a, b)[0]
-    return total
+    return float(w1_series([(rho, sigma)])[0])
 
 
 # ---------------------------------------------------------------------------

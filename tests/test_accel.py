@@ -46,22 +46,34 @@ def test_w1_merge_backends_agree():
         assert fast == pytest.approx(slow, abs=1e-13)
 
 
-def test_transport_simplex_backends_agree():
+def test_simplex_potentials_match_a_full_rebuild():
+    # potentials kept across pivots must equal the ones a rebuild of the
+    # final tree computes, bit for bit; restarting from the optimum is a no-op
     rng = np.random.default_rng(6)
     for _ in range(20):
-        n, m = rng.integers(2, 12, size=2)
+        n, m = (int(k) for k in rng.integers(2, 25, size=2))
         cost = np.abs(rng.normal(size=(n, m)))
         supply = rng.uniform(0.1, 1.0, n)
         demand = rng.uniform(0.1, 1.0, m)
         demand *= supply.sum() / demand.sum()
         bi, bj, flows, u, v = _accel.transport_simplex(cost, supply, demand)
-        res = _accel._transport_simplex_numpy(
-            cost, supply, demand, 1e-12 * max(1.0, cost.max()), 10_000, 100_000
-        )
-        assert res is not None
-        cost_fast = float(np.sum(flows * cost[bi, bj]))
-        cost_slow = float(np.sum(res[2] * cost[res[0], res[1]]))
-        assert cost_fast == pytest.approx(cost_slow, abs=1e-11)
+        pi = _accel._tree_duals_py(n, m, list(zip(bi.tolist(), bj.tolist())), cost)[-1]
+        assert np.array_equal(u, pi[:n])
+        assert np.array_equal(v, -np.asarray(pi[n:]))
+        again = _accel.transport_simplex(cost, supply, demand, start=(bi, bj, flows))
+        for a, b in zip((bi, bj, flows, u, v), again):
+            assert np.array_equal(a, b)
+
+
+def test_simplex_rejects_a_start_that_is_not_a_spanning_tree():
+    cost = np.ones((2, 2))
+    w = np.array([0.5, 0.5])
+    with pytest.raises(ValueError, match="3 cells"):
+        _accel.transport_simplex(cost, w, w, start=(np.zeros(2, int), np.arange(2), w))
+    # (0,0), (0,1), (1,1) span; (0,0), (0,1), (0,0) leave row 1 out
+    rows, cols = np.array([0, 0, 0]), np.array([0, 1, 0])
+    with pytest.raises(RuntimeError):
+        _accel.transport_simplex(cost, w, w, start=(rows, cols, np.array([0.5, 0.0, 0.0])))
 
 
 def test_env_flag_forces_numpy_backend():

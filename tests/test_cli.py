@@ -180,6 +180,24 @@ def test_cli_main_verbs(tmp_path):
     assert (out / "trajectory.csv").exists()
 
 
+def test_audit_rejects_nan_kernel_scale(tmp_path, capsys):
+    raw = _load_raw("sedimentation-1d")
+    raw["model"]["kernel"]["scale"] = float("nan")
+    path = tmp_path / "nan-scale.json"
+    path.write_text(json.dumps(raw))
+    assert "NaN" in path.read_text()
+    assert main(["audit", str(path)]) == 2
+    assert "model.kernel: kernel scale must be finite" in capsys.readouterr().err
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_odd_ramp_params_rejected_with_field(tmp_path):
+    raw = _load_raw("predator-prey-1d")
+    raw["model"]["attraction"]["height"] = float("inf")
+    with pytest.raises(ScenarioParseError, match="model.attraction: kernel height"):
+        scenario_from_config(raw)
+
+
 def test_cli_w1_verb(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -48,6 +48,15 @@ def test_unknown_name_and_bad_params():
         kernel_library("tent", height=0.0)
 
 
+@pytest.mark.parametrize("field", ["scale", "height"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_params_rejected_with_field_name(field, bad):
+    with pytest.raises(ValueError, match=f"kernel {field} must be finite"):
+        kernel_library("tent", **{field: bad})
+    with pytest.raises(ValueError, match=f"kernel {field} must be finite"):
+        odd_ramp_kernel(**{"scale": 1.0, "height": 1.0, field: bad})
+
+
 def dense_gradient_sup(kernel, radius=3.0, samples=400001):
     x = np.linspace(-radius, radius, samples)
     vals = np.array([kernel.evaluate(0.0, np.array([xi])) for xi in x])

@@ -1,7 +1,11 @@
+from contextlib import contextmanager
 from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from nonlocalflow import (
@@ -16,8 +20,11 @@ from nonlocalflow import (
     w1_1d,
     w1_dual_lower_bound,
     w1_exact,
+    w1_series,
     w1_vector,
 )
+from nonlocalflow import _accel
+from nonlocalflow.wasserstein import CERT_TOL
 
 
 def lp_oracle(mu, nu):
@@ -153,6 +160,117 @@ def test_matches_vertex_enumeration_on_tiny_instances():
         mu, nu = random_pair(rng, max_pts=4, equal_weights=(trial % 3 == 0))
         got = w1_exact(mu, nu)[0]
         assert abs(got - vertex_enumeration_oracle(mu, nu)) < 1e-10
+
+
+@contextmanager
+def recorded_simplex():
+    """Record (cost, start, result) of every transportation simplex call."""
+    calls = []
+    real = _accel.transport_simplex
+
+    def record(cost, supply, demand, start=None):
+        out = real(cost, supply, demand, start=start)
+        calls.append((cost, start, out))
+        return out
+
+    with mock.patch.object(_accel, "transport_simplex", record):
+        yield calls
+
+
+def assert_certified(call):
+    cost, _, (bi, bj, flows, u, v) = call
+    reduced = cost - u[:, None] - v[None, :]
+    scale = max(1.0, float(cost.max()))
+    assert reduced.min() >= -CERT_TOL * scale
+    assert np.abs(flows * reduced[bi, bj]).max() <= CERT_TOL * scale
+    assert len(bi) == cost.shape[0] + cost.shape[1] - 1
+
+
+@st.composite
+def transport_pairs(draw):
+    """Two 2D measures on a coarse lattice, so coincident points are common."""
+    n = draw(st.integers(1, 7))
+    weights = draw(st.sampled_from(["random", "equal", "supply-is-demand"]))
+    m = n if weights == "supply-is-demand" or draw(st.booleans()) else draw(st.integers(1, 7))
+    cell = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    xs = 0.5 * np.array(draw(st.lists(cell, min_size=n, max_size=n)), dtype=float)
+    ys = 0.5 * np.array(draw(st.lists(cell, min_size=m, max_size=m)), dtype=float)
+    if draw(st.booleans()):  # the same points on both sides
+        k = min(n, m)
+        ys[:k] = xs[:k]
+    if weights == "equal":
+        wu, wv = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+    else:
+        parts = st.lists(st.integers(1, 5), min_size=n + m, max_size=n + m)
+        raw = np.array(draw(parts), dtype=float)
+        wu, wv = raw[:n] / raw[:n].sum(), raw[n:] / raw[n:].sum()
+        if weights == "supply-is-demand":
+            wv = wu
+    seed = draw(st.integers(0, 2**32 - 1))
+    return ParticleMeasure(2, xs, wu), ParticleMeasure(2, ys, wv), seed
+
+
+@settings(max_examples=80, deadline=None)
+@given(transport_pairs())
+def test_simplex_cold_and_warm_match_lp_oracle(case):
+    mu, nu, seed = case
+    with recorded_simplex() as calls:
+        cold, plan = w1_exact(mu, nu)
+    assert calls[0][1] is None
+    assert_certified(calls[0])
+    assert abs(cold - lp_oracle(mu, nu)) <= 1e-10
+
+    # push both measures forward: same weights, so the old basis is feasible
+    rng = np.random.default_rng(seed)
+    mu2 = mu.with_positions(mu.positions + rng.normal(scale=0.3, size=mu.positions.shape))
+    nu2 = nu.with_positions(nu.positions + rng.normal(scale=0.3, size=nu.positions.shape))
+    with recorded_simplex() as calls:
+        warm, _ = w1_exact(mu2, nu2, warm=plan)
+    assert calls[0][1] is not None
+    assert_certified(calls[0])
+    assert abs(warm - lp_oracle(mu2, nu2)) <= 1e-10
+
+    # different weights: the plan's basis does not fit, so the solve is cold
+    mu3, nu3 = mu2.scaled(2.0), nu2.scaled(2.0)
+    with recorded_simplex() as calls:
+        fallback, _ = w1_exact(mu3, nu3, warm=plan)
+    assert calls[0][1] is None
+    assert_certified(calls[0])
+    assert fallback == w1_exact(mu3, nu3)[0]
+    assert abs(fallback - lp_oracle(mu3, nu3)) <= 1e-10
+
+
+def test_w1_series_chains_warm_starts_per_species():
+    rng = np.random.default_rng(11)
+    base = MeasureVector(
+        tuple(
+            ParticleMeasure(2, rng.normal(size=(n, 2)), rng.uniform(0.2, 1.0, n))
+            for n in (9, 6)
+        )
+    )
+    walk = [base]
+    for _ in range(5):
+        walk.append(walk[-1].with_positions(
+            [p + rng.normal(scale=0.1, size=p.shape) for p in walk[-1].positions()]
+        ))
+    pairs = list(zip(walk[:-1], walk[1:]))
+    with recorded_simplex() as calls:
+        series = w1_series(pairs)
+    # the first pair starts cold for each species, every later one warm
+    assert [start is not None for _, start, _ in calls] == [False, False] + [True] * 8
+    for call in calls:
+        assert_certified(call)
+    for got, (a, b) in zip(series, pairs):
+        assert abs(got - w1_vector(a, b)) <= 1e-12
+    assert w1_series([]).shape == (0,)
+
+
+def test_w1_series_uses_the_closed_form_in_1d():
+    a = MeasureVector((dirac([0.0]), dirac([1.0])))
+    b = MeasureVector((dirac([2.0]), dirac([1.5])))
+    with recorded_simplex() as calls:
+        assert w1_series([(a, b), (b, a)]) == pytest.approx([2.5, 2.5])
+    assert calls == []
 
 
 def test_plan_marginals_and_certificate():
