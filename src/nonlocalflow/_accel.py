@@ -2,56 +2,30 @@
 
 The particle method spends nearly all of its time summing radial kernel
 profiles over particle ensembles (one O(N*M) pass per velocity evaluation)
-and merging sorted weight sequences for 1D transport costs.  Both kernels
-exist in two variants:
+and merging sorted weight sequences for 1D transport costs.  Both are
+vectorized numpy.
 
-* ``numba`` -- explicit loops compiled with ``@njit`` (no temporaries),
-* ``numpy`` -- vectorized broadcasting, used when numba is unavailable or
-  when the environment variable ``NONLOCAL_NUMBA`` is set to ``0``.
-
-Both compute the same sums; floating point results may differ in the last
-bits because the summation order differs.
-
-The transportation simplex behind exact W1 has one implementation, in
-Python with numpy pricing.  It keeps its spanning tree (parents, depths and
-potentials) from one pivot to the next and reprices only the subtree that a
-pivot cuts off, and it can start from a given basis.
+The transportation simplex behind exact W1 is in Python with numpy
+pricing.  It keeps its spanning tree (parents, depths and potentials) from
+one pivot to the next and reprices only the subtree that a pivot cuts off,
+and it can start from a given basis.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-# Radial profile codes shared by both backends.
+# the only backend; recorded alongside benchmark samples
+BACKEND = "numpy"
+
+# Radial profile codes.
 PROFILE_CONSTANT = 0
 PROFILE_TENT = 1
 PROFILE_BUMP = 2
 PROFILE_COSINE = 3
 
 
-def _env_wants_numba() -> bool:
-    flag = os.environ.get("NONLOCAL_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-_HAVE_NUMBA = False
-if _env_wants_numba():
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _HAVE_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-
-def _profile_values_numpy(dist: np.ndarray, code: int, scale: float, height: float) -> np.ndarray:
+def _profile_values(dist: np.ndarray, code: int, scale: float, height: float) -> np.ndarray:
     if code == PROFILE_CONSTANT:
         return np.full_like(dist, height)
     u = dist / scale
@@ -65,7 +39,7 @@ def _profile_values_numpy(dist: np.ndarray, code: int, scale: float, height: flo
     raise ValueError(f"unknown profile code {code}")
 
 
-def _radial_sum_numpy(
+def radial_sum(
     points: np.ndarray,
     centers: np.ndarray,
     weights: np.ndarray,
@@ -73,18 +47,33 @@ def _radial_sum_numpy(
     scale: float,
     height: float,
 ) -> np.ndarray:
+    """Sum of one radial profile over weighted centers, at many points.
+
+    ``out[m] = sum_n weights[n] * profile(|points[m] - centers[n]|)``
+    """
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    centers = np.ascontiguousarray(centers, dtype=np.float64)
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
     if centers.shape[0] == 0:
         return np.zeros(points.shape[0])
     if code == PROFILE_CONSTANT:
         return np.full(points.shape[0], height * float(weights.sum()))
     diff = points[:, None, :] - centers[None, :, :]
     dist = np.sqrt(np.einsum("mnd,mnd->mn", diff, diff))
-    return _profile_values_numpy(dist, code, scale, height) @ weights
+    return _profile_values(dist, code, scale, height) @ weights
 
 
-def _w1_cdf_merge_numpy(
-    xu: np.ndarray, wu: np.ndarray, xv: np.ndarray, wv: np.ndarray
-) -> float:
+def w1_cdf_merge(xu: np.ndarray, wu: np.ndarray, xv: np.ndarray, wv: np.ndarray) -> float:
+    """1D transport cost between sorted weighted point sets of equal mass.
+
+    Inputs must be sorted ascending by position; weights positive.
+    """
+    xu = np.ascontiguousarray(xu, dtype=np.float64)
+    wu = np.ascontiguousarray(wu, dtype=np.float64)
+    xv = np.ascontiguousarray(xv, dtype=np.float64)
+    wv = np.ascontiguousarray(wv, dtype=np.float64)
+    if xu.size == 0 and xv.size == 0:
+        return 0.0
     # W1 = integral of |F_mu - F_nu| over the merged breakpoint grid.
     xs = np.concatenate([xu, xv])
     order = np.argsort(xs, kind="stable")
@@ -238,122 +227,6 @@ def _transport_simplex_numpy(
     basis_i = np.array([r for r, _ in ends], dtype=np.int64)
     basis_j = np.array([c - n for _, c in ends], dtype=np.int64)
     return basis_i, basis_j, np.asarray(flows, dtype=np.float64), potentials[:n].copy(), -potentials[n:]
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _profile_scalar(dist: float, code: int, scale: float, height: float) -> float:
-        if code == PROFILE_CONSTANT:
-            return height
-        u = dist / scale
-        if u >= 1.0:
-            return 0.0
-        if code == PROFILE_TENT:
-            return height * (1.0 - u)
-        if code == PROFILE_BUMP:
-            core = 1.0 - u * u
-            return height * core * core
-        # PROFILE_COSINE
-        return height * np.cos(0.5 * np.pi * u)
-
-    @njit(cache=True)
-    def _radial_sum_numba(points, centers, weights, code, scale, height):
-        n_pts = points.shape[0]
-        n_src = centers.shape[0]
-        dim = points.shape[1]
-        out = np.zeros(n_pts)
-        if code == PROFILE_CONSTANT:
-            total = 0.0
-            for n in range(n_src):
-                total += weights[n]
-            for m in range(n_pts):
-                out[m] = height * total
-            return out
-        for m in range(n_pts):
-            acc = 0.0
-            for n in range(n_src):
-                d2 = 0.0
-                for a in range(dim):
-                    diff = points[m, a] - centers[n, a]
-                    d2 += diff * diff
-                acc += weights[n] * _profile_scalar(np.sqrt(d2), code, scale, height)
-            out[m] = acc
-        return out
-
-    @njit(cache=True)
-    def _w1_cdf_merge_numba(xu, wu, xv, wv):
-        nu = xu.shape[0]
-        nv = xv.shape[0]
-        i = 0
-        j = 0
-        cdf = 0.0
-        cost = 0.0
-        prev = 0.0
-        started = False
-        while i < nu or j < nv:
-            if j >= nv or (i < nu and xu[i] <= xv[j]):
-                x = xu[i]
-                if started:
-                    cost += abs(cdf) * (x - prev)
-                cdf += wu[i]
-                i += 1
-            else:
-                x = xv[j]
-                if started:
-                    cost += abs(cdf) * (x - prev)
-                cdf -= wv[j]
-                j += 1
-            prev = x
-            started = True
-        return cost
-
-
-# ---------------------------------------------------------------------------
-# public dispatchers
-# ---------------------------------------------------------------------------
-
-BACKEND = "numba" if _HAVE_NUMBA else "numpy"
-
-
-def radial_sum(
-    points: np.ndarray,
-    centers: np.ndarray,
-    weights: np.ndarray,
-    code: int,
-    scale: float,
-    height: float,
-) -> np.ndarray:
-    """Sum of one radial profile over weighted centers, at many points.
-
-    ``out[m] = sum_n weights[n] * profile(|points[m] - centers[n]|)``
-    """
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    centers = np.ascontiguousarray(centers, dtype=np.float64)
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    if _HAVE_NUMBA:
-        return _radial_sum_numba(points, centers, weights, code, scale, height)
-    return _radial_sum_numpy(points, centers, weights, code, scale, height)
-
-
-def w1_cdf_merge(xu: np.ndarray, wu: np.ndarray, xv: np.ndarray, wv: np.ndarray) -> float:
-    """1D transport cost between sorted weighted point sets of equal mass.
-
-    Inputs must be sorted ascending by position; weights positive.
-    """
-    xu = np.ascontiguousarray(xu, dtype=np.float64)
-    wu = np.ascontiguousarray(wu, dtype=np.float64)
-    xv = np.ascontiguousarray(xv, dtype=np.float64)
-    wv = np.ascontiguousarray(wv, dtype=np.float64)
-    if xu.size == 0 and xv.size == 0:
-        return 0.0
-    if _HAVE_NUMBA:
-        return float(_w1_cdf_merge_numba(xu, wu, xv, wv))
-    return _w1_cdf_merge_numpy(xu, wu, xv, wv)
 
 
 def transport_simplex(

@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -63,7 +63,7 @@ from .velocity import (
     sedimentation_field,
     toward_point,
 )
-from .wasserstein import w1_1d, w1_exact, w1_series, w1_vector
+from .wasserstein import w1_1d, w1_exact, w1_series
 
 SCHEMA_VERSION = 1
 KNOWN_EMITS = ("trajectories", "densities", "reports", "plotdata")
@@ -342,25 +342,36 @@ def _apply_overrides(raw: dict, overrides: dict) -> dict:
 def scenario_from_config(raw: dict, audit: bool = True) -> Scenario:
     for key in ("name", "horizon", "dt", "model", "species"):
         _require(raw, key, "scenario")
-    built = [_build_species(cfg, i) for i, cfg in enumerate(raw["species"])]
+    built = []
+    for i, cfg in enumerate(raw["species"]):
+        try:
+            built.append(_build_species(cfg, i))
+        except ScenarioParseError:
+            raise
+        except ValueError as exc:
+            raise ScenarioParseError(f"species[{i}]: {exc}") from exc
     initial = MeasureVector(tuple(mu for mu, _ in built))
     densities = tuple(dens for _, dens in built)
     model = _build_model(raw["model"], list(initial.species))
     track = bool(raw.get("density_tracking", False))
-    scenario = Scenario(
-        name=str(raw["name"]),
-        model=model,
-        initial=initial,
-        horizon=float(raw["horizon"]),
-        step=StepControl(float(raw["dt"]), float(raw.get("courant", 0.1))),
-        mode=str(raw.get("mode", "direct")),
-        track_density=track,
-        picard=PicardParams(**raw.get("picard", {})),
-        initial_densities=densities if track else None,
-        h_fd=float(raw.get("h_fd", 1e-4)),
-        seed=int(raw.get("seed", 0)),
-        config=json.loads(json.dumps(raw)),
-    )
+    try:
+        scenario = Scenario(
+            name=str(raw["name"]),
+            model=model,
+            initial=initial,
+            horizon=float(raw["horizon"]),
+            step=StepControl(float(raw["dt"]), float(raw.get("courant", 0.1))),
+            mode=str(raw.get("mode", "direct")),
+            track_density=track,
+            picard=PicardParams(**raw.get("picard", {})),
+            initial_densities=densities if track else None,
+            h_fd=float(raw.get("h_fd", 1e-4)),
+            seed=int(raw.get("seed", 0)),
+            config=json.loads(json.dumps(raw)),
+        )
+    except ValueError as exc:
+        # each field check names its field: dt, courant, horizon, h_fd, picard.*
+        raise ScenarioParseError(f"scenario: {exc}") from exc
     if audit:
         radius = raw.get("audit_radius")
         if radius is None:
@@ -451,18 +462,6 @@ def _svg_document(body: str, width: int = 480, height: int = 320) -> str:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
 
-def _scale_points(xs, ys, width=480, height=320, margin=40):
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    x0, x1 = float(xs.min()), float(xs.max())
-    y0, y1 = float(ys.min()), float(ys.max())
-    sx = (width - 2 * margin) / (x1 - x0 if x1 > x0 else 1.0)
-    sy = (height - 2 * margin) / (y1 - y0 if y1 > y0 else 1.0)
-    px = margin + (xs - x0) * sx
-    py = height - margin - (ys - y0) * sy
-    return px, py
-
-
 def _svg_curves(series: list[tuple[np.ndarray, np.ndarray]], path: Path) -> None:
     all_x = np.concatenate([s[0] for s in series])
     all_y = np.concatenate([s[1] for s in series])
@@ -492,7 +491,6 @@ def _svg_scatter(groups: list[np.ndarray], path: Path) -> None:
     if pts.shape[1] == 1:
         pts = np.column_stack([pts[:, 0], np.zeros(len(pts))])
     body = ["<g>\n"]
-    offset = 0
     for idx, g in enumerate(groups):
         g2 = g if g.shape[1] > 1 else np.column_stack([g[:, 0], np.zeros(len(g))])
         px, py = _rescale(
@@ -501,7 +499,6 @@ def _svg_scatter(groups: list[np.ndarray], path: Path) -> None:
         color = _PALETTE[idx % len(_PALETTE)]
         for x, y in zip(px, py):
             body.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" fill="{color}"/>\n')
-        offset += len(g)
     body.append("</g>\n")
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(_svg_document("".join(body)))
@@ -618,13 +615,11 @@ def run_checks(scenario: Scenario, record: SolutionRecord, checks: list[dict], k
             pairs = int(cfg.get("pairs", 3))
             eps = float(cfg.get("eps", 0.05))
             slack = float(cfg.get("slack", 1.05))
-            if k_override is None:
-                reports.extend(stability_battery(scenario, pairs, eps, scenario.seed, slack))
-            else:
-                for p in range(pairs):
-                    sigma0 = perturbed_initial(scenario.initial, eps, scenario.seed + p)
-                    rep = _stability_with_k(scenario, sigma0, k_override, slack)
-                    reports.append(rep)
+            # a direct solve is the base solve the pairs share
+            base = record if record.diagnostics["mode"] == "direct" else None
+            reports.extend(
+                stability_battery(scenario, pairs, eps, scenario.seed, slack, k_override, base)
+            )
         elif kind == "linfty-growth":
             reports.append(check_linfty_growth(scenario, float(cfg.get("slack", 1.05))))
         elif kind == "lemma-stability":
@@ -645,20 +640,6 @@ def run_checks(scenario: Scenario, record: SolutionRecord, checks: list[dict], k
         else:
             raise ScenarioParseError(f"unknown check type {kind!r}")
     return reports
-
-
-def _stability_with_k(scenario, sigma0, k_value: float, slack: float) -> BoundReport:
-    from .solver import solve_direct
-    rec_a = solve_direct(replace(scenario, track_density=False, initial_densities=None))
-    rec_b = solve_direct(replace(scenario, initial=sigma0, track_density=False, initial_densities=None))
-    d0 = w1_vector(scenario.initial, sigma0)
-    dists = w1_series(zip(rec_a.states[1:], rec_b.states[1:]))
-    growth = np.exp(k_value * rec_a.times[1:])
-    ratio = float((dists / (growth * d0)).max()) if d0 > 0 else float(dists.max())
-    return BoundReport.make(
-        "stability-initial-data", ratio, 1.0, slack,
-        {"scenario": scenario.name, "k_override": k_value},
-    )
 
 
 def run(config: RunConfig) -> int:

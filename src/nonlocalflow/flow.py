@@ -15,11 +15,13 @@ midpoint rule.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
+from .kernels import require_positive
 from .measures import MeasureVector
 from .velocity import VelocityModel, lipschitz_bound_b, velocity_batch
 
@@ -34,8 +36,8 @@ class StepControl:
     courant: float = 0.1
 
     def __post_init__(self):
-        if self.dt <= 0 or self.courant <= 0:
-            raise ValueError("dt and courant must be positive")
+        require_positive("dt", self.dt)
+        require_positive("courant", self.courant)
 
     def check(self, lipschitz: float) -> None:
         if self.dt * lipschitz > self.courant * (1.0 + 1e-12):
@@ -47,12 +49,17 @@ class StepControl:
 
 @dataclass(frozen=True)
 class FlowState:
-    """Ensemble state along the flow, with optional density tracking."""
+    """Ensemble state along the flow, with optional density tracking.
+
+    ``passive`` holds per-species tracer positions that are advected by the
+    species' field but carry no mass and do not act on the dynamics.
+    """
 
     t: float
     rho: MeasureVector
     initial_density: tuple[np.ndarray, ...] | None = None
     div_integral: tuple[np.ndarray, ...] | None = None
+    passive: tuple[np.ndarray, ...] | None = None
 
     def transported_density(self) -> tuple[np.ndarray, ...]:
         if self.initial_density is None or self.div_integral is None:
@@ -61,23 +68,14 @@ class FlowState:
             d0 * np.exp(-acc) for d0, acc in zip(self.initial_density, self.div_integral)
         )
 
-    def log_density(self) -> tuple[np.ndarray, ...]:
-        if self.initial_density is None or self.div_integral is None:
-            raise ValueError("density tracking is not enabled for this state")
-        out = []
-        for d0, acc in zip(self.initial_density, self.div_integral):
-            with np.errstate(divide="ignore"):
-                out.append(np.log(d0) - acc)
-        return tuple(out)
-
 
 def start_state(
-    rho: MeasureVector, density_values: Sequence[np.ndarray] | None = None
+    rho: MeasureVector, density_values: Sequence[np.ndarray] | None = None, t: float = 0.0
 ) -> FlowState:
     if density_values is None:
-        return FlowState(0.0, rho)
+        return FlowState(t, rho)
     return FlowState(
-        0.0,
+        t,
         rho,
         tuple(np.asarray(v, dtype=np.float64) for v in density_values),
         tuple(np.zeros(len(m)) for m in rho.species),
@@ -134,8 +132,8 @@ def _stage_velocities(
     model: VelocityModel,
     source: MeasureVector,
     t: float,
-    positions: list[np.ndarray],
-    passive: list[np.ndarray] | None,
+    positions: Sequence[np.ndarray],
+    passive: Sequence[np.ndarray] | None,
 ) -> tuple[list[np.ndarray], list[np.ndarray] | None]:
     vels = [
         velocity_batch(model, source, i, t, positions[i]) for i in range(len(positions))
@@ -149,16 +147,24 @@ def _stage_velocities(
     return vels, pvels
 
 
-def _rk4_positions(
+def rk4_step(
     model: VelocityModel,
     frozen_r: ParticleTrajectory | None,
-    template: MeasureVector,
-    t: float,
-    positions: list[np.ndarray],
+    state: FlowState,
     dt: float,
-    passive: list[np.ndarray] | None = None,
-):
-    """One classical RK4 stage cascade for main and passive positions."""
+    courant: float = 0.1,
+) -> FlowState:
+    """Advance every particle of every species, and any passive tracers, by
+    one classical RK4 step.
+
+    ``frozen_r is None`` selects self-consistent mode; otherwise the frozen
+    trajectory supplies the convolution source at the stage times.
+    """
+    StepControl(dt, courant).check(
+        lipschitz_bound_b(model, state.rho.total_measure())
+    )
+    t, template, passive = state.t, state.rho, state.passive
+    positions = template.positions()
 
     def shifted(base, vels, factor):
         return [p + factor * v for p, v in zip(base, vels)]
@@ -188,31 +194,13 @@ def _rk4_positions(
     ]
     new_pas = None
     if passive is not None:
-        new_pas = [
+        new_pas = tuple(
             p + sixth * (a + 2.0 * b + 2.0 * c + d)
             for p, a, b, c, d in zip(passive, pk1, pk2, pk3, pk4)
-        ]
-    return new_pos, new_pas
-
-
-def rk4_step(
-    model: VelocityModel,
-    frozen_r: ParticleTrajectory | None,
-    state: FlowState,
-    dt: float,
-    courant: float = 0.1,
-) -> FlowState:
-    """Advance every particle of every species by one RK4 step.
-
-    ``frozen_r is None`` selects self-consistent mode; otherwise the frozen
-    trajectory supplies the convolution source at the stage times.
-    """
-    StepControl(dt, courant).check(
-        lipschitz_bound_b(model, state.rho.total_measure())
+        )
+    return replace(
+        state, t=t + dt, rho=template.with_positions(new_pos), passive=new_pas
     )
-    positions = state.rho.positions()
-    new_pos, _ = _rk4_positions(model, frozen_r, state.rho, state.t, positions, dt)
-    return replace(state, t=state.t + dt, rho=state.rho.with_positions(new_pos))
 
 
 def divergence_at(
@@ -273,6 +261,43 @@ def accumulate_divergence(
     return replace(next_state, initial_density=state.initial_density, div_integral=tuple(new_acc))
 
 
+def _uniform_steps(t0: float, t1: float, dt: float) -> tuple[int, float]:
+    """Fewest steps of at most ``dt`` (up to rounding) that cover [t0, t1]."""
+    span = t1 - t0
+    steps = max(1, int(math.ceil(span / dt - 1e-12)))
+    return steps, span / steps
+
+
+def integrate(
+    model: VelocityModel,
+    frozen_r: ParticleTrajectory | None,
+    state: FlowState,
+    t1: float,
+    steps: int,
+    courant: float = 0.1,
+    h_fd: float = 1e-4,
+) -> tuple[np.ndarray, list[FlowState]]:
+    """The RK4 loop: ``steps`` uniform steps from ``state.t`` to ``t1``.
+
+    Returns the snapshot times ``t0 + dt*(j+1)`` (prefixed by ``t0``) and
+    the state after each step (prefixed by ``state``).  The stage clock of
+    each step is the accumulated ``state.t``, not the snapshot time.  States
+    that track densities also advance their divergence integrals.
+    """
+    t0 = state.t
+    dt = (t1 - t0) / steps
+    times = [t0]
+    states = [state]
+    for j in range(steps):
+        nxt = rk4_step(model, frozen_r, state, dt, courant)
+        if state.div_integral is not None:
+            nxt = accumulate_divergence(model, frozen_r, state, nxt, dt, h_fd)
+        state = nxt
+        times.append(t0 + dt * (j + 1))
+        states.append(state)
+    return np.asarray(times), states
+
+
 def flow_map_lipschitz_probe(
     model: VelocityModel,
     initial: MeasureVector,
@@ -301,18 +326,11 @@ def flow_map_lipschitz_probe(
     probes_b = base + offsets
     gap0 = np.linalg.norm(probes_a - probes_b, axis=1)
 
-    steps = max(1, int(np.ceil(horizon / dt)))
-    dtu = horizon / steps
-    StepControl(dtu, courant).check(lipschitz_bound_b(model, initial.total_measure()))
-    positions = initial.positions()
+    steps, _ = _uniform_steps(0.0, horizon, dt)
     passive = [np.zeros((0, initial.dim)) for _ in range(initial.k)]
     passive[species] = np.vstack([probes_a, probes_b])
-    t = 0.0
-    for _ in range(steps):
-        positions, passive = _rk4_positions(
-            model, None, initial, t, positions, dtu, passive
-        )
-        t += dtu
-    moved = passive[species]
+    start = FlowState(0.0, initial, passive=tuple(passive))
+    _, states = integrate(model, None, start, horizon, steps, courant)
+    moved = states[-1].passive[species]
     gap_t = np.linalg.norm(moved[:pairs] - moved[pairs:], axis=1)
     return float(np.max(gap_t / gap0))

@@ -16,15 +16,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .flow import ParticleTrajectory
+from .flow import ParticleTrajectory, _uniform_steps
 from .kernels import sample_box
 from .measures import MeasureVector
 from .solver import (
     Scenario,
+    SolutionRecord,
     StabilityConstants,
     solve_direct,
     solve_frozen,
-    _uniform_steps,
 )
 from .velocity import VelocityModel, velocity_batch
 from .wasserstein import w1_series, w1_vector
@@ -94,23 +94,29 @@ def perturbed_initial(
     return rho.with_positions(moved)
 
 
+def _untracked(scenario: Scenario, initial: MeasureVector) -> Scenario:
+    return replace(scenario, initial=initial, track_density=False, initial_densities=None)
+
+
 def check_stability_initial(
     scenario: Scenario,
-    rho0: MeasureVector,
+    base: SolutionRecord,
     sigma0: MeasureVector,
     slack: float = 1.05,
     fingerprint: dict | None = None,
+    K: float | None = None,
 ) -> BoundReport:
     """W1(rho_t, sigma_t) <= exp(K t) W1(rho_0, sigma_0) with K = 2C.
 
-    Identical initial data degenerates to the noise-floor check
-    (distances stay below 1e-9).
+    ``base`` is the direct solve from rho_0 = ``base.states[0]``; it can be
+    shared by every perturbation of that datum.  ``K`` replaces the certified
+    growth rate when given.  Identical initial data degenerates to the
+    noise-floor check (distances stay below 1e-9).
     """
-    consts = StabilityConstants.of(scenario.model, rho0.total_measure())
-    rec_a = solve_direct(replace(scenario, initial=rho0, track_density=False,
-                                 initial_densities=None))
-    rec_b = solve_direct(replace(scenario, initial=sigma0, track_density=False,
-                                 initial_densities=None))
+    rho0 = base.states[0]
+    if K is None:
+        K = StabilityConstants.of(scenario.model, rho0.total_measure()).K
+    rec_b = solve_direct(_untracked(scenario, sigma0))
     d0 = w1_vector(rho0, sigma0)
     fp = {
         "scenario": scenario.name,
@@ -120,11 +126,11 @@ def check_stability_initial(
         "dt": scenario.step.dt,
         **(fingerprint or {}),
     }
-    dists = w1_series(zip(rec_a.states[1:], rec_b.states[1:]))
+    dists = w1_series(zip(base.states[1:], rec_b.states[1:]))
     if d0 == 0.0:
         lhs = float(dists.max()) if dists.size else 0.0
         return BoundReport.make("stability-identical-data", lhs, 1e-9, 1.0, fp)
-    growth = np.exp(consts.K * rec_a.times[1:])
+    growth = np.exp(K * base.times[1:])
     ratio = float((dists / (growth * d0)).max()) if dists.size else 0.0
     return BoundReport.make("stability-initial-data", ratio, 1.0, slack, fp)
 
@@ -277,17 +283,24 @@ def stability_battery(
     eps: float = 0.05,
     seed0: int = 0,
     slack: float = 1.05,
+    K: float | None = None,
+    base: SolutionRecord | None = None,
 ) -> list[BoundReport]:
     """Seeded perturbation pairs through check_stability_initial.
 
-    Runs pairs concurrently; NONLOCAL_THREADS caps the worker count.
+    The unperturbed datum is solved once (or ``base``, a direct solve of the
+    scenario, is used) and shared by every pair.  A given ``K`` is passed on
+    and recorded in each fingerprint as ``k_override``.  Runs pairs
+    concurrently; NONLOCAL_THREADS caps the worker count.
     """
+    if base is None:
+        base = solve_direct(_untracked(scenario, scenario.initial))
+    extra = {} if K is None else {"k_override": K}
 
     def one(seed: int) -> BoundReport:
-        rho0 = scenario.initial
-        sigma0 = perturbed_initial(rho0, eps, seed)
+        sigma0 = perturbed_initial(scenario.initial, eps, seed)
         return check_stability_initial(
-            scenario, rho0, sigma0, slack, fingerprint={"pair_seed": seed}
+            scenario, base, sigma0, slack, fingerprint={"pair_seed": seed, **extra}, K=K
         )
 
     seeds = [seed0 + i for i in range(pairs)]

@@ -47,7 +47,7 @@ class Kernel:
 
 
 def _term_eval(term: RadialTerm, dist: np.ndarray) -> np.ndarray:
-    return _accel._profile_values_numpy(dist, term.code, term.scale, term.height)
+    return _accel._profile_values(dist, term.code, term.scale, term.height)
 
 
 def _kernel_from_terms(dim: int, terms: Sequence[RadialTerm], sup: float, lip: float) -> Kernel:
@@ -65,10 +65,10 @@ def _kernel_from_terms(dim: int, terms: Sequence[RadialTerm], sup: float, lip: f
 _BUMP_LIP_FACTOR = 8.0 / (3.0 * math.sqrt(3.0))
 
 
-def _require_positive(**params: float) -> None:
-    for name, value in params.items():
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"kernel {name} must be finite and positive, got {value!r}")
+def require_positive(name: str, value: float) -> None:
+    """Reject a parameter unless it is finite and positive (NaN included)."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def kernel_library(name: str, dim: int = 1, scale: float = 1.0, height: float = 1.0) -> Kernel:
@@ -79,7 +79,8 @@ def kernel_library(name: str, dim: int = 1, scale: float = 1.0, height: float = 
     cosine-lobe  h * cos(pi |x| / (2s)) on |x|<=s   sup h, lip pi*h/(2s)
     constant     h                              sup h, lip 0
     """
-    _require_positive(scale=scale, height=height)
+    require_positive("kernel scale", scale)
+    require_positive("kernel height", height)
     if name == "tent":
         term = RadialTerm(_accel.PROFILE_TENT, scale, height)
         return _kernel_from_terms(dim, [term], height, height / scale)
@@ -102,7 +103,8 @@ def odd_ramp_kernel(scale: float, height: float) -> Kernel:
     zero beyond.  Carries direction information (repulsion/attraction) that
     even radial kernels cannot; sup = h, lip = h/s.
     """
-    _require_positive(scale=scale, height=height)
+    require_positive("kernel scale", scale)
+    require_positive("kernel height", height)
 
     def evaluate(t: float, x: np.ndarray) -> float:
         u = float(np.atleast_1d(x)[0]) / scale

@@ -16,14 +16,13 @@ from typing import Sequence
 import numpy as np
 
 from .flow import (
-    FlowState,
     ParticleTrajectory,
     StepControl,
-    accumulate_divergence,
-    rk4_step,
+    _uniform_steps,
+    integrate,
     start_state,
 )
-from .kernels import KernelMatrix, scale_kernel
+from .kernels import KernelMatrix, require_positive, scale_kernel
 from .measures import GridDensity, MeasureVector, rescale_to_probability
 from .velocity import VelocityModel, lipschitz_bound_b, velocity_batch
 from .wasserstein import w1_series
@@ -36,8 +35,9 @@ class PicardParams:
     sigma: float = 0.5
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iter < 1 or not (0.0 < self.sigma < 1.0):
-            raise ValueError("need tol > 0, max_iter >= 1, sigma in (0, 1)")
+        require_positive("picard.tol", self.tol)
+        if self.max_iter < 1 or not (0.0 < self.sigma < 1.0):
+            raise ValueError("need picard.max_iter >= 1 and picard.sigma in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ class Scenario:
     config: dict | None = None
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        require_positive("horizon", self.horizon)
+        require_positive("h_fd", self.h_fd)
         if self.mode not in ("direct", "picard"):
             raise ValueError("mode must be 'direct' or 'picard'")
         if self.track_density and self.initial_densities is None:
@@ -131,31 +131,21 @@ class SolutionRecord:
         return self.states[-1]
 
 
-def _uniform_steps(t0: float, t1: float, dt: float) -> tuple[int, float]:
-    span = t1 - t0
-    steps = max(1, int(math.ceil(span / dt - 1e-12)))
-    return steps, span / steps
-
-
 def solve_direct(scenario: Scenario) -> SolutionRecord:
     """Self-consistent Lagrangian integration over the full horizon."""
-    steps, dtu = _uniform_steps(0.0, scenario.horizon, scenario.step.dt)
-    state = start_state(scenario.initial, scenario.density_values())
-    times = [0.0]
-    states = [state.rho]
-    densities = [state.transported_density()] if scenario.track_density else None
-    for j in range(steps):
-        nxt = rk4_step(scenario.model, None, state, dtu, scenario.step.courant)
-        if scenario.track_density:
-            nxt = accumulate_divergence(
-                scenario.model, None, state, nxt, dtu, scenario.h_fd
-            )
-            densities.append(nxt.transported_density())
-        state = nxt
-        times.append(dtu * (j + 1))
-        states.append(state.rho)
+    steps, _ = _uniform_steps(0.0, scenario.horizon, scenario.step.dt)
+    times, flow = integrate(
+        scenario.model,
+        None,
+        start_state(scenario.initial, scenario.density_values()),
+        scenario.horizon,
+        steps,
+        scenario.step.courant,
+        scenario.h_fd,
+    )
+    densities = [s.transported_density() for s in flow] if scenario.track_density else None
     record = SolutionRecord(
-        np.asarray(times), states, densities, {"mode": "direct"}
+        times, [s.rho for s in flow], densities, {"mode": "direct"}
     )
     record.diagnostics["masses"] = record.masses()
     return record
@@ -173,27 +163,13 @@ def solve_frozen(
     h_fd: float = 1e-4,
 ):
     """Linear transport along a frozen convolution source (the map r -> rho)."""
-    dtu = (t1 - t0) / steps
-    state = FlowState(t0, initial)
+    times, flow = integrate(
+        model, frozen_r, start_state(initial, density_values, t0), t1, steps, courant, h_fd
+    )
+    densities = None
     if density_values is not None:
-        state = FlowState(
-            t0,
-            initial,
-            tuple(np.asarray(v, dtype=np.float64) for v in density_values),
-            tuple(np.zeros(len(m)) for m in initial.species),
-        )
-    times = [t0]
-    states = [initial]
-    densities = [state.transported_density()] if density_values is not None else None
-    for j in range(steps):
-        nxt = rk4_step(model, frozen_r, state, dtu, courant)
-        if density_values is not None:
-            nxt = accumulate_divergence(model, frozen_r, state, nxt, dtu, h_fd)
-            densities.append(nxt.transported_density())
-        state = nxt
-        times.append(t0 + dtu * (j + 1))
-        states.append(state.rho)
-    return np.asarray(times), states, densities
+        densities = [s.transported_density() for s in flow]
+    return times, [s.rho for s in flow], densities
 
 
 def window_length(scenario: Scenario) -> float:

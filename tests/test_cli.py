@@ -191,6 +191,46 @@ def test_audit_rejects_nan_kernel_scale(tmp_path, capsys):
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "field, fields",
+    [
+        # a NaN courant with an oversized dt once switched off the step guard
+        ("courant", {"courant": NAN, "dt": 0.25}),
+        ("dt", {"dt": NAN}),
+        ("dt", {"dt": float("inf")}),
+        ("horizon", {"horizon": NAN}),
+        ("h_fd", {"h_fd": NAN}),
+        ("h_fd", {"h_fd": -1.0}),
+        ("picard.tol", {"picard": {"tol": NAN}}),
+    ],
+)
+def test_non_finite_scenario_fields_rejected_with_field(tmp_path, capsys, field, fields):
+    raw = {**_load_raw("sedimentation-1d"), **fields}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{field} must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--dt", "nan"], "dt must be finite"),
+        (["--dt", "-1"], "dt must be finite"),
+        (["--horizon", "nan"], "horizon must be finite"),
+        (["--horizon", "-1"], "horizon must be finite"),
+        (["--n", "0"], "species[0]: "),
+    ],
+)
+def test_bad_run_overrides_exit_2_with_field(tmp_path, capsys, argv, message):
+    out = str(tmp_path / "out")
+    assert main(["run", "sedimentation-1d", *argv, "--out", out, "--emit", "trajectories"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_odd_ramp_params_rejected_with_field(tmp_path):
     raw = _load_raw("predator-prey-1d")
     raw["model"]["attraction"]["height"] = float("inf")

@@ -169,6 +169,20 @@ def test_lipschitz_probe_contracting_field():
     assert ratio <= 1.0
 
 
+def test_lipschitz_probe_uses_the_solver_step_grid():
+    # 0.14 / 0.02 rounds to 7.000000000000001: the solver's grid takes 7
+    # steps of 0.02, and the gap of a linear field shrinks by the RK4
+    # amplification R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 per step.  The
+    # tolerance is rounding: an ulp of a tracer near 1 over the 1e-3 gap is
+    # 2.2e-13; an 8-step grid misses by 6.8e-11
+    model = linear_local_field(-1.0, 5.0, 1)
+    init = MeasureVector((dirac([0.5]),))
+    ratio = flow_map_lipschitz_probe(model, init, horizon=0.14, dt=0.02)
+    z = -0.02
+    amplification = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+    assert abs(ratio - amplification**7) <= 1e-12
+
+
 def test_lipschitz_probe_within_gronwall_bound():
     k = kernel_library("tent", 1, scale=0.8)
     model = sedimentation_field(k)

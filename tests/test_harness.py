@@ -24,8 +24,10 @@ from nonlocalflow import (
     solve_direct,
     stability_battery,
 )
+from nonlocalflow import harness, w1_series, w1_vector
 from nonlocalflow.harness import perturbed_initial
-from nonlocalflow.cli import _cosine_bump_1d
+from nonlocalflow.cli import _cosine_bump_1d, load_scenario, run_checks
+from nonlocalflow.solver import solve
 
 
 def bump_scenario(n=30, horizon=0.3, dt=0.005, mass=1.0, track=False):
@@ -76,7 +78,7 @@ def test_lemma_random_trials():
 
 def test_stability_identical_data_noise_floor():
     scn = bump_scenario()
-    rep = check_stability_initial(scn, scn.initial, scn.initial)
+    rep = check_stability_initial(scn, solve_direct(scn), scn.initial)
     assert rep.name == "stability-identical-data"
     assert rep.lhs <= 1e-9
     assert rep.passed
@@ -86,7 +88,7 @@ def test_stability_zero_velocity_distance_constant():
     scn = bump_scenario()
     scn = replace(scn, model=constant_drift_field([0.0]))
     sigma0 = perturbed_initial(scn.initial, 0.05, seed=3)
-    rep = check_stability_initial(scn, scn.initial, sigma0)
+    rep = check_stability_initial(scn, solve_direct(scn), sigma0)
     # distances stay equal to the initial distance, the ratio decays as e^{-Kt}
     assert rep.lhs <= 1.0 + 1e-12
     assert rep.passed
@@ -102,6 +104,56 @@ def test_stability_battery_passes():
 
 def json_key(report):
     return report.fingerprint["pair_seed"]
+
+
+def count_solves(monkeypatch) -> list:
+    calls = []
+    real = harness.solve_direct
+    monkeypatch.setattr(harness, "solve_direct", lambda s: calls.append(s) or real(s))
+    return calls
+
+
+def two_solve_ratio(scn, sigma0, K):
+    # the initial-data ratio from two independent solves of rho_0 and sigma_0
+    rec_a = solve_direct(replace(scn, track_density=False, initial_densities=None))
+    rec_b = solve_direct(replace(scn, initial=sigma0, track_density=False, initial_densities=None))
+    d0 = w1_vector(scn.initial, sigma0)
+    dists = w1_series(zip(rec_a.states[1:], rec_b.states[1:]))
+    return float((dists / (np.exp(K * rec_a.times[1:]) * d0)).max())
+
+
+def test_battery_shares_one_base_solve(monkeypatch):
+    scn = bump_scenario()
+    calls = count_solves(monkeypatch)
+    reports = stability_battery(scn, pairs=5)
+    assert len(calls) == 6
+    monkeypatch.undo()
+    K = scn.constants().K
+    for rep in reports:
+        sigma0 = perturbed_initial(scn.initial, 0.05, rep.fingerprint["pair_seed"])
+        assert rep.lhs == two_solve_ratio(scn, sigma0, K)
+
+
+@pytest.mark.parametrize("mode, solves", [("direct", 3), ("picard", 4)])
+def test_run_checks_reuses_a_direct_record(monkeypatch, mode, solves):
+    scn = load_scenario("sedimentation-1d", {"n": 20, "mode": mode}, audit=False)
+    record = solve(scn)
+    calls = count_solves(monkeypatch)
+    reports = run_checks(scn, record, [{"type": "stability-initial", "pairs": 3}])
+    assert len(calls) == solves
+    monkeypatch.undo()
+    K = scn.constants().K
+    for rep in reports:
+        sigma0 = perturbed_initial(scn.initial, 0.05, rep.fingerprint["pair_seed"])
+        assert rep.lhs == two_solve_ratio(scn, sigma0, K)
+
+
+def test_default_k_given_explicitly_is_the_default_report():
+    scn = bump_scenario()
+    base = solve_direct(scn)
+    sigma0 = perturbed_initial(scn.initial, 0.05, seed=2)
+    default = check_stability_initial(scn, base, sigma0)
+    assert check_stability_initial(scn, base, sigma0, K=scn.constants().K) == default
 
 
 def test_general_stability_identical_problems():
@@ -131,7 +183,8 @@ def test_general_check_degenerates_to_initial_check():
     # estimate then covers the same pair the initial-data check measures
     scn = bump_scenario()
     sigma0 = perturbed_initial(scn.initial, 0.05, seed=9)
-    traj_rho = solve_direct(scn).trajectory()
+    rec_rho = solve_direct(scn)
+    traj_rho = rec_rho.trajectory()
     traj_sigma = solve_direct(replace(scn, initial=sigma0)).trajectory()
     rep_general = check_stability_general(
         FrozenProblem(scn.model, traj_rho),
@@ -141,7 +194,7 @@ def test_general_check_degenerates_to_initial_check():
         scn.horizon,
         scn.step.dt,
     )
-    rep_initial = check_stability_initial(scn, scn.initial, sigma0)
+    rep_initial = check_stability_initial(scn, rec_rho, sigma0)
     assert rep_general.passed and rep_initial.passed
 
 
