@@ -27,9 +27,7 @@ from .kernels import (
     KernelMatrix,
     add_kernels,
     audit_kernel,
-    convolve,
     convolve_batch,
-    convolve_vector,
     convolve_vector_batch,
     diagonal_matrix,
     kernel_library,
@@ -76,7 +74,6 @@ from .velocity import (
     constant_direction,
     constant_drift_field,
     dirac_coupling_field,
-    eval_nonlocal_velocity,
     lipschitz_bound_b,
     linear_local_field,
     pedestrian_field,

@@ -190,7 +190,7 @@ def _build_phi(cfg: dict, ball: float) -> VelocityField:
     kind = _require(cfg, "type", "model.phi")
     if kind == "pursuit":
         return phi_field(
-            lambda t, x, r, p: np.array([r[0]]),
+            lambda t, xs, rs, p: rs[:, :1].copy(),
             dim=1,
             k=2,
             sup_bound=ball,
@@ -202,7 +202,7 @@ def _build_phi(cfg: dict, ball: float) -> VelocityField:
         rate = float(_require(cfg, "rate", "model.phi"))
         radius = float(cfg.get("domain_radius", 5.0))
         return phi_field(
-            lambda t, x, r, p: rate * (target - x),
+            lambda t, xs, rs, p: rate * (target - xs),
             dim=1,
             k=2,
             sup_bound=rate * (float(np.linalg.norm(target)) + radius),
@@ -212,7 +212,7 @@ def _build_phi(cfg: dict, ball: float) -> VelocityField:
     if kind == "drift":
         vec = np.asarray(_require(cfg, "vector", "model.phi"), dtype=float)
         return phi_field(
-            lambda t, x, r, p: vec.copy(),
+            lambda t, xs, rs, p: np.broadcast_to(vec, xs.shape).copy(),
             dim=1,
             k=2,
             sup_bound=float(np.linalg.norm(vec)),
@@ -232,7 +232,10 @@ def _build_model(cfg: dict, species: list[ParticleMeasure]) -> VelocityModel:
     if kind == "pedestrian":
         kernel = _build_kernel(_require(cfg, "kernel", "model"), dim, "model.kernel")
         sp = cfg.get("speed", {})
-        speed = congestion_speed(float(sp.get("v_max", 1.0)), float(sp.get("r_crit", 1.0)))
+        try:
+            speed = congestion_speed(float(sp.get("v_max", 1.0)), float(sp.get("r_crit", 1.0)))
+        except ValueError as exc:
+            raise ScenarioParseError(f"model.speed: {exc}") from exc
         dcfg = _require(cfg, "direction", "model")
         dkind = _require(dcfg, "type", "model.direction")
         if dkind == "constant":
@@ -274,11 +277,10 @@ def _build_model(cfg: dict, species: list[ParticleMeasure]) -> VelocityModel:
         prey = VelocityField(
             1,
             2,
-            lambda t, x, r: np.array([r[0] + r[1]]),
+            lambda t, xs, rs: (rs[:, 0] + rs[:, 1])[:, None],
             sup_bound=ball,
             lip_x=0.0,
             lip_r=1.0,
-            evaluate_batch=lambda t, xs, rs: (rs[:, 0] + rs[:, 1])[:, None],
         )
         phi = _build_phi(_require(cfg, "phi", "model"), ball)
         return dirac_coupling_field([prey], [phi], kernels)
@@ -331,7 +333,9 @@ def _apply_overrides(raw: dict, overrides: dict) -> dict:
         raw["seed"] = int(overrides["seed"])
     if "n" in overrides:
         n = int(overrides["n"])
-        for sp in raw.get("species", []):
+        for i, sp in enumerate(raw.get("species", [])):
+            if sp.get("type") in ("grid-1d", "grid-2d") and n < 1:
+                raise ScenarioParseError(f"species[{i}]: --n must be at least 1, got {n}")
             if sp.get("type") == "grid-1d":
                 sp["particles"] = n
             elif sp.get("type") == "grid-2d":
@@ -603,6 +607,9 @@ def emit_plotdata(
 
 def run_checks(scenario: Scenario, record: SolutionRecord, checks: list[dict], k_override: float | None = None) -> list[BoundReport]:
     reports: list[BoundReport] = []
+    # a direct solve is the base solve the stability pairs share, and the
+    # tracked solve the L-infinity check reads
+    direct = record if record.diagnostics["mode"] == "direct" else None
     for cfg in checks:
         kind = cfg.get("type")
         fp = {"scenario": scenario.name, "seed": scenario.seed, "dt": scenario.step.dt,
@@ -615,13 +622,13 @@ def run_checks(scenario: Scenario, record: SolutionRecord, checks: list[dict], k
             pairs = int(cfg.get("pairs", 3))
             eps = float(cfg.get("eps", 0.05))
             slack = float(cfg.get("slack", 1.05))
-            # a direct solve is the base solve the pairs share
-            base = record if record.diagnostics["mode"] == "direct" else None
             reports.extend(
-                stability_battery(scenario, pairs, eps, scenario.seed, slack, k_override, base)
+                stability_battery(scenario, pairs, eps, scenario.seed, slack, k_override, direct)
             )
         elif kind == "linfty-growth":
-            reports.append(check_linfty_growth(scenario, float(cfg.get("slack", 1.05))))
+            reports.append(
+                check_linfty_growth(scenario, float(cfg.get("slack", 1.05)), record=direct)
+            )
         elif kind == "lemma-stability":
             sigma0 = perturbed_initial(scenario.initial, float(cfg.get("eps", 0.05)), scenario.seed)
             reports.append(

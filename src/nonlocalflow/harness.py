@@ -160,9 +160,8 @@ def _sup_velocity_gap(
     worst = 0.0
     for t in times:
         for i in range(k):
-            fa, fb = a.fields[i], b.fields[i]
-            va = np.array([fa.evaluate(t, x, r) for x, r in zip(xs, rs)])
-            vb = np.array([fb.evaluate(t, x, r) for x, r in zip(xs, rs)])
+            va = a.fields[i].evaluate(t, xs, rs)
+            vb = b.fields[i].evaluate(t, xs, rs)
             worst = max(worst, float(np.linalg.norm(va - vb, axis=1).max()))
     return worst
 
@@ -184,10 +183,8 @@ def _sup_kernel_gap(
     for t in times:
         for i in range(a.k):
             for j in range(a.k):
-                ka = a.kernels.entries[i][j]
-                kb = b.kernels.entries[i][j]
-                va = np.array([ka.evaluate(t, x) for x in xs])
-                vb = np.array([kb.evaluate(t, x) for x in xs])
+                va = a.kernels.entries[i][j].evaluate(t, xs)
+                vb = b.kernels.entries[i][j].evaluate(t, xs)
                 worst = max(worst, float(np.abs(va - vb).max()))
     return worst
 
@@ -252,12 +249,20 @@ def check_stability_general(
 
 
 def check_linfty_growth(
-    scenario: Scenario, slack: float = 1.05, fingerprint: dict | None = None
+    scenario: Scenario,
+    slack: float = 1.05,
+    fingerprint: dict | None = None,
+    record: SolutionRecord | None = None,
 ) -> BoundReport:
-    """Transported density max vs sup-norm growth exp(C t)."""
+    """Transported density max vs sup-norm growth exp(C t).
+
+    ``record`` is the tracked direct solve of ``scenario`` when the caller
+    already holds it; otherwise the scenario is solved here.
+    """
     if not scenario.track_density:
         raise ValueError("scenario must track densities")
-    record = solve_direct(scenario)
+    if record is None:
+        record = solve_direct(scenario)
     consts = scenario.constants()
     sup0 = max(
         dens.max_value() for dens in scenario.initial_densities if dens is not None

@@ -4,8 +4,9 @@ Every kernel carries its exact sup bound and spatial Lipschitz constant;
 all stability constants in the solver and harness are derived from these
 numbers, so they are part of the type and never re-estimated.  Library
 kernels are radial and time-independent, which gives them a fast summation
-path through :mod:`nonlocalflow._accel`; the evaluation interface still
-carries ``t`` so user kernels may vary in time.
+path through :mod:`nonlocalflow._accel`.  ``Kernel.evaluate(t, xs)`` maps
+offsets (M, d) to values (M,) and carries ``t`` so user kernels may vary
+in time.
 """
 
 from __future__ import annotations
@@ -36,26 +37,19 @@ class RadialTerm:
 @dataclass(frozen=True)
 class Kernel:
     dim: int
-    evaluate: Callable[[float, np.ndarray], float]  # (t, x) -> real
+    evaluate: Callable[[float, np.ndarray], np.ndarray]  # (t, xs (M, d)) -> (M,)
     sup_bound: float
     lip_x: float
     # Fast path: sum of radial terms, None for opaque user kernels.
     terms: tuple[RadialTerm, ...] | None = None
 
-    def __call__(self, t: float, x: np.ndarray) -> float:
-        return float(self.evaluate(t, np.atleast_1d(np.asarray(x, dtype=np.float64))))
-
-
-def _term_eval(term: RadialTerm, dist: np.ndarray) -> np.ndarray:
-    return _accel._profile_values(dist, term.code, term.scale, term.height)
-
 
 def _kernel_from_terms(dim: int, terms: Sequence[RadialTerm], sup: float, lip: float) -> Kernel:
     terms = tuple(terms)
 
-    def evaluate(t: float, x: np.ndarray) -> float:
-        d = np.linalg.norm(np.atleast_1d(x))
-        return float(sum(_term_eval(tm, np.array([d]))[0] for tm in terms))
+    def evaluate(t: float, xs: np.ndarray) -> np.ndarray:
+        dist = np.linalg.norm(xs, axis=1)
+        return sum(_accel._profile_values(dist, tm.code, tm.scale, tm.height) for tm in terms)
 
     return Kernel(dim, evaluate, sup, lip, terms)
 
@@ -106,14 +100,11 @@ def odd_ramp_kernel(scale: float, height: float) -> Kernel:
     require_positive("kernel scale", scale)
     require_positive("kernel height", height)
 
-    def evaluate(t: float, x: np.ndarray) -> float:
-        u = float(np.atleast_1d(x)[0]) / scale
-        a = abs(u)
-        if a <= 1.0:
-            return height * u
-        if a <= 2.0:
-            return height * np.sign(u) * (2.0 - a)
-        return 0.0
+    def evaluate(t: float, xs: np.ndarray) -> np.ndarray:
+        u = xs[:, 0] / scale
+        a = np.abs(u)
+        ramp = np.where(a <= 2.0, height * np.sign(u) * (2.0 - a), 0.0)
+        return np.where(a <= 1.0, height * u, ramp)
 
     return Kernel(1, evaluate, height, height / scale, None)
 
@@ -128,7 +119,7 @@ def scale_kernel(kernel: Kernel, factor: float) -> Kernel:
     base = kernel.evaluate
     return Kernel(
         kernel.dim,
-        lambda t, x: factor * base(t, x),
+        lambda t, xs: factor * base(t, xs),
         abs(factor) * kernel.sup_bound,
         abs(factor) * kernel.lip_x,
         None,
@@ -144,7 +135,7 @@ def add_kernels(a: Kernel, b: Kernel) -> Kernel:
     if a.terms is not None and b.terms is not None:
         return _kernel_from_terms(a.dim, a.terms + b.terms, sup, lip)
     ea, eb = a.evaluate, b.evaluate
-    return Kernel(a.dim, lambda t, x: ea(t, x) + eb(t, x), sup, lip, None)
+    return Kernel(a.dim, lambda t, xs: ea(t, xs) + eb(t, xs), sup, lip, None)
 
 
 def convolve_batch(
@@ -161,27 +152,9 @@ def convolve_batch(
                 pts, mu.positions, mu.weights, term.code, term.scale, term.height
             )
         return out
-    out = np.zeros(pts.shape[0])
-    for m in range(pts.shape[0]):
-        acc = 0.0
-        for pos, w in zip(mu.positions, mu.weights):
-            acc += w * kernel.evaluate(t, pts[m] - pos)
-        out[m] = acc
-    return out
-
-
-def convolve(mu: ParticleMeasure, kernel: Kernel, t: float, x: np.ndarray) -> float:
-    point = np.atleast_1d(np.asarray(x, dtype=np.float64)).reshape(1, -1)
-    return float(convolve_batch(mu, kernel, t, point)[0])
-
-
-def convolve_vector(
-    rho: MeasureVector, row: Sequence[Kernel], t: float, x: np.ndarray
-) -> np.ndarray:
-    """Component j is convolve(rho^j, row[j], t, x)."""
-    if len(row) != rho.k:
-        raise ValueError("kernel row length must match species count")
-    return np.array([convolve(rho.species[j], row[j], t, x) for j in range(rho.k)])
+    diff = pts[:, None, :] - mu.positions[None, :, :]
+    vals = kernel.evaluate(t, diff.reshape(-1, mu.dim))
+    return vals.reshape(pts.shape[0], len(mu)) @ mu.weights
 
 
 def convolve_vector_batch(
@@ -290,8 +263,8 @@ def audit_kernel(
     ys = sample_box(lo, hi, samples, seed + 3)
     scale = max(kernel.sup_bound, kernel.lip_x, 1.0)
     for t in times:
-        vx = np.array([kernel.evaluate(t, x) for x in xs])
-        vy = np.array([kernel.evaluate(t, y) for y in ys])
+        vx = kernel.evaluate(t, xs)
+        vy = kernel.evaluate(t, ys)
         worst = np.argmax(np.abs(vx))
         if abs(vx[worst]) > kernel.sup_bound + rel_tol * scale:
             raise AuditError(

@@ -32,7 +32,7 @@ from .solver import (
     weak_form_residual,
     window_length,
 )
-from .velocity import VelocityField, VelocityModel, sedimentation_field
+from .velocity import VelocityModel, sedimentation_field
 from .wasserstein import w1_1d, w1_dual_lower_bound, w1_exact, w1_vector
 
 
@@ -200,33 +200,15 @@ def _drift_perturbed(model: VelocityModel, eps: float) -> VelocityModel:
     """Add a constant drift of magnitude eps along the first axis."""
     vec = np.zeros(model.dim)
     vec[0] = eps
-    fields = []
-    for f in model.fields:
-        base_eval = f.evaluate
-        base_batch = f.evaluate_batch
-
-        def evaluate(t, x, r, *extra, _b=base_eval):
-            return np.atleast_1d(_b(t, x, r, *extra)) + vec
-
-        batch = None
-        if base_batch is not None:
-
-            def batch(t, xs, rs, *extra, _b=base_batch):
-                return np.asarray(_b(t, xs, rs, *extra)) + vec
-
-        fields.append(
-            VelocityField(
-                f.dim,
-                f.k,
-                evaluate,
-                f.sup_bound + eps,
-                f.lip_x,
-                f.lip_r,
-                evaluate_batch=batch,
-                needs_dirac_positions=f.needs_dirac_positions,
-            )
+    fields = tuple(
+        replace(
+            f,
+            evaluate=lambda t, xs, rs, *extra, _b=f.evaluate: _b(t, xs, rs, *extra) + vec,
+            sup_bound=f.sup_bound + eps,
         )
-    return VelocityModel(tuple(fields), model.kernels, model.dirac_species)
+        for f in model.fields
+    )
+    return VelocityModel(fields, model.kernels, model.dirac_species)
 
 
 def criterion_5_general_stability() -> CriterionResult:
@@ -470,12 +452,10 @@ def criterion_10_reduced_ode() -> CriterionResult:
     scenario = cli.load_scenario("single-dirac-sedimentation-1d", audit=False)
     record = solve_direct(scenario)
     kernel = scenario.model.kernels.entries[0][0]
-    speed = kernel.evaluate(0.0, np.zeros(1))
+    speed = kernel.evaluate(0.0, np.zeros((1, 1)))[0]
     p0 = scenario.initial.species[0].positions[0, 0]
-    worst_line = max(
-        abs(state.species[0].positions[0, 0] - (p0 + speed * t))
-        for t, state in zip(record.times, record.states)
-    )
+    line = np.array([state.species[0].positions[0, 0] for state in record.states])
+    worst_line = float(np.abs(line - (p0 + speed * record.times)).max())
     if worst_line > 1e-8:
         return _result(10, "reduced-ODE exactness", False, f"dirac line error {worst_line:.3g}", t0)
 

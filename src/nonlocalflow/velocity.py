@@ -15,7 +15,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import AuditError, Kernel, KernelMatrix, convolve_vector_batch, diagonal_matrix, sample_box
+from .kernels import (
+    AuditError,
+    Kernel,
+    KernelMatrix,
+    audit_kernel,
+    convolve_vector_batch,
+    diagonal_matrix,
+    kernel_library,
+    require_positive,
+    sample_box,
+)
 from .measures import MeasureVector
 
 
@@ -23,10 +33,10 @@ from .measures import MeasureVector
 class VelocityField:
     """One species' velocity law.
 
-    ``evaluate(t, x, r)`` maps time, position (d,) and the convolution
-    vector r (k,) to a velocity (d,).  Fields of single-particle species may
-    additionally receive the stacked positions of all such species
-    (``needs_dirac_positions``), matching the coupled ODE block.
+    ``evaluate(t, xs, rs)`` maps time, positions (M, d) and the convolution
+    vectors rs (M, k) to velocities (M, d).  Fields of single-particle
+    species additionally receive the stacked positions (k1, d) of all such
+    species (``needs_dirac_positions``), matching the coupled ODE block.
     """
 
     dim: int
@@ -35,7 +45,6 @@ class VelocityField:
     sup_bound: float
     lip_x: float
     lip_r: float
-    evaluate_batch: Callable[..., np.ndarray] | None = None
     needs_dirac_positions: bool = False
 
 
@@ -108,22 +117,11 @@ def velocity_batch(
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     conv = convolve_vector_batch(source, model.kernels.row(i), t, pts)
     field = model.fields[i]
-    extra = ()
-    if field.needs_dirac_positions:
-        extra = (dirac_positions(model, source),)
-    if field.evaluate_batch is not None:
-        return np.asarray(field.evaluate_batch(t, pts, conv, *extra), dtype=np.float64)
-    return np.array(
-        [np.atleast_1d(field.evaluate(t, pts[m], conv[m], *extra)) for m in range(pts.shape[0])],
-        dtype=np.float64,
-    )
-
-
-def eval_nonlocal_velocity(
-    model: VelocityModel, rho: MeasureVector, i: int, t: float, x: np.ndarray
-) -> np.ndarray:
-    point = np.atleast_1d(np.asarray(x, dtype=np.float64)).reshape(1, -1)
-    return velocity_batch(model, rho, i, t, point)[0]
+    extra = (dirac_positions(model, source),) if field.needs_dirac_positions else ()
+    vel = np.asarray(field.evaluate(t, pts, conv, *extra), dtype=np.float64)
+    if vel.shape != pts.shape:
+        raise ValueError(f"velocity field {i} returned shape {vel.shape}, expected {pts.shape}")
+    return vel
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +140,8 @@ class SpeedLaw:
 
 def congestion_speed(v_max: float = 1.0, r_crit: float = 1.0) -> SpeedLaw:
     """v(s) = v_max * clip(1 - s / r_crit, 0, 1): full speed when free, stop at congestion."""
+    require_positive("v_max", v_max)
+    require_positive("r_crit", r_crit)
 
     def func(s):
         return v_max * np.clip(1.0 - np.asarray(s) / r_crit, 0.0, 1.0)
@@ -187,22 +187,13 @@ def pedestrian_field(speed: SpeedLaw, direction: DirectionField, kernel: Kernel)
     Product metadata is exact for this form: lip_x = sup(v) * Lip(dir),
     lip_r = Lip(v) * sup(dir), sup = sup(v) * sup(dir).
     """
-    dim = kernel.dim
-
-    def evaluate(t, x, r):
-        return speed.func(r[0]) * direction.func(x.reshape(1, -1))[0]
-
-    def evaluate_batch(t, xs, rs):
-        return np.asarray(speed.func(rs[:, 0]))[:, None] * direction.func(xs)
-
     field = VelocityField(
-        dim,
+        kernel.dim,
         1,
-        evaluate,
+        lambda t, xs, rs: np.asarray(speed.func(rs[:, 0]))[:, None] * direction.func(xs),
         sup_bound=speed.sup_bound * direction.sup_bound,
         lip_x=speed.sup_bound * direction.lip,
         lip_r=speed.lip * direction.sup_bound,
-        evaluate_batch=evaluate_batch,
     )
     return VelocityModel((field,), diagonal_matrix(kernel, 1))
 
@@ -218,11 +209,10 @@ def sedimentation_field(kernel: Kernel, mass: float = 1.0) -> VelocityModel:
     field = VelocityField(
         1,
         1,
-        lambda t, x, r: np.array([r[0]]),
+        lambda t, xs, rs: rs[:, :1].copy(),
         sup_bound=mass * kernel.sup_bound,
         lip_x=0.0,
         lip_r=1.0,
-        evaluate_batch=lambda t, xs, rs: rs[:, :1].copy(),
     )
     return VelocityModel((field,), diagonal_matrix(kernel, 1))
 
@@ -233,23 +223,18 @@ def linear_local_field(alpha: float, domain_radius: float, dim: int = 1) -> Velo
     Bounded only on the declared domain; sup is certified on the box
     |x_a| <= domain_radius.
     """
-    from .kernels import kernel_library
-
     field = VelocityField(
         dim,
         1,
-        lambda t, x, r: alpha * x,
+        lambda t, xs, rs: alpha * xs,
         sup_bound=abs(alpha) * domain_radius * np.sqrt(dim),
         lip_x=abs(alpha),
         lip_r=0.0,
-        evaluate_batch=lambda t, xs, rs: alpha * xs,
     )
     return VelocityModel((field,), diagonal_matrix(kernel_library("constant", dim), 1))
 
 
 def constant_drift_field(vec: Sequence[float], kernel: Kernel | None = None) -> VelocityModel:
-    from .kernels import kernel_library
-
     v = np.asarray(vec, dtype=np.float64)
     if kernel is None:
         kernel = kernel_library("constant", v.size)
@@ -257,11 +242,10 @@ def constant_drift_field(vec: Sequence[float], kernel: Kernel | None = None) -> 
     field = VelocityField(
         v.size,
         1,
-        lambda t, x, r: v.copy(),
+        lambda t, xs, rs: np.broadcast_to(v, (xs.shape[0], v.size)).copy(),
         sup_bound=float(np.linalg.norm(v)),
         lip_x=0.0,
         lip_r=0.0,
-        evaluate_batch=lambda t, xs, rs: np.broadcast_to(v, (xs.shape[0], v.size)).copy(),
     )
     return VelocityModel((field,), diagonal_matrix(kernel, 1))
 
@@ -298,7 +282,7 @@ def phi_field(
     lip_x: float,
     lip_r: float,
 ) -> VelocityField:
-    """ODE right-hand side Phi(t, x_own, r, p) for a single-particle species."""
+    """ODE right-hand side Phi(t, xs, rs, p) for a single-particle species."""
     return VelocityField(
         dim, k, func, sup_bound, lip_x, lip_r, needs_dirac_positions=True
     )
@@ -340,7 +324,7 @@ def audit_velocity_field(
     extra = (dirac_block,) if field.needs_dirac_positions else ()
     scale = max(field.sup_bound, field.lip_x, field.lip_r, 1.0)
     for t in times:
-        vx = np.array([field.evaluate(t, x, r, *extra) for x, r in zip(xs, rs)])
+        vx = field.evaluate(t, xs, rs, *extra)
         speeds = np.linalg.norm(vx, axis=1)
         worst = int(np.argmax(speeds))
         if speeds[worst] > field.sup_bound + rel_tol * scale:
@@ -348,7 +332,7 @@ def audit_velocity_field(
                 f"velocity sup audit failed: |V({t}, {xs[worst]}, {rs[worst]})| = "
                 f"{speeds[worst]} > declared {field.sup_bound}"
             )
-        vy = np.array([field.evaluate(t, y, r, *extra) for y, r in zip(ys, rs)])
+        vy = field.evaluate(t, ys, rs, *extra)
         gaps = np.linalg.norm(xs - ys, axis=1)
         ok = gaps > 1e-12
         ratio = np.linalg.norm(vx - vy, axis=1)[ok] / gaps[ok]
@@ -358,7 +342,7 @@ def audit_velocity_field(
                 f"velocity Lip_x audit failed: slope {ratio[worst]} between "
                 f"x={xs[ok][worst]} and y={ys[ok][worst]} > declared {field.lip_x}"
             )
-        vq = np.array([field.evaluate(t, x, q, *extra) for x, q in zip(xs, qs)])
+        vq = field.evaluate(t, xs, qs, *extra)
         rgaps = np.abs(rs - qs).sum(axis=1)
         ok = rgaps > 1e-12
         ratio = np.linalg.norm(vx - vq, axis=1)[ok] / rgaps[ok]
@@ -379,8 +363,6 @@ def audit_model(
     seed: int = 0,
 ) -> None:
     """Audit every kernel entry and velocity field of a model."""
-    from .kernels import audit_kernel
-
     for row in model.kernels.entries:
         for kn in row:
             audit_kernel(kn, box_radius, times, samples, seed)

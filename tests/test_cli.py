@@ -218,17 +218,33 @@ def test_non_finite_scenario_fields_rejected_with_field(tmp_path, capsys, field,
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--dt", "nan"], "dt must be finite"),
-        (["--dt", "-1"], "dt must be finite"),
-        (["--horizon", "nan"], "horizon must be finite"),
-        (["--horizon", "-1"], "horizon must be finite"),
-        (["--n", "0"], "species[0]: "),
+        (["sedimentation-1d", "--dt", "nan"], "dt must be finite"),
+        (["sedimentation-1d", "--dt", "-1"], "dt must be finite"),
+        (["sedimentation-1d", "--horizon", "nan"], "horizon must be finite"),
+        (["sedimentation-1d", "--horizon", "-1"], "horizon must be finite"),
+        (["sedimentation-1d", "--n", "0"], "species[0]: "),
+        (["pedestrian-2d", "--n", "0"], "species[0]: --n must be at least 1, got 0"),
+        (["pedestrian-2d", "--n", "-5"], "species[0]: --n must be at least 1, got -5"),
     ],
 )
 def test_bad_run_overrides_exit_2_with_field(tmp_path, capsys, argv, message):
     out = str(tmp_path / "out")
-    assert main(["run", "sedimentation-1d", *argv, "--out", out, "--emit", "trajectories"]) == 2
+    assert main(["run", *argv, "--out", out, "--emit", "trajectories"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "speed", [{"r_crit": NAN}, {"r_crit": 0.0}, {"v_max": NAN}, {"v_max": float("inf")}]
+)
+def test_bad_speed_law_rejected_with_field(tmp_path, capsys, speed):
+    raw = _load_raw("pedestrian-2d")
+    raw["model"]["speed"].update(speed)
+    raw["checks"] = [{"type": "mass-conservation"}]
+    path = tmp_path / "bad-speed.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    (field,) = speed
+    assert f"model.speed: {field} must be finite and positive" in capsys.readouterr().err
 
 
 def test_odd_ramp_params_rejected_with_field(tmp_path):

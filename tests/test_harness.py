@@ -24,7 +24,7 @@ from nonlocalflow import (
     solve_direct,
     stability_battery,
 )
-from nonlocalflow import harness, w1_series, w1_vector
+from nonlocalflow import harness, solver, w1_series, w1_vector
 from nonlocalflow.harness import perturbed_initial
 from nonlocalflow.cli import _cosine_bump_1d, load_scenario, run_checks
 from nonlocalflow.solver import solve
@@ -146,6 +146,17 @@ def test_run_checks_reuses_a_direct_record(monkeypatch, mode, solves):
     for rep in reports:
         sigma0 = perturbed_initial(scn.initial, 0.05, rep.fingerprint["pair_seed"])
         assert rep.lhs == two_solve_ratio(scn, sigma0, K)
+
+
+def test_run_checks_reuses_a_direct_record_for_linfty(monkeypatch):
+    scn = load_scenario("linear-local-compressive-1d", audit=False)
+    calls = count_solves(monkeypatch)
+    real = solver.solve_direct
+    monkeypatch.setattr(solver, "solve_direct", lambda s: calls.append(s) or real(s))
+    (report,) = run_checks(scn, solve(scn), [{"type": "linfty-growth"}])
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert report.lhs == check_linfty_growth(scn).lhs
 
 
 def test_default_k_given_explicitly_is_the_default_report():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonlocalflow import (
     AuditError,
@@ -10,9 +12,8 @@ from nonlocalflow import (
     add_kernels,
     audit_kernel,
     concat,
-    convolve,
     convolve_batch,
-    convolve_vector,
+    convolve_vector_batch,
     dirac,
     kernel_library,
     odd_ramp_kernel,
@@ -24,19 +25,25 @@ from nonlocalflow import (
 LIBRARY = ("tent", "bump-poly", "cosine-lobe", "constant")
 
 
+def conv_at(mu, kernel, x):
+    return convolve_batch(mu, kernel, 0.0, np.array([[x]]))[0]
+
+
 def test_tent_values():
     k = kernel_library("tent", 1, scale=1.0, height=1.0)
-    assert k(0.0, 0.0) == pytest.approx(1.0)
-    assert k(0.0, 1.0) == 0.0
-    assert k(0.0, -2.5) == 0.0
-    assert k(0.0, 0.25) == pytest.approx(0.75)
+    vals = k.evaluate(0.0, np.array([[0.0], [1.0], [-2.5], [0.25]]))
+    assert vals.shape == (4,)
+    assert vals[0] == pytest.approx(1.0)
+    assert vals[1] == 0.0
+    assert vals[2] == 0.0
+    assert vals[3] == pytest.approx(0.75)
 
 
 def test_constant_kernel_metadata():
     k = kernel_library("constant", 2, height=0.7)
     assert k.lip_x == 0.0
     assert k.sup_bound == pytest.approx(0.7)
-    assert k(3.0, np.array([5.0, -2.0])) == pytest.approx(0.7)
+    assert k.evaluate(3.0, np.array([[5.0, -2.0]]))[0] == pytest.approx(0.7)
 
 
 def test_unknown_name_and_bad_params():
@@ -59,7 +66,7 @@ def test_non_finite_params_rejected_with_field_name(field, bad):
 
 def dense_gradient_sup(kernel, radius=3.0, samples=400001):
     x = np.linspace(-radius, radius, samples)
-    vals = np.array([kernel.evaluate(0.0, np.array([xi])) for xi in x])
+    vals = kernel.evaluate(0.0, x[:, None])
     return np.abs(np.gradient(vals, x)).max()
 
 
@@ -76,8 +83,8 @@ def test_library_metadata_never_exceeded(name, params):
     rng = np.random.default_rng(7)
     xs = rng.uniform(-2 * scale, 2 * scale, size=(4000, 1))
     ys = rng.uniform(-2 * scale, 2 * scale, size=(4000, 1))
-    vx = np.array([k.evaluate(0.0, x) for x in xs])
-    vy = np.array([k.evaluate(0.0, y) for y in ys])
+    vx = k.evaluate(0.0, xs)
+    vy = k.evaluate(0.0, ys)
     assert np.abs(vx).max() <= k.sup_bound + 1e-12
     gaps = np.abs(xs - ys).ravel()
     ok = gaps > 1e-12
@@ -99,7 +106,7 @@ def test_convolve_dirac_identity():
     # a unit Dirac turns convolution into a kernel shift
     k = kernel_library("tent")
     mu = dirac([0.5])
-    assert convolve(mu, k, 0.0, np.array([1.0])) == pytest.approx(0.5)
+    assert conv_at(mu, k, 1.0) == pytest.approx(0.5)
 
 
 def test_convolve_constant_kernel_sees_only_mass():
@@ -107,7 +114,7 @@ def test_convolve_constant_kernel_sees_only_mass():
     rng = np.random.default_rng(0)
     mu = ParticleMeasure(1, rng.normal(size=(13, 1)), rng.uniform(0.1, 1, 13))
     for x in (-5.0, 0.0, 17.0):
-        assert convolve(mu, k, 0.0, np.array([x])) == pytest.approx(
+        assert conv_at(mu, k, x) == pytest.approx(
             2.0 * total_mass(mu), rel=1e-14
         )
 
@@ -117,7 +124,7 @@ def test_convolve_two_particle_example():
     mu = ParticleMeasure(1, np.array([[0.0], [1.0]]), np.array([0.25, 0.75]))
     # direct summation oracle
     expected = 0.25 * max(0.0, 1 - 0.5) + 0.75 * max(0.0, 1 - 0.5)
-    assert convolve(mu, k, 0.0, np.array([0.5])) == pytest.approx(expected)
+    assert conv_at(mu, k, 0.5) == pytest.approx(expected)
     assert expected == 0.5
 
 
@@ -132,10 +139,8 @@ def test_convolve_linearity():
         ParticleMeasure(1, nu.positions, beta * nu.weights),
     )
     for x in rng.normal(size=4):
-        lhs = convolve(combined, k, 0.0, np.array([x]))
-        rhs = alpha * convolve(mu, k, 0.0, np.array([x])) + beta * convolve(
-            nu, k, 0.0, np.array([x])
-        )
+        lhs = conv_at(combined, k, x)
+        rhs = alpha * conv_at(mu, k, x) + beta * conv_at(nu, k, x)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
 
 
@@ -158,18 +163,18 @@ def test_convolve_vector_reductions():
     k = kernel_library("tent")
     mu = dirac([0.2])
     rho = MeasureVector((mu,))
-    v = convolve_vector(rho, [k], 0.0, np.array([0.5]))
-    assert v.shape == (1,)
-    assert v[0] == pytest.approx(convolve(mu, k, 0.0, np.array([0.5])))
+    v = convolve_vector_batch(rho, [k], 0.0, np.array([[0.5]]))
+    assert v.shape == (1, 1)
+    assert v[0, 0] == pytest.approx(conv_at(mu, k, 0.5))
 
     zero = zero_kernel(1)
-    assert convolve_vector(rho, [zero], 0.0, np.array([0.1]))[0] == 0.0
+    assert convolve_vector_batch(rho, [zero], 0.0, np.array([[0.1]]))[0, 0] == 0.0
 
     c1 = kernel_library("constant", 1, height=0.3)
     c2 = kernel_library("constant", 1, height=0.9)
     two = MeasureVector((dirac([0.0]), dirac([5.0])))
-    out = convolve_vector(two, [c1, c2], 0.0, np.array([1.0]))
-    assert np.allclose(out, [0.3, 0.9])
+    out = convolve_vector_batch(two, [c1, c2], 0.0, np.array([[1.0]]))
+    assert np.allclose(out, [[0.3, 0.9]])
 
 
 def test_kernel_matrix_norm_one_conventions():
@@ -187,21 +192,91 @@ def test_scale_and_add_kernels():
     scaled = scale_kernel(tent, -0.5)
     assert scaled.sup_bound == pytest.approx(0.5)
     assert scaled.lip_x == pytest.approx(0.25)
-    assert scaled.evaluate(0.0, np.array([0.0])) == pytest.approx(-0.5)
+    assert scaled.evaluate(0.0, np.zeros((1, 1)))[0] == pytest.approx(-0.5)
 
     both = add_kernels(tent, scale_kernel(tent, 1.0))
-    assert both.evaluate(0.0, np.array([0.0])) == pytest.approx(2.0)
+    assert both.evaluate(0.0, np.zeros((1, 1)))[0] == pytest.approx(2.0)
     assert both.sup_bound == pytest.approx(2.0)
 
     mu = dirac([0.0])
-    assert convolve(mu, both, 0.0, np.array([1.0])) == pytest.approx(1.0)
+    assert conv_at(mu, both, 1.0) == pytest.approx(1.0)
 
 
 def test_odd_ramp_kernel_shape():
     lam = odd_ramp_kernel(scale=0.5, height=0.3)
-    assert lam.evaluate(0.0, np.array([0.25])) == pytest.approx(0.15)
-    assert lam.evaluate(0.0, np.array([-0.25])) == pytest.approx(-0.15)
-    assert lam.evaluate(0.0, np.array([0.5])) == pytest.approx(0.3)
-    assert lam.evaluate(0.0, np.array([0.75])) == pytest.approx(0.15)
-    assert lam.evaluate(0.0, np.array([2.0])) == 0.0
+    vals = lam.evaluate(0.0, np.array([[0.25], [-0.25], [0.5], [0.75], [2.0]]))
+    assert vals == pytest.approx([0.15, -0.15, 0.3, 0.15, 0.0])
+    assert vals[4] == 0.0
     audit_kernel(lam, box_radius=2.0)
+
+
+# Scalar per-point formulas and a point-by-centre double loop: the oracle
+# for the batched opaque-kernel path of convolve_batch.
+
+
+def _odd_ramp_point(x, scale, height):
+    u = x / scale
+    a = abs(u)
+    if a <= 1.0:
+        return height * u
+    if a <= 2.0:
+        return height * np.sign(u) * (2.0 - a)
+    return 0.0
+
+
+def _tent_point(x, scale, height):
+    return height * max(0.0, 1.0 - abs(x) / scale)
+
+
+def _convolve_loop(points, centers, weights, kernel_at):
+    out = np.zeros(len(points))
+    for m, x in enumerate(points):
+        for c, w in zip(centers, weights):
+            out[m] += w * kernel_at(x - c)
+    return out
+
+
+@st.composite
+def opaque_instances(draw):
+    scale = draw(st.floats(0.1, 2.0))
+    height = draw(st.floats(0.1, 3.0))
+    centers = draw(st.lists(st.floats(-4.0, 4.0), max_size=8))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(centers), max_size=len(centers)))
+    # offsets just inside, at and just outside s and 2s put points on both
+    # sides of each kink of the ramp
+    kink = st.builds(
+        lambda k, f: k * f * scale,
+        st.sampled_from([-2.0, -1.0, 1.0, 2.0]),
+        st.sampled_from([1.0 - 1e-9, 1.0, 1.0 + 1e-9]),
+    )
+    offset = st.one_of(kink, st.floats(-3.0 * scale, 3.0 * scale))
+    base = st.sampled_from(centers) if centers else st.floats(-4.0, 4.0)
+    points = draw(st.lists(st.builds(lambda b, o: b + o, base, offset), max_size=8))
+    return scale, height, np.array(points), np.array(centers), np.array(weights)
+
+
+@pytest.mark.parametrize("form", ["ramp", "negated", "plus-tent"])
+@settings(max_examples=60, deadline=None)
+@given(instance=opaque_instances())
+def test_opaque_convolve_batch_matches_double_loop(form, instance):
+    scale, height, points, centers, weights = instance
+    ramp = odd_ramp_kernel(scale, height)
+    tent = kernel_library("tent", 1, scale=0.7, height=0.4)
+    kernel, kernel_at = {
+        "ramp": (ramp, lambda x: _odd_ramp_point(x, scale, height)),
+        "negated": (scale_kernel(ramp, -1.0), lambda x: -_odd_ramp_point(x, scale, height)),
+        "plus-tent": (
+            add_kernels(ramp, tent),
+            lambda x: _odd_ramp_point(x, scale, height) + _tent_point(x, 0.7, 0.4),
+        ),
+    }[form]
+    assert kernel.terms is None
+    mu = ParticleMeasure(1, centers.reshape(-1, 1), weights)
+    fast = convolve_batch(mu, kernel, 0.0, points.reshape(-1, 1))
+    slow = _convolve_loop(points, centers, weights, kernel_at)
+    # summation order differs; every term is at most sup_bound * weight
+    tol = 1e-13 * (1.0 + kernel.sup_bound * float(weights.sum()))
+    assert fast.shape == (len(points),)
+    assert np.allclose(fast, slow, rtol=0.0, atol=tol)
+    if not len(centers):
+        assert np.array_equal(fast, np.zeros(len(points)))

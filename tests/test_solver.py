@@ -70,7 +70,7 @@ def test_single_dirac_follows_constant_speed_line():
         step=StepControl(0.01),
     )
     rec = solve_direct(scn)
-    eta0 = k.evaluate(0.0, np.zeros(1))
+    eta0 = k.evaluate(0.0, np.zeros((1, 1)))[0]
     for t, state in zip(rec.times, rec.states):
         expected = -0.5 + eta0 * t
         assert abs(state.species[0].positions[0, 0] - expected) <= 1e-8
@@ -87,7 +87,7 @@ def test_two_particles_rigid_drift():
     rec = solve_direct(scn)
     pos = rec.final().species[0].positions.ravel()
     assert pos[1] - pos[0] == pytest.approx(2 * a, abs=1e-8)
-    speed = 0.5 * (k.evaluate(0.0, np.zeros(1)) + k.evaluate(0.0, np.array([2 * a])))
+    speed = 0.5 * k.evaluate(0.0, np.array([[0.0], [2 * a]])).sum()
     assert pos[0] == pytest.approx(-a + speed * 0.5, abs=1e-8)
 
 

@@ -7,6 +7,7 @@ from nonlocalflow import (
     MeasureVector,
     ParticleMeasure,
     VelocityField,
+    VelocityModel,
     audit_model,
     audit_velocity_field,
     congestion_speed,
@@ -14,7 +15,6 @@ from nonlocalflow import (
     constant_drift_field,
     dirac,
     dirac_coupling_field,
-    eval_nonlocal_velocity,
     kernel_library,
     linear_local_field,
     lipschitz_bound_b,
@@ -29,10 +29,15 @@ from nonlocalflow import (
 )
 
 
+def velocity_at(model, rho, i, x):
+    return velocity_batch(model, rho, i, 0.0, np.array([x], dtype=float))[0]
+
+
 def test_zero_field_everywhere():
     model = constant_drift_field([0.0, 0.0])
     rho = MeasureVector((dirac([0.3, -0.4]),))
-    v = eval_nonlocal_velocity(model, rho, 0, 0.0, np.array([1.0, 2.0]))
+    v = velocity_at(model, rho, 0, [1.0, 2.0])
+    assert v.shape == (2,)
     assert np.allclose(v, 0.0)
 
 
@@ -41,8 +46,8 @@ def test_sedimentation_dirac_velocity_is_kernel_at_zero():
     model = sedimentation_field(k)
     p = np.array([0.37])
     rho = MeasureVector((dirac(p),))
-    v = eval_nonlocal_velocity(model, rho, 0, 0.0, p)
-    assert v[0] == pytest.approx(k.evaluate(0.0, np.zeros(1)))
+    v = velocity_at(model, rho, 0, p)
+    assert v[0] == pytest.approx(k.evaluate(0.0, np.zeros((1, 1)))[0])
 
 
 def test_constant_kernel_reduces_to_local_field():
@@ -53,9 +58,8 @@ def test_constant_kernel_reduces_to_local_field():
     w = rng.uniform(0.1, 1.0, 8)
     a = MeasureVector((ParticleMeasure(1, rng.normal(size=(8, 1)), w),))
     b = MeasureVector((ParticleMeasure(1, rng.normal(size=(8, 1)), w),))
-    x = np.array([0.123])
-    va = eval_nonlocal_velocity(model, a, 0, 0.0, x)
-    vb = eval_nonlocal_velocity(model, b, 0, 0.0, x)
+    va = velocity_at(model, a, 0, [0.123])
+    vb = velocity_at(model, b, 0, [0.123])
     assert va[0] == pytest.approx(vb[0], abs=1e-12)
 
 
@@ -63,10 +67,12 @@ def test_pedestrian_examples():
     k = kernel_library("tent", 2)
     model = pedestrian_field(congestion_speed(), constant_direction([1.0, 0.0]), k)
     field = model.fields[0]
-    x = np.array([0.0, 0.0])
-    assert np.allclose(field.evaluate(0.0, x, np.array([1.0])), 0.0)  # congestion stop
-    assert np.allclose(field.evaluate(0.0, x, np.array([0.0])), [1.0, 0.0])  # free speed
-    assert np.allclose(field.evaluate(0.0, x, np.array([0.25])), [0.75, 0.0])
+    xs = np.zeros((3, 2))
+    rs = np.array([[1.0], [0.0], [0.25]])
+    v = field.evaluate(0.0, xs, rs)
+    assert np.allclose(v[0], 0.0)  # congestion stop
+    assert np.allclose(v[1], [1.0, 0.0])  # free speed
+    assert np.allclose(v[2], [0.75, 0.0])
 
 
 def test_pedestrian_metadata_composition():
@@ -82,15 +88,13 @@ def test_pedestrian_metadata_composition():
 
 
 def test_lipschitz_bound_b_examples():
-    from nonlocalflow import VelocityModel
-
     k_half = kernel_library("tent", 1, scale=2.0, height=1.0)  # lip 0.5
     kernels = sedimentation_field(k_half).kernels
-    field = VelocityField(1, 1, lambda t, x, r: x, sup_bound=1.0, lip_x=1.0, lip_r=2.0)
+    field = VelocityField(1, 1, lambda t, xs, rs: xs, sup_bound=1.0, lip_x=1.0, lip_r=2.0)
     model = VelocityModel((field,), kernels)
     assert lipschitz_bound_b(model, 1.0) == pytest.approx(1.0 + 2.0 * 0.5 * 1.0)
 
-    no_r = VelocityField(1, 1, lambda t, x, r: x, sup_bound=1.0, lip_x=1.0, lip_r=0.0)
+    no_r = VelocityField(1, 1, lambda t, xs, rs: xs, sup_bound=1.0, lip_x=1.0, lip_r=0.0)
     model2 = VelocityModel((no_r,), kernels)
     assert lipschitz_bound_b(model2, 7.0) == pytest.approx(1.0)
 
@@ -126,45 +130,42 @@ def _coupling_model(phi, prey_mass=1.0):
     ball = (prey_mass + 1.0) * kernels.sup_bound
     prey = VelocityField(
         1, 2,
-        lambda t, x, r: np.array([r[0] + r[1]]),
+        lambda t, xs, rs: (rs[:, 0] + rs[:, 1])[:, None],
         sup_bound=ball, lip_x=0.0, lip_r=1.0,
-        evaluate_batch=lambda t, xs, rs: (rs[:, 0] + rs[:, 1])[:, None],
     )
     return dirac_coupling_field([prey], [phi], kernels)
 
 
 def test_dirac_species_must_be_single_particle():
-    phi = phi_field(lambda t, x, r, p: np.zeros(1), 1, 2, 1.0, 0.0, 0.0)
+    phi = phi_field(lambda t, xs, rs, p: np.zeros_like(xs), 1, 2, 1.0, 0.0, 0.0)
     model = _coupling_model(phi)
     two = ParticleMeasure(1, np.array([[0.0], [1.0]]), np.array([1.0, 1.0]))
     prey = ParticleMeasure(1, np.array([[0.0]]), np.array([1.0]))
     with pytest.raises(ValueError, match="exactly one particle"):
-        eval_nonlocal_velocity(
-            _coupling_model(phi), MeasureVector((prey, two)), 1, 0.0, np.zeros(1)
-        )
+        velocity_at(_coupling_model(phi), MeasureVector((prey, two)), 1, [0.0])
 
 
 def test_predator_ignoring_prey_follows_standalone_ode():
     drift = np.array([0.25])
-    phi = phi_field(lambda t, x, r, p: drift, 1, 2, 0.25, 0.0, 0.0)
+    phi = phi_field(lambda t, xs, rs, p: np.tile(drift, (len(xs), 1)), 1, 2, 0.25, 0.0, 0.0)
     model = _coupling_model(phi)
     prey = ParticleMeasure(1, np.linspace(0, 1, 9).reshape(-1, 1), np.full(9, 1.0 / 9))
     state = MeasureVector((prey, dirac([2.0])))
-    v = eval_nonlocal_velocity(model, state, 1, 0.0, np.array([2.0]))
+    v = velocity_at(model, state, 1, [2.0])
     assert np.allclose(v, drift)
 
 
 def test_prey_outside_repulsion_support_unaffected():
-    phi = phi_field(lambda t, x, r, p: np.zeros(1), 1, 2, 1.0, 0.0, 0.0)
+    phi = phi_field(lambda t, xs, rs, p: np.zeros_like(xs), 1, 2, 1.0, 0.0, 0.0)
     model = _coupling_model(phi)
     prey = ParticleMeasure(1, np.array([[0.0]]), np.array([1.0]))
     predator_far = dirac([5.0])  # repulsion support is |x - p| <= 1.0
     state = MeasureVector((prey, predator_far))
-    v = eval_nonlocal_velocity(model, state, 0, 0.0, np.array([0.0]))
+    v = velocity_at(model, state, 0, [0.0])
     assert np.allclose(v, 0.0)
     predator_near = dirac([0.25])
     state2 = MeasureVector((prey, predator_near))
-    v2 = eval_nonlocal_velocity(model, state2, 0, 0.0, np.array([0.0]))
+    v2 = velocity_at(model, state2, 0, [0.0])
     assert v2[0] == pytest.approx(0.3 * (-0.25) / 0.5)  # flees leftward
 
 
@@ -181,7 +182,36 @@ def test_linear_local_and_drift_metadata():
 
 def test_velocity_audit_catches_false_lipschitz():
     field = VelocityField(
-        1, 1, lambda t, x, r: 2.0 * x, sup_bound=10.0, lip_x=1.0, lip_r=0.0
+        1, 1, lambda t, xs, rs: 2.0 * xs, sup_bound=10.0, lip_x=1.0, lip_r=0.0
     )
     with pytest.raises(AuditError, match="Lip_x"):
         audit_velocity_field(field, box_radius=2.0, r_radius=1.0)
+
+
+@pytest.mark.parametrize(
+    "declared, message",
+    [
+        ({"sup_bound": 1.0}, r"velocity sup audit failed: \|V\(0.0, \["),
+        ({"lip_x": 0.5}, r"Lip_x audit failed: slope .* between x=\["),
+        ({"lip_r": 1.0}, r"Lip_r audit failed: slope .* between r=\["),
+    ],
+)
+def test_velocity_audit_names_the_witness_of_each_lie(declared, message):
+    # V = x + 2 r_0 - p_0 with p_0 = 1 on |x| <= 2, |r|_1 <= 1: sup 5, Lip_x 1, Lip_r 2
+    honest = {"sup_bound": 5.0, "lip_x": 1.0, "lip_r": 2.0}
+    field = phi_field(
+        lambda t, xs, rs, p: xs + 2.0 * rs[:, :1] - p[0], 1, 2, **{**honest, **declared}
+    )
+    block = np.array([[1.0]])
+    audit_velocity_field(phi_field(field.evaluate, 1, 2, **honest), 2.0, 1.0, dirac_block=block)
+    with pytest.raises(AuditError, match=message):
+        audit_velocity_field(field, box_radius=2.0, r_radius=1.0, dirac_block=block)
+
+
+def test_velocity_batch_rejects_a_field_of_the_wrong_shape():
+    # (M,) instead of (M, 1) would broadcast against (M, 1) positions
+    flat = VelocityField(1, 1, lambda t, xs, rs: rs[:, 0], sup_bound=1.0, lip_x=0.0, lip_r=1.0)
+    model = VelocityModel((flat,), sedimentation_field(kernel_library("tent")).kernels)
+    rho = MeasureVector((dirac([0.0]),))
+    with pytest.raises(ValueError, match=r"returned shape \(3,\), expected \(3, 1\)"):
+        velocity_batch(model, rho, 0, 0.0, np.zeros((3, 1)))
