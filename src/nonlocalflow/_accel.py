@@ -1,9 +1,13 @@
 """Hot numeric kernels.
 
 The particle method spends nearly all of its time summing radial kernel
-profiles over particle ensembles (one O(N*M) pass per velocity evaluation)
+profiles over particle ensembles (one convolution per velocity evaluation)
 and merging sorted weight sequences for 1D transport costs.  Both are
-vectorized numpy.
+vectorized numpy.  The radial sum is one fused dense pass over blocks of
+evaluation points: each block builds its squared distances coordinate by
+coordinate in one reused (rows, N) buffer, applies the profile in place and
+finishes with one matrix-vector product, so its memory is O(block + M)
+whatever N, M and d are.
 
 The transportation simplex behind exact W1 is in Python with numpy
 pricing.  It keeps its spanning tree (parents, depths and potentials) from
@@ -25,18 +29,41 @@ PROFILE_BUMP = 2
 PROFILE_COSINE = 3
 
 
-def _profile_values(dist: np.ndarray, code: int, scale: float, height: float) -> np.ndarray:
+# A block of rows holds about this many (row, centre) elements, so that its
+# two (rows, N) buffers stay in cache.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def block_rows(n: int) -> int:
+    """Rows per block of a pairwise pass against ``n`` centres."""
+    return max(1, _BLOCK_ELEMENTS // max(n, 1))
+
+
+def unit_profile(sq: np.ndarray, code: int, scale: float) -> np.ndarray:
+    """Overwrite squared distances ``sq`` with the height-1 profile values.
+
+    Every profile but the constant vanishes at and beyond ``scale``; the
+    cosine lobe is written as sin(pi/2 * max(0, 1 - u)) so that it is
+    exactly 0 there.
+    """
     if code == PROFILE_CONSTANT:
-        return np.full_like(dist, height)
-    u = dist / scale
-    if code == PROFILE_TENT:
-        return height * np.maximum(0.0, 1.0 - u)
-    if code == PROFILE_BUMP:
-        core = np.maximum(0.0, 1.0 - u * u)
-        return height * core * core
-    if code == PROFILE_COSINE:
-        return np.where(u <= 1.0, height * np.cos(0.5 * np.pi * np.minimum(u, 1.0)), 0.0)
-    raise ValueError(f"unknown profile code {code}")
+        sq.fill(1.0)
+    elif code == PROFILE_BUMP:
+        np.divide(sq, scale * scale, out=sq)
+        np.subtract(1.0, sq, out=sq)
+        np.maximum(sq, 0.0, out=sq)
+        np.square(sq, out=sq)
+    elif code in (PROFILE_TENT, PROFILE_COSINE):
+        np.sqrt(sq, out=sq)
+        np.divide(sq, scale, out=sq)
+        np.subtract(1.0, sq, out=sq)
+        np.maximum(sq, 0.0, out=sq)
+        if code == PROFILE_COSINE:
+            np.multiply(sq, 0.5 * np.pi, out=sq)
+            np.sin(sq, out=sq)
+    else:
+        raise ValueError(f"unknown profile code {code}")
+    return sq
 
 
 def radial_sum(
@@ -54,13 +81,28 @@ def radial_sum(
     points = np.ascontiguousarray(points, dtype=np.float64)
     centers = np.ascontiguousarray(centers, dtype=np.float64)
     weights = np.ascontiguousarray(weights, dtype=np.float64)
-    if centers.shape[0] == 0:
-        return np.zeros(points.shape[0])
+    m, n = points.shape[0], centers.shape[0]
+    if n == 0:
+        return np.zeros(m)
     if code == PROFILE_CONSTANT:
-        return np.full(points.shape[0], height * float(weights.sum()))
-    diff = points[:, None, :] - centers[None, :, :]
-    dist = np.sqrt(np.einsum("mnd,mnd->mn", diff, diff))
-    return _profile_values(dist, code, scale, height) @ weights
+        return np.full(m, height * float(weights.sum()))
+    out = np.empty(m)
+    rows = block_rows(n)
+    sq_buf = np.empty((min(rows, m), n))
+    scratch_buf = np.empty_like(sq_buf) if points.shape[1] > 1 else None
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        sq = sq_buf[: hi - lo]
+        np.subtract.outer(points[lo:hi, 0], centers[:, 0], out=sq)
+        np.square(sq, out=sq)
+        for k in range(1, points.shape[1]):
+            scratch = scratch_buf[: hi - lo]
+            np.subtract.outer(points[lo:hi, k], centers[:, k], out=scratch)
+            np.square(scratch, out=scratch)
+            sq += scratch
+        np.dot(unit_profile(sq, code, scale), weights, out=out[lo:hi])
+    out *= height
+    return out
 
 
 def w1_cdf_merge(xu: np.ndarray, wu: np.ndarray, xv: np.ndarray, wv: np.ndarray) -> float:

@@ -282,7 +282,9 @@ def integrate(
     Returns the snapshot times ``t0 + dt*(j+1)`` (prefixed by ``t0``) and
     the state after each step (prefixed by ``state``).  The stage clock of
     each step is the accumulated ``state.t``, not the snapshot time.  States
-    that track densities also advance their divergence integrals.
+    that track densities also advance their divergence integrals.  Raises
+    ``ValueError`` naming the step and its time when a step leaves a
+    non-finite position, tracer or divergence integral.
     """
     t0 = state.t
     dt = (t1 - t0) / steps
@@ -294,6 +296,9 @@ def integrate(
             nxt = accumulate_divergence(model, frozen_r, state, nxt, dt, h_fd)
         state = nxt
         times.append(t0 + dt * (j + 1))
+        arrays = (*state.rho.positions(), *(state.passive or ()), *(state.div_integral or ()))
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ValueError(f"non-finite state after step index {j} (t = {times[-1]!r})")
         states.append(state)
     return np.asarray(times), states
 

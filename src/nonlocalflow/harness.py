@@ -9,6 +9,7 @@ slack and names its scenario fingerprint for replay.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -41,7 +42,10 @@ class BoundReport:
 
     @classmethod
     def make(cls, name: str, lhs: float, rhs: float, slack: float, fingerprint: dict):
-        return cls(name, float(lhs), float(rhs), float(slack), lhs <= rhs * slack, fingerprint)
+        """A report that passes when lhs <= rhs * slack and both sides are finite."""
+        lhs, rhs = float(lhs), float(rhs)
+        passed = math.isfinite(lhs) and math.isfinite(rhs) and lhs <= rhs * slack
+        return cls(name, lhs, rhs, float(slack), passed, fingerprint)
 
 
 def worker_count() -> int:
@@ -143,6 +147,10 @@ class FrozenProblem:
     source: ParticleTrajectory
 
 
+# Dirac position blocks sampled per velocity-gap estimate
+_DIRAC_BLOCKS = 4
+
+
 def _sup_velocity_gap(
     a: VelocityModel,
     b: VelocityModel,
@@ -157,12 +165,17 @@ def _sup_velocity_gap(
     k = a.k
     u = 2.0 * sample_box(np.zeros(k), np.ones(k), samples, seed + 7) - 1.0
     rs = r_radius * u / np.maximum(np.abs(u).sum(axis=1), 1.0)[:, None]
+    # fields of single-particle species also range over the Dirac positions
+    dirac_args = [
+        (sample_box(lo, hi, len(a.dirac_species), seed + 21 + j),) for j in range(_DIRAC_BLOCKS)
+    ]
     worst = 0.0
     for t in times:
-        for i in range(k):
-            va = a.fields[i].evaluate(t, xs, rs)
-            vb = b.fields[i].evaluate(t, xs, rs)
-            worst = max(worst, float(np.linalg.norm(va - vb, axis=1).max()))
+        for fa, fb in zip(a.fields, b.fields):
+            for extra in dirac_args if fa.needs_dirac_positions else [()]:
+                va = fa.evaluate(t, xs, rs, *extra)
+                vb = fb.evaluate(t, xs, rs, *extra)
+                worst = max(worst, float(np.linalg.norm(va - vb, axis=1).max()))
     return worst
 
 

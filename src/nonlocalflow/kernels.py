@@ -48,8 +48,8 @@ def _kernel_from_terms(dim: int, terms: Sequence[RadialTerm], sup: float, lip: f
     terms = tuple(terms)
 
     def evaluate(t: float, xs: np.ndarray) -> np.ndarray:
-        dist = np.linalg.norm(xs, axis=1)
-        return sum(_accel._profile_values(dist, tm.code, tm.scale, tm.height) for tm in terms)
+        sq = np.square(np.asarray(xs, dtype=np.float64)).sum(axis=1)
+        return sum(tm.height * _accel.unit_profile(sq.copy(), tm.code, tm.scale) for tm in terms)
 
     return Kernel(dim, evaluate, sup, lip, terms)
 
@@ -152,9 +152,15 @@ def convolve_batch(
                 pts, mu.positions, mu.weights, term.code, term.scale, term.height
             )
         return out
-    diff = pts[:, None, :] - mu.positions[None, :, :]
-    vals = kernel.evaluate(t, diff.reshape(-1, mu.dim))
-    return vals.reshape(pts.shape[0], len(mu)) @ mu.weights
+    m, n = pts.shape[0], len(mu)
+    out = np.empty(m)
+    rows = _accel.block_rows(n)
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        diff = pts[lo:hi, None, :] - mu.positions[None, :, :]
+        vals = kernel.evaluate(t, diff.reshape(-1, mu.dim))
+        out[lo:hi] = vals.reshape(hi - lo, n) @ mu.weights
+    return out
 
 
 def convolve_vector_batch(

@@ -1,6 +1,8 @@
 import math
 import subprocess
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -69,6 +71,89 @@ def test_radial_sum_empty_centers():
     pts = np.zeros((4, 1))
     out = _accel.radial_sum(pts, np.zeros((0, 1)), np.zeros(0), 1, 1.0, 1.0)
     assert np.array_equal(out, np.zeros(4))
+
+
+@st.composite
+def blocked_instances(draw):
+    """Shapes on each side of a block edge, for a small block constant.
+
+    ``several``: whole blocks of ``rows`` rows; ``ragged``: a short last
+    block; ``narrow``: more centres than the block holds, one row per
+    block; ``empty``: no centres.
+    """
+    case = draw(st.sampled_from(["several", "ragged", "narrow", "empty"]))
+    dim = draw(st.sampled_from([1, 2, 3]))
+    if case == "narrow":
+        block = draw(st.integers(1, 6))
+        n = draw(st.integers(block + 1, 12))
+        m = draw(st.integers(2, 6))
+    elif case == "empty":
+        block, n, m = draw(st.integers(1, 6)), 0, draw(st.integers(0, 6))
+    else:
+        n = draw(st.integers(1, 6))
+        rows = draw(st.integers(2, 4))
+        block = rows * n + draw(st.integers(0, n - 1))
+        m = rows * draw(st.integers(2, 3))
+        if case == "ragged":
+            m += draw(st.integers(1, rows - 1))
+    # dyadic coordinates and scales make |point - centre| == scale exactly
+    scale = draw(st.sampled_from([0.25, 0.5, 1.0, 1.5]))
+    coord = st.one_of(st.integers(-12, 12).map(lambda k: k / 4), st.floats(-3.0, 3.0))
+    vec = st.lists(coord, min_size=dim, max_size=dim).map(np.array)
+    centers = [draw(vec) for _ in range(n)]
+    on_scale = st.builds(
+        lambda c, axis, sign: c + sign * scale * np.eye(dim)[axis],
+        st.sampled_from(centers) if centers else vec,
+        st.integers(0, dim - 1),
+        st.sampled_from([-1.0, 1.0]),
+    )
+    points = [draw(st.one_of(vec, on_scale)) for _ in range(m)]
+    weights = np.array([draw(st.floats(0.0, 1.0)) for _ in range(n)])
+    height = draw(st.floats(0.1, 3.0))
+    return (
+        block,
+        np.array(points).reshape(m, dim),
+        np.array(centers).reshape(n, dim),
+        weights,
+        scale,
+        height,
+    )
+
+
+@pytest.mark.parametrize("code", [0, 1, 2, 3])
+@settings(max_examples=80, deadline=None)
+@given(instance=blocked_instances())
+def test_blocked_radial_sum_matches_the_loop(code, instance):
+    block, points, centers, weights, scale, height = instance
+    with mock.patch.object(_accel, "_BLOCK_ELEMENTS", block):
+        fast = _accel.radial_sum(points, centers, weights, code, scale, height)
+    slow = _radial_sum_loop(points, centers, weights, code, scale, height)
+    tol = 1e-13 * (1.0 + height * float(weights.sum()))
+    assert fast.shape == (len(points),)
+    assert np.allclose(fast, slow, rtol=0.0, atol=tol)
+
+
+@pytest.mark.parametrize("code", [1, 2, 3])
+def test_radial_sum_vanishes_at_and_beyond_scale(code):
+    # the loop's u >= 1 branch: exactly 0, the cosine lobe included
+    centers = np.array([[0.5, -0.25]])
+    points = centers + np.array([[0.75, 0.0], [0.0, -0.75], [0.8, 0.0], [3.0, 3.0]])
+    out = _accel.radial_sum(points, centers, np.ones(1), code, 0.75, 2.0)
+    assert np.array_equal(out, np.zeros(4))
+
+
+def test_radial_sum_memory_does_not_grow_with_pairs():
+    # 2000 x 2000 in 2D: 4M pairs; (M, N, d) temporaries would take 190 MB
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-1.0, 1.0, size=(2000, 2))
+    weights = np.full(2000, 1.0 / 2000)
+    tracemalloc.start()
+    try:
+        _accel.radial_sum(pts, pts, weights, _accel.PROFILE_BUMP, 0.5, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def _w1_merge_loop(xu, wu, xv, wv):

@@ -9,6 +9,7 @@ from nonlocalflow import (
     ParticleTrajectory,
     StepControl,
     StepControlError,
+    VelocityModel,
     accumulate_divergence,
     constant_drift_field,
     dirac,
@@ -219,3 +220,15 @@ def test_trajectory_interpolation():
     assert traj.at(0.25).species[0].positions[0, 0] == pytest.approx(0.25)
     assert traj.at(1.0).species[0].positions[0, 0] == 1.0
     assert traj.at(5.0).species[0].positions[0, 0] == 1.0
+
+
+def test_solve_stops_at_the_first_non_finite_step():
+    # stage clocks of step 2 are 0.1, 0.125 and 0.15; the field breaks after 0.1
+    def drift(t, xs, rs):
+        return np.full_like(xs, np.nan if t > 0.1 else 0.3)
+
+    base = constant_drift_field([0.3])
+    model = VelocityModel((replace(base.fields[0], evaluate=drift),), base.kernels)
+    scn = Scenario("nan", model, MeasureVector((dirac([0.0]),)), horizon=0.5, step=StepControl(0.05))
+    with pytest.raises(ValueError, match=r"non-finite state after step index 2 \(t = 0\.15"):
+        solve_direct(scn)

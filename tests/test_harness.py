@@ -52,6 +52,14 @@ def test_bound_report_invariant():
     assert not bad.passed
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+def test_bound_report_fails_on_a_non_finite_side(side, value):
+    # inf rhs would pass lhs <= rhs * slack vacuously, -inf lhs trivially
+    lhs, rhs = (value, 1.0) if side == "lhs" else (0.5, value)
+    assert not BoundReport.make("x", lhs, rhs, 1.05, {}).passed
+
+
 def test_lemma_identical_sources():
     scn = bump_scenario()
     rep = check_lemma_stability(scn.model, scn.initial, scn.initial)
@@ -187,6 +195,17 @@ def test_general_stability_perturbed_initial_data():
         problem, problem, scn.initial, sigma0, scn.horizon, scn.step.dt
     )
     assert rep.passed
+
+
+def test_general_stability_on_a_dirac_coupling_model():
+    # the velocity gap hands Dirac position blocks to the predator's field
+    scn = load_scenario("predator-prey-1d")
+    problem = FrozenProblem(scn.model, solve_direct(scn).trajectory())
+    rep = check_stability_general(
+        problem, problem, scn.initial, scn.initial, scn.horizon, scn.step.dt
+    )
+    assert rep.passed
+    assert rep.fingerprint["gap_velocity"] == 0.0
 
 
 def test_general_check_degenerates_to_initial_check():

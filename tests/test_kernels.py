@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from nonlocalflow import (
     total_mass,
     zero_kernel,
 )
+from nonlocalflow import _accel
 
 LIBRARY = ("tent", "bump-poly", "cosine-lobe", "constant")
 
@@ -280,3 +283,18 @@ def test_opaque_convolve_batch_matches_double_loop(form, instance):
     assert np.allclose(fast, slow, rtol=0.0, atol=tol)
     if not len(centers):
         assert np.array_equal(fast, np.zeros(len(points)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=opaque_instances(), block=st.integers(1, 10))
+def test_opaque_convolve_batch_in_small_blocks_matches_double_loop(instance, block):
+    # a small block constant splits the points into several blocks, down to
+    # one row each when there are more centres than the block holds
+    scale, height, points, centers, weights = instance
+    ramp = odd_ramp_kernel(scale, height)
+    mu = ParticleMeasure(1, centers.reshape(-1, 1), weights)
+    with mock.patch.object(_accel, "_BLOCK_ELEMENTS", block):
+        fast = convolve_batch(mu, ramp, 0.0, points.reshape(-1, 1))
+    slow = _convolve_loop(points, centers, weights, lambda x: _odd_ramp_point(x, scale, height))
+    tol = 1e-13 * (1.0 + ramp.sup_bound * float(weights.sum()))
+    assert np.allclose(fast, slow, rtol=0.0, atol=tol)
