@@ -201,10 +201,32 @@ def _tree_duals_py(n, m, basis_cells, cost):
     return ends, arc_cost, adj, parent, parent_edge, depth, pi
 
 
-def _transport_simplex_numpy(
-    cost, supply, demand, piv_tol, dantzig_cap, total_cap, start=None
+def transport_simplex(
+    cost: np.ndarray,
+    supply: np.ndarray,
+    demand: np.ndarray,
+    start: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ):
+    """Primal transportation simplex on the dense cost matrix.
+
+    Returns (basis_i, basis_j, flows, u, v) for the N + M - 1 basic cells,
+    zero-flow cells included.  ``start`` is an optional spanning basis
+    ``(basis_i, basis_j, flows)`` that is primal-feasible for ``supply`` and
+    ``demand`` (for example the basis of an earlier solve with the same
+    marginals); without it the solve starts from the northwest corner.
+    Dantzig pricing with a Bland-style fallback after a pivot budget; raises
+    RuntimeError if the iteration caps are exhausted or the basis does not
+    span the bipartite graph.
+    """
+    cost = np.ascontiguousarray(cost, dtype=np.float64)
+    supply = np.ascontiguousarray(supply, dtype=np.float64)
+    demand = np.ascontiguousarray(demand, dtype=np.float64)
     n, m = cost.shape
+    piv_tol = 1e-12 * max(1.0, float(np.abs(cost).max()))
+    dantzig_cap = 60 * (n + m + 1)
+    total_cap = dantzig_cap + 600 * (n + m + 1)
+    if start is not None and any(len(part) != n + m - 1 for part in start):
+        raise ValueError(f"a starting basis needs {n + m - 1} cells")
     if start is None:
         cells, flows = _northwest_corner_py(supply, demand)
     else:
@@ -265,41 +287,7 @@ def _transport_simplex_numpy(
         potentials[hung] = [pi[node] for node in hung]
         pivots += 1
         if pivots > total_cap:
-            return None
+            raise RuntimeError("transportation simplex failed to terminate")
     basis_i = np.array([r for r, _ in ends], dtype=np.int64)
     basis_j = np.array([c - n for _, c in ends], dtype=np.int64)
     return basis_i, basis_j, np.asarray(flows, dtype=np.float64), potentials[:n].copy(), -potentials[n:]
-
-
-def transport_simplex(
-    cost: np.ndarray,
-    supply: np.ndarray,
-    demand: np.ndarray,
-    start: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-):
-    """Primal transportation simplex on the dense cost matrix.
-
-    Returns (basis_i, basis_j, flows, u, v) for the N + M - 1 basic cells,
-    zero-flow cells included.  ``start`` is an optional spanning basis
-    ``(basis_i, basis_j, flows)`` that is primal-feasible for ``supply`` and
-    ``demand`` (for example the basis of an earlier solve with the same
-    marginals); without it the solve starts from the northwest corner.
-    Dantzig pricing with a Bland-style fallback after a pivot budget; raises
-    RuntimeError if the iteration caps are exhausted or the basis does not
-    span the bipartite graph.
-    """
-    cost = np.ascontiguousarray(cost, dtype=np.float64)
-    supply = np.ascontiguousarray(supply, dtype=np.float64)
-    demand = np.ascontiguousarray(demand, dtype=np.float64)
-    n, m = cost.shape
-    piv_tol = 1e-12 * max(1.0, float(np.abs(cost).max()))
-    dantzig_cap = 60 * (n + m + 1)
-    total_cap = dantzig_cap + 600 * (n + m + 1)
-    if start is not None and any(len(part) != n + m - 1 for part in start):
-        raise ValueError(f"a starting basis needs {n + m - 1} cells")
-    result = _transport_simplex_numpy(
-        cost, supply, demand, piv_tol, dantzig_cap, total_cap, start
-    )
-    if result is None:
-        raise RuntimeError("transportation simplex failed to terminate")
-    return result

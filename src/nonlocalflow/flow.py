@@ -30,6 +30,10 @@ class StepControlError(ValueError):
     """dt too large for Lipschitz constant."""
 
 
+class NonFiniteStateError(ValueError):
+    """A step left a non-finite position, tracer or divergence integral."""
+
+
 @dataclass(frozen=True)
 class StepControl:
     dt: float
@@ -283,8 +287,8 @@ def integrate(
     the state after each step (prefixed by ``state``).  The stage clock of
     each step is the accumulated ``state.t``, not the snapshot time.  States
     that track densities also advance their divergence integrals.  Raises
-    ``ValueError`` naming the step and its time when a step leaves a
-    non-finite position, tracer or divergence integral.
+    :class:`NonFiniteStateError` naming the step and its time when a step
+    leaves a non-finite position, tracer or divergence integral.
     """
     t0 = state.t
     dt = (t1 - t0) / steps
@@ -298,7 +302,7 @@ def integrate(
         times.append(t0 + dt * (j + 1))
         arrays = (*state.rho.positions(), *(state.passive or ()), *(state.div_integral or ()))
         if not all(np.isfinite(a).all() for a in arrays):
-            raise ValueError(f"non-finite state after step index {j} (t = {times[-1]!r})")
+            raise NonFiniteStateError(f"non-finite state after step index {j} (t = {times[-1]!r})")
         states.append(state)
     return np.asarray(times), states
 

@@ -27,7 +27,7 @@ from .solver import (
     solve_direct,
     solve_frozen,
 )
-from .velocity import VelocityModel, velocity_batch
+from .velocity import VelocityModel, _l1_ball_samples, velocity_batch
 from .wasserstein import w1_series, w1_vector
 
 
@@ -122,14 +122,7 @@ def check_stability_initial(
         K = StabilityConstants.of(scenario.model, rho0.total_measure()).K
     rec_b = solve_direct(_untracked(scenario, sigma0))
     d0 = w1_vector(rho0, sigma0)
-    fp = {
-        "scenario": scenario.name,
-        "seed": scenario.seed,
-        "N": sum(len(m) for m in rho0.species),
-        "T": scenario.horizon,
-        "dt": scenario.step.dt,
-        **(fingerprint or {}),
-    }
+    fp = {**scenario.fingerprint(), **(fingerprint or {})}
     dists = w1_series(zip(base.states[1:], rec_b.states[1:]))
     if d0 == 0.0:
         lhs = float(dists.max()) if dists.size else 0.0
@@ -162,9 +155,7 @@ def _sup_velocity_gap(
     times: Sequence[float],
 ) -> float:
     xs = sample_box(lo, hi, samples, seed)
-    k = a.k
-    u = 2.0 * sample_box(np.zeros(k), np.ones(k), samples, seed + 7) - 1.0
-    rs = r_radius * u / np.maximum(np.abs(u).sum(axis=1), 1.0)[:, None]
+    rs = _l1_ball_samples(a.k, r_radius, samples, seed + 7)
     # fields of single-particle species also range over the Dirac positions
     dirac_args = [
         (sample_box(lo, hi, len(a.dirac_species), seed + 21 + j),) for j in range(_DIRAC_BLOCKS)

@@ -9,6 +9,7 @@ contracts with factor C*T*exp(C*T) <= sigma.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -16,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .flow import (
+    NonFiniteStateError,
     ParticleTrajectory,
     StepControl,
     _uniform_steps,
@@ -65,6 +67,11 @@ class Scenario:
             raise ValueError("mode must be 'direct' or 'picard'")
         if self.track_density and self.initial_densities is None:
             raise ValueError("density tracking needs per-species initial densities")
+
+    def fingerprint(self) -> dict:
+        """What a report or an error names to replay this scenario."""
+        n = sum(len(m) for m in self.initial.species)
+        return {"scenario": self.name, "seed": self.seed, "dt": self.step.dt, "T": self.horizon, "N": n}
 
     def constants(self) -> "StabilityConstants":
         return StabilityConstants.of(self.model, self.initial.total_measure())
@@ -123,10 +130,6 @@ class SolutionRecord:
     def masses(self) -> np.ndarray:
         return np.array([s.masses() for s in self.states])
 
-    def consecutive_w1(self) -> np.ndarray:
-        """W1 between consecutive snapshots (computed on demand)."""
-        return w1_series(zip(self.states[:-1], self.states[1:]))
-
     def final(self) -> MeasureVector:
         return self.states[-1]
 
@@ -144,11 +147,7 @@ def solve_direct(scenario: Scenario) -> SolutionRecord:
         scenario.h_fd,
     )
     densities = [s.transported_density() for s in flow] if scenario.track_density else None
-    record = SolutionRecord(
-        times, [s.rho for s in flow], densities, {"mode": "direct"}
-    )
-    record.diagnostics["masses"] = record.masses()
-    return record
+    return SolutionRecord(times, [s.rho for s in flow], densities, {"mode": "direct"})
 
 
 def solve_frozen(
@@ -300,7 +299,7 @@ def solve_picard(scenario: Scenario) -> SolutionRecord:
             density_values=scenario.density_values(),
             h_fd=scenario.h_fd,
         )
-    record = SolutionRecord(
+    return SolutionRecord(
         np.asarray(times_all),
         states_all,
         densities,
@@ -310,14 +309,15 @@ def solve_picard(scenario: Scenario) -> SolutionRecord:
             "picard_distances": per_window_distances,
         },
     )
-    record.diagnostics["masses"] = record.masses()
-    return record
 
 
 def solve(scenario: Scenario) -> SolutionRecord:
-    if scenario.mode == "picard":
-        return solve_picard(scenario)
-    return solve_direct(scenario)
+    """Solve in the scenario's mode; a non-finite state is reported with its fingerprint."""
+    try:
+        return solve_picard(scenario) if scenario.mode == "picard" else solve_direct(scenario)
+    except NonFiniteStateError as exc:
+        fp = json.dumps(scenario.fingerprint(), sort_keys=True)
+        raise NonFiniteStateError(f"{exc} in {fp}") from exc
 
 
 # ---------------------------------------------------------------------------

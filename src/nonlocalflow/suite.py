@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import brentq, linprog
 
-from . import cli
+from .scenario import bundled_scenarios, load_raw, load_scenario, scenario_from_config
 from .flow import StepControl
 from .harness import FrozenProblem, check_stability_general, stability_battery
 from .kernels import add_kernels, kernel_library
@@ -114,8 +114,8 @@ def criterion_1_mass_conservation() -> CriterionResult:
     t0 = time.perf_counter()
     worst = 0.0
     details = []
-    for name in cli.bundled_scenarios():
-        scenario = cli.load_scenario(name, audit=False)
+    for name in bundled_scenarios():
+        scenario = load_scenario(name, audit=False)
         record = solve(scenario)
         masses = record.masses()
         drift = float(np.abs(masses - masses[0]).max())
@@ -174,7 +174,7 @@ def criterion_4_initial_stability() -> CriterionResult:
     t0 = time.perf_counter()
     worst = 0.0
     for name in ("sedimentation-1d", "pedestrian-2d"):
-        scenario = cli.load_scenario(name, audit=False)
+        scenario = load_scenario(name, audit=False)
         reports = stability_battery(scenario, pairs=50, eps=0.05, seed0=scenario.seed)
         ratios = [r.lhs for r in reports]
         worst = max(worst, max(ratios))
@@ -213,7 +213,7 @@ def _drift_perturbed(model: VelocityModel, eps: float) -> VelocityModel:
 
 def criterion_5_general_stability() -> CriterionResult:
     t0 = time.perf_counter()
-    scenario = cli.load_scenario("sedimentation-1d", audit=False)
+    scenario = load_scenario("sedimentation-1d", audit=False)
     base = solve_direct(scenario)
     source = base.trajectory()
     mass = scenario.initial.total_measure()
@@ -289,7 +289,7 @@ def criterion_6_contraction() -> CriterionResult:
     worst_margin = -np.inf
     details = []
     for name, dt in (("sedimentation-1d", 0.005), ("pedestrian-2d", 0.02)):
-        scenario = cli.load_scenario(name, audit=False)
+        scenario = load_scenario(name, audit=False)
         scenario = replace(
             scenario,
             step=StepControl(dt),
@@ -335,7 +335,7 @@ def criterion_7_method_agreement() -> CriterionResult:
     )
     worst = 0.0
     for name, dt in cases:
-        scenario = cli.load_scenario(name, audit=False)
+        scenario = load_scenario(name, audit=False)
         scenario = replace(
             scenario,
             step=StepControl(dt),
@@ -391,7 +391,7 @@ def criterion_8_weak_form() -> CriterionResult:
     t0 = time.perf_counter()
     ratios_all = []
     for name, dt in (("sedimentation-smooth-1d", 0.02), ("pedestrian-2d", 0.02)):
-        scenario = cli.load_scenario(name, audit=False)
+        scenario = load_scenario(name, audit=False)
         battery = _test_battery(scenario)
         coarse = solve_direct(replace(scenario, step=StepControl(dt)))
         fine = solve_direct(replace(scenario, step=StepControl(dt / 2)))
@@ -421,7 +421,7 @@ def criterion_9_linfty_growth() -> CriterionResult:
     t0 = time.perf_counter()
     from .harness import check_linfty_growth
 
-    compressive = cli.load_scenario("linear-local-compressive-1d", audit=False)
+    compressive = load_scenario("linear-local-compressive-1d", audit=False)
     rep = check_linfty_growth(compressive)
     saturation = abs(rep.lhs - 1.0)
     if not rep.passed or saturation > 0.01:
@@ -432,9 +432,9 @@ def criterion_9_linfty_growth() -> CriterionResult:
             f"compressive scenario ratio {rep.lhs:.4f} (saturation error {saturation:.3g})",
             t0,
         )
-    raw = cli._load_raw("sedimentation-smooth-1d")
+    raw = load_raw("sedimentation-smooth-1d")
     raw["density_tracking"] = True
-    tracked = cli.scenario_from_config(raw, audit=False)
+    tracked = scenario_from_config(raw, audit=False)
     rep2 = check_linfty_growth(tracked)
     passed = rep2.passed
     return _result(
@@ -449,7 +449,7 @@ def criterion_9_linfty_growth() -> CriterionResult:
 
 def criterion_10_reduced_ode() -> CriterionResult:
     t0 = time.perf_counter()
-    scenario = cli.load_scenario("single-dirac-sedimentation-1d", audit=False)
+    scenario = load_scenario("single-dirac-sedimentation-1d", audit=False)
     record = solve_direct(scenario)
     kernel = scenario.model.kernels.entries[0][0]
     speed = kernel.evaluate(0.0, np.zeros((1, 1)))[0]
@@ -459,10 +459,10 @@ def criterion_10_reduced_ode() -> CriterionResult:
     if worst_line > 1e-8:
         return _result(10, "reduced-ODE exactness", False, f"dirac line error {worst_line:.3g}", t0)
 
-    coupled = cli.load_scenario("predator-decoupled-1d", audit=False)
+    coupled = load_scenario("predator-decoupled-1d", audit=False)
     rec = solve_direct(coupled)
     # standalone RK4 of the same right-hand side on the same grid
-    phi_cfg = cli._load_raw("predator-decoupled-1d")["model"]["phi"]
+    phi_cfg = load_raw("predator-decoupled-1d")["model"]["phi"]
     rate = float(phi_cfg["rate"])
     target = np.asarray(phi_cfg["target"], dtype=float)
 

@@ -1,21 +1,20 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nonlocalflow import AuditError, solve_direct
-from nonlocalflow.cli import (
-    RunConfig,
+from nonlocalflow import AuditError, VelocityField, VelocityModel, cli, solve_direct
+from nonlocalflow.cli import RunConfig, main, run
+from nonlocalflow.output import emit_plotdata
+from nonlocalflow.scenario import (
     ScenarioParseError,
     bundled_scenarios,
-    emit_plotdata,
+    load_raw,
     load_scenario,
-    main,
-    run,
     save_scenario,
     scenario_from_config,
-    _load_raw,
 )
 
 
@@ -32,14 +31,14 @@ def test_bundled_sedimentation_loads():
 
 
 def test_unknown_kernel_name_is_reported():
-    raw = _load_raw("sedimentation-1d")
+    raw = load_raw("sedimentation-1d")
     raw["model"]["kernel"]["name"] = "boxcar"
     with pytest.raises(ScenarioParseError, match="model.kernel"):
         scenario_from_config(raw)
 
 
 def test_missing_field_is_reported():
-    raw = _load_raw("sedimentation-1d")
+    raw = load_raw("sedimentation-1d")
     del raw["species"][0]["support"]
     with pytest.raises(ScenarioParseError, match="support"):
         scenario_from_config(raw)
@@ -181,7 +180,7 @@ def test_cli_main_verbs(tmp_path):
 
 
 def test_audit_rejects_nan_kernel_scale(tmp_path, capsys):
-    raw = _load_raw("sedimentation-1d")
+    raw = load_raw("sedimentation-1d")
     raw["model"]["kernel"]["scale"] = float("nan")
     path = tmp_path / "nan-scale.json"
     path.write_text(json.dumps(raw))
@@ -208,7 +207,7 @@ NAN = float("nan")
     ],
 )
 def test_non_finite_scenario_fields_rejected_with_field(tmp_path, capsys, field, fields):
-    raw = {**_load_raw("sedimentation-1d"), **fields}
+    raw = {**load_raw("sedimentation-1d"), **fields}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
@@ -237,7 +236,7 @@ def test_bad_run_overrides_exit_2_with_field(tmp_path, capsys, argv, message):
     "speed", [{"r_crit": NAN}, {"r_crit": 0.0}, {"v_max": NAN}, {"v_max": float("inf")}]
 )
 def test_bad_speed_law_rejected_with_field(tmp_path, capsys, speed):
-    raw = _load_raw("pedestrian-2d")
+    raw = load_raw("pedestrian-2d")
     raw["model"]["speed"].update(speed)
     raw["checks"] = [{"type": "mass-conservation"}]
     path = tmp_path / "bad-speed.json"
@@ -248,7 +247,7 @@ def test_bad_speed_law_rejected_with_field(tmp_path, capsys, speed):
 
 
 def test_odd_ramp_params_rejected_with_field(tmp_path):
-    raw = _load_raw("predator-prey-1d")
+    raw = load_raw("predator-prey-1d")
     raw["model"]["attraction"]["height"] = float("inf")
     with pytest.raises(ScenarioParseError, match="model.attraction: kernel height"):
         scenario_from_config(raw)
@@ -264,7 +263,42 @@ def test_cli_w1_verb(tmp_path, capsys):
 
 
 def test_audit_error_carries_witness():
-    raw = _load_raw("predator-decoupled-1d")
+    raw = load_raw("predator-decoupled-1d")
     raw["audit_radius"] = 30.0  # spring sup bound only certified on radius 3
     with pytest.raises(AuditError, match="sup audit"):
         scenario_from_config(raw)
+
+
+def test_density_profile_is_written_once(tmp_path, monkeypatch):
+    kinds = []
+    real = cli.emit_plotdata
+
+    def counted(record, kind, *args, **kwargs):
+        kinds.append(kind)
+        return real(record, kind, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "emit_plotdata", counted)
+    config = RunConfig("linear-local-compressive-1d", tmp_path, emit=("densities", "plotdata"))
+    assert run(config) == 0
+    assert kinds.count("density-profile") == 1
+    assert (tmp_path / "plot" / "density-profile.csv").exists()
+
+
+def test_non_finite_state_error_names_the_scenario(tmp_path, capsys, monkeypatch):
+    real = cli.scenario_from_config
+
+    def nan_after_the_first_step(raw):
+        scn = real(raw)
+        dt = scn.step.dt
+        field = VelocityField(
+            1, 1, lambda t, xs, rs: xs * (np.nan if t > 1.25 * dt else 0.0), 1.0, 0.0, 0.0
+        )
+        return replace(scn, model=VelocityModel((field,), scn.model.kernels))
+
+    monkeypatch.setattr(cli, "scenario_from_config", nan_after_the_first_step)
+    out = str(tmp_path / "out")
+    assert main(["run", "zero-field-1d", "--out", out, "--emit", "trajectories"]) == 3
+    err = capsys.readouterr().err
+    assert "non-finite state after step index 1 (t = 0.2" in err
+    for item in ('"scenario": "zero-field-1d"', '"seed": 0', '"N": 5', '"T": 1.0', '"dt": 0.1'):
+        assert item in err

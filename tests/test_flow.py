@@ -25,7 +25,7 @@ from nonlocalflow import (
     w1_1d,
 )
 from nonlocalflow.solver import Scenario
-from nonlocalflow.cli import _cosine_bump_1d
+from nonlocalflow.scenario import _cosine_bump_1d
 from dataclasses import replace
 
 

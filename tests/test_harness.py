@@ -26,7 +26,8 @@ from nonlocalflow import (
 )
 from nonlocalflow import harness, solver, w1_series, w1_vector
 from nonlocalflow.harness import perturbed_initial
-from nonlocalflow.cli import _cosine_bump_1d, load_scenario, run_checks
+from nonlocalflow.cli import run_checks
+from nonlocalflow.scenario import _cosine_bump_1d, load_scenario
 from nonlocalflow.solver import solve
 
 

@@ -1,0 +1,120 @@
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from nonlocalflow.cli import main
+from nonlocalflow.scenario import (
+    OPTIONAL,
+    REQUIRED,
+    SCENARIO,
+    ScenarioParseError,
+    bundled_scenarios,
+    load_raw,
+    scenario_from_config,
+    validate,
+)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+NAN = float("nan")
+
+
+def _rows(fields: dict, prefix: str = ""):
+    """The table as README rows: path, type, range or choices, default."""
+    for key, f in fields.items():
+        path = prefix + key
+        default = f.default if f.default in (REQUIRED, OPTIONAL) else json.dumps(f.default)
+        if f.type in ("variant", "list"):
+            yield path, f.type, ", ".join(f.fields), default
+            for name, sub in f.fields.items():
+                yield from _rows(sub, f"{path}[{name}].")
+        elif f.type == "object":
+            yield path, f.type, "", default
+            yield from _rows(f.fields, path + ".")
+        else:
+            yield path, f.type, f.range or ", ".join(map(str, f.choices)), default
+
+
+def test_readme_lists_every_field_of_the_table():
+    text = README.read_text()
+    section = text[text.index("## Scenario files"):]
+    section = section[: section.index("\n## ", 1)]
+    documented = [
+        tuple(cell.strip().strip("`") for cell in line.strip("|").split("|"))
+        for line in section.splitlines()
+        if line.startswith("| `")
+    ]
+    assert documented == list(_rows(SCENARIO.fields))
+
+
+def test_every_bundled_scenario_validates_to_itself():
+    for name in bundled_scenarios():
+        cfg = validate(load_raw(name))
+        assert validate(cfg) == cfg
+
+
+def test_misspelt_kernel_suggests_kernel():
+    raw = load_raw("sedimentation-1d")
+    raw["model"]["kernal"] = raw["model"].pop("kernel")
+    with pytest.raises(ScenarioParseError, match=r"model\.kernal; did you mean 'kernel'\?"):
+        scenario_from_config(raw)
+
+
+def _set(path, value):
+    """An edit that sets ``value`` at ``path`` (keys and list indices)."""
+
+    def edit(raw):
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return edit
+
+
+def _rename(path, new):
+    def edit(raw):
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[new] = node.pop(path[-1])
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_rename(["model", "kernel"], "kernal"), "unknown field model.kernal; did you mean 'kernel'?"),
+        (_rename(["horizon"], "horizn"), "unknown field horizn; did you mean 'horizon'?"),
+        (_set(["checks", 1, "pairs"], -1), "checks[1]: pairs must be an integer and at least 1"),
+        (_set(["density_tracking"], "no"), "scenario: density_tracking must be true or false"),
+        (_set(["seed"], 1.7), "scenario: seed must be an integer"),
+        (_set(["species", 0, "resolution"], 0), "species[0]: resolution must be an integer and at least 1"),
+        (_set(["checks", 1, "eps"], NAN), "checks[1]: eps must be finite and positive"),
+        (_set(["checks", 1, "slack"], NAN), "checks[1]: slack must be finite and positive"),
+        (_set(["checks", 2, "tolerance"], NAN), "checks[2]: tolerance must be finite and at least 0"),
+        (_set(["species", 0, "mass"], NAN), "species[0]: mass must be finite and positive"),
+        (_set(["species", 0, "support"], [1.0, -1.0]), "species[0]: support must be"),
+        (_set(["model", "type"], "sediment"), "model: type must be one of"),
+    ],
+)
+def test_bad_scenario_files_exit_2_before_solving(tmp_path, capsys, edit, message):
+    raw = load_raw("sedimentation-1d")
+    edit(raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_defaults_are_filled_in():
+    raw = load_raw("two-particle-sedimentation-1d")
+    cfg = validate(raw)
+    assert cfg["picard"] == {"tol": 1e-9, "max_iter": 60, "sigma": 0.5}
+    assert cfg["density_tracking"] is False and cfg["h_fd"] == 1e-4
+    assert "audit_radius" not in cfg  # optional, computed from the data
+    assert all(isinstance(x, float) and not math.isnan(x) for x in cfg["species"][0]["weights"])

@@ -29,7 +29,7 @@ from nonlocalflow import (
     weak_form_residual,
     window_length,
 )
-from nonlocalflow.cli import _cosine_bump_1d
+from nonlocalflow.scenario import _cosine_bump_1d
 
 
 def bump_particles(n=30, mass=1.0, support=(-1.0, 1.0)):
