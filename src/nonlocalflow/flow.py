@@ -6,17 +6,17 @@ coupled particle ODE system); in Picard mode it is a frozen trajectory,
 interpolated linearly in time at the RK stage times.  Weights are never
 touched, so species masses are conserved bit-exactly.
 
-When density tracking is on, the transported density along each path is
-initial value times exp(-integral of div V), with div V approximated by
-central differences of the effective velocity and the time integral by the
-midpoint rule.
+Transported densities are a post-pass over the computed characteristics:
+along each path the density is its initial value times exp(-integral of
+div V), with div V approximated by central differences of the effective
+velocity and the time integral by the midpoint rule.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -53,7 +53,7 @@ class StepControl:
 
 @dataclass(frozen=True)
 class FlowState:
-    """Ensemble state along the flow, with optional density tracking.
+    """Ensemble state along the flow.
 
     ``passive`` holds per-species tracer positions that are advected by the
     species' field but carry no mass and do not act on the dynamics.
@@ -61,29 +61,7 @@ class FlowState:
 
     t: float
     rho: MeasureVector
-    initial_density: tuple[np.ndarray, ...] | None = None
-    div_integral: tuple[np.ndarray, ...] | None = None
     passive: tuple[np.ndarray, ...] | None = None
-
-    def transported_density(self) -> tuple[np.ndarray, ...]:
-        if self.initial_density is None or self.div_integral is None:
-            raise ValueError("density tracking is not enabled for this state")
-        return tuple(
-            d0 * np.exp(-acc) for d0, acc in zip(self.initial_density, self.div_integral)
-        )
-
-
-def start_state(
-    rho: MeasureVector, density_values: Sequence[np.ndarray] | None = None, t: float = 0.0
-) -> FlowState:
-    if density_values is None:
-        return FlowState(t, rho)
-    return FlowState(
-        t,
-        rho,
-        tuple(np.asarray(v, dtype=np.float64) for v in density_values),
-        tuple(np.zeros(len(m)) for m in rho.species),
-    )
 
 
 class ParticleTrajectory:
@@ -124,31 +102,12 @@ class ParticleTrajectory:
 def _stage_source(
     frozen_r: ParticleTrajectory | None,
     template: MeasureVector,
-    stage_positions: list[np.ndarray],
+    stage_positions: Sequence[np.ndarray],
     t_stage: float,
 ) -> MeasureVector:
     if frozen_r is None:
         return template.with_positions(stage_positions)
     return frozen_r.at(t_stage)
-
-
-def _stage_velocities(
-    model: VelocityModel,
-    source: MeasureVector,
-    t: float,
-    positions: Sequence[np.ndarray],
-    passive: Sequence[np.ndarray] | None,
-) -> tuple[list[np.ndarray], list[np.ndarray] | None]:
-    vels = [
-        velocity_batch(model, source, i, t, positions[i]) for i in range(len(positions))
-    ]
-    pvels = None
-    if passive is not None:
-        pvels = [
-            velocity_batch(model, source, i, t, passive[i]) if passive[i].size else passive[i]
-            for i in range(len(passive))
-        ]
-    return vels, pvels
 
 
 def rk4_step(
@@ -167,44 +126,33 @@ def rk4_step(
     StepControl(dt, courant).check(
         lipschitz_bound_b(model, state.rho.total_measure())
     )
-    t, template, passive = state.t, state.rho, state.passive
-    positions = template.positions()
+    t, template = state.t, state.rho
+    k = template.k
+    # every moving point set: each species, then each species' tracers
+    points = [*template.positions(), *(state.passive or ())]
+    owners = [*range(k), *range(len(points) - k)]
 
-    def shifted(base, vels, factor):
-        return [p + factor * v for p, v in zip(base, vels)]
+    def stage(t_stage: float, pts: list[np.ndarray]) -> list[np.ndarray]:
+        source = _stage_source(frozen_r, template, pts[:k], t_stage)
+        return [
+            velocity_batch(model, source, i, t_stage, p) if p.size else p
+            for i, p in zip(owners, pts)
+        ]
 
-    src1 = _stage_source(frozen_r, template, positions, t)
-    k1, pk1 = _stage_velocities(model, src1, t, positions, passive)
+    def shifted(vels: list[np.ndarray], factor: float) -> list[np.ndarray]:
+        return [p + factor * v for p, v in zip(points, vels)]
 
-    pos2 = shifted(positions, k1, 0.5 * dt)
-    pas2 = shifted(passive, pk1, 0.5 * dt) if passive is not None else None
-    src2 = _stage_source(frozen_r, template, pos2, t + 0.5 * dt)
-    k2, pk2 = _stage_velocities(model, src2, t + 0.5 * dt, pos2, pas2)
-
-    pos3 = shifted(positions, k2, 0.5 * dt)
-    pas3 = shifted(passive, pk2, 0.5 * dt) if passive is not None else None
-    src3 = _stage_source(frozen_r, template, pos3, t + 0.5 * dt)
-    k3, pk3 = _stage_velocities(model, src3, t + 0.5 * dt, pos3, pas3)
-
-    pos4 = shifted(positions, k3, dt)
-    pas4 = shifted(passive, pk3, dt) if passive is not None else None
-    src4 = _stage_source(frozen_r, template, pos4, t + dt)
-    k4, pk4 = _stage_velocities(model, src4, t + dt, pos4, pas4)
-
+    k1 = stage(t, points)
+    k2 = stage(t + 0.5 * dt, shifted(k1, 0.5 * dt))
+    k3 = stage(t + 0.5 * dt, shifted(k2, 0.5 * dt))
+    k4 = stage(t + dt, shifted(k3, dt))
     sixth = dt / 6.0
-    new_pos = [
+    moved = [
         p + sixth * (a + 2.0 * b + 2.0 * c + d)
-        for p, a, b, c, d in zip(positions, k1, k2, k3, k4)
+        for p, a, b, c, d in zip(points, k1, k2, k3, k4)
     ]
-    new_pas = None
-    if passive is not None:
-        new_pas = tuple(
-            p + sixth * (a + 2.0 * b + 2.0 * c + d)
-            for p, a, b, c, d in zip(passive, pk1, pk2, pk3, pk4)
-        )
-    return replace(
-        state, t=t + dt, rho=template.with_positions(new_pos), passive=new_pas
-    )
+    passive = None if state.passive is None else tuple(moved[k:])
+    return FlowState(t + dt, template.with_positions(moved[:k]), passive)
 
 
 def divergence_at(
@@ -237,32 +185,40 @@ def divergence_at(
     return div
 
 
-def accumulate_divergence(
+def _non_finite(j: int, t: float) -> NonFiniteStateError:
+    return NonFiniteStateError(f"non-finite state after step index {j} (t = {t!r})")
+
+
+def transported_densities(
     model: VelocityModel,
     frozen_r: ParticleTrajectory | None,
-    state: FlowState,
-    next_state: FlowState,
+    flow: Sequence[FlowState],
     dt: float,
-    h_fd: float = 1e-4,
-) -> FlowState:
-    """Advance the per-particle divergence integrals across one step.
+    density_values: Sequence[np.ndarray],
+    h_fd: float,
+) -> list[tuple[np.ndarray, ...]]:
+    """rho_0 * exp(-integral of div V) along the characteristics of ``flow``.
 
-    Uses the midpoint rule in time: div V is evaluated at t + dt/2 with
-    particle positions averaged between the two endpoint states.
+    ``flow`` holds the states of one :func:`integrate` call, ``dt`` apart;
+    ``density_values`` gives rho_0 at each particle of ``flow[0]``.  Each
+    step's integral uses the midpoint rule: div V at ``state.t + dt/2`` (the
+    accumulated stage clock) with positions averaged between the step's two
+    states.  Returns one tuple of per-species densities per state.  Raises
+    :class:`NonFiniteStateError` naming the first step whose integral is not
+    finite.
     """
-    if state.div_integral is None:
-        raise ValueError("density tracking is not enabled for this state")
-    tm = state.t + 0.5 * dt
-    mid_positions = [
-        0.5 * (a + b)
-        for a, b in zip(state.rho.positions(), next_state.rho.positions())
-    ]
-    source = _stage_source(frozen_r, state.rho, mid_positions, tm)
-    new_acc = []
-    for i in range(state.rho.k):
-        div = divergence_at(model, source, i, tm, mid_positions[i], h_fd)
-        new_acc.append(state.div_integral[i] + dt * div)
-    return replace(next_state, initial_density=state.initial_density, div_integral=tuple(new_acc))
+    initial = [np.asarray(v, dtype=np.float64) for v in density_values]
+    acc = [np.zeros(len(m)) for m in flow[0].rho.species]
+    densities = [tuple(d0 * np.exp(-a) for d0, a in zip(initial, acc))]
+    for j, (state, nxt) in enumerate(zip(flow, flow[1:])):
+        tm = state.t + 0.5 * dt
+        mid = [0.5 * (a + b) for a, b in zip(state.rho.positions(), nxt.rho.positions())]
+        source = _stage_source(frozen_r, state.rho, mid, tm)
+        acc = [a + dt * divergence_at(model, source, i, tm, mid[i], h_fd) for i, a in enumerate(acc)]
+        if not all(np.isfinite(a).all() for a in acc):
+            raise _non_finite(j, flow[0].t + dt * (j + 1))
+        densities.append(tuple(d0 * np.exp(-a) for d0, a in zip(initial, acc)))
+    return densities
 
 
 def _uniform_steps(t0: float, t1: float, dt: float) -> tuple[int, float]:
@@ -279,30 +235,24 @@ def integrate(
     t1: float,
     steps: int,
     courant: float = 0.1,
-    h_fd: float = 1e-4,
 ) -> tuple[np.ndarray, list[FlowState]]:
     """The RK4 loop: ``steps`` uniform steps from ``state.t`` to ``t1``.
 
     Returns the snapshot times ``t0 + dt*(j+1)`` (prefixed by ``t0``) and
     the state after each step (prefixed by ``state``).  The stage clock of
-    each step is the accumulated ``state.t``, not the snapshot time.  States
-    that track densities also advance their divergence integrals.  Raises
+    each step is the accumulated ``state.t``, not the snapshot time.  Raises
     :class:`NonFiniteStateError` naming the step and its time when a step
-    leaves a non-finite position, tracer or divergence integral.
+    leaves a non-finite position or tracer.
     """
     t0 = state.t
     dt = (t1 - t0) / steps
     times = [t0]
     states = [state]
     for j in range(steps):
-        nxt = rk4_step(model, frozen_r, state, dt, courant)
-        if state.div_integral is not None:
-            nxt = accumulate_divergence(model, frozen_r, state, nxt, dt, h_fd)
-        state = nxt
+        state = rk4_step(model, frozen_r, state, dt, courant)
         times.append(t0 + dt * (j + 1))
-        arrays = (*state.rho.positions(), *(state.passive or ()), *(state.div_integral or ()))
-        if not all(np.isfinite(a).all() for a in arrays):
-            raise NonFiniteStateError(f"non-finite state after step index {j} (t = {times[-1]!r})")
+        if not all(np.isfinite(a).all() for a in (*state.rho.positions(), *(state.passive or ()))):
+            raise _non_finite(j, times[-1])
         states.append(state)
     return np.asarray(times), states
 

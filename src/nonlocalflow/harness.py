@@ -218,14 +218,10 @@ def check_stability_general(
     mass = max(rho0.total_measure(), sigma0.total_measure())
     c = model_a.lip_x + model_a.lip_r * model_a.kernels.lip_x * mass
     steps, _ = _uniform_steps(0.0, horizon, dt)
-    times_a, states_a, _ = solve_frozen(
-        model_a, rho0, problem_a.source, 0.0, horizon, steps, courant
-    )
-    _, states_b, _ = solve_frozen(
-        model_b, sigma0, problem_b.source, 0.0, horizon, steps, courant
-    )
+    rec_a = solve_frozen(model_a, rho0, problem_a.source, 0.0, horizon, steps, courant)
+    rec_b = solve_frozen(model_b, sigma0, problem_b.source, 0.0, horizon, steps, courant)
     sup_rs = float(
-        w1_series((problem_a.source.at(t), problem_b.source.at(t)) for t in times_a).max()
+        w1_series((problem_a.source.at(t), problem_b.source.at(t)) for t in rec_a.times).max()
     )
     lo, hi = _ensemble_box([rho0, sigma0], inflate=model_a.sup_bound * horizon + 1.0)
     r_radius = mass * max(model_a.kernels.sup_bound, model_b.kernels.sup_bound)
@@ -233,8 +229,8 @@ def check_stability_general(
     gap_k = _sup_kernel_gap(model_a, model_b, lo, hi, samples, seed + 3, (0.0,))
     d0 = w1_vector(rho0, sigma0)
     worst = 0.0
-    lhs = w1_series(zip(states_a[1:], states_b[1:]))
-    for t, lhs_t in zip(times_a[1:], lhs.tolist()):
+    lhs = w1_series(zip(rec_a.states[1:], rec_b.states[1:]))
+    for t, lhs_t in zip(rec_a.times[1:], lhs.tolist()):
         rhs_t = np.exp(c * t) * d0 + c * t * np.exp(c * t) * (sup_rs + gap_k + gap_v)
         if rhs_t > 0:
             worst = max(worst, lhs_t / rhs_t)

@@ -105,14 +105,21 @@ def _svg_curves(series: list[tuple[np.ndarray, np.ndarray]], path: Path) -> None
     path.write_text(_svg_document("".join(body)))
 
 
+def _unit(values, all_values) -> np.ndarray:
+    """``values`` mapped to [0, 1] by the range of ``all_values``; 0 where
+    that range is one point.  Dividing by the largest magnitude first keeps
+    the span finite, also for clouds that span nearly the whole double range."""
+    lo, hi = float(all_values.min()), float(all_values.max())
+    scale = max(abs(lo), abs(hi)) or 1.0
+    span = hi / scale - lo / scale
+    return (np.asarray(values, dtype=float) / scale - lo / scale) / (span if span > 0 else 1.0)
+
+
 def _rescale(xs, ys, all_x, all_y, width=480, height=320, margin=40):
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    x0, x1 = float(all_x.min()), float(all_x.max())
-    y0, y1 = float(all_y.min()), float(all_y.max())
-    sx = (width - 2 * margin) / (x1 - x0 if x1 > x0 else 1.0)
-    sy = (height - 2 * margin) / (y1 - y0 if y1 > y0 else 1.0)
-    return margin + (xs - x0) * sx, height - margin - (ys - y0) * sy
+    return (
+        margin + _unit(xs, all_x) * (width - 2 * margin),
+        height - margin - _unit(ys, all_y) * (height - 2 * margin),
+    )
 
 
 def _svg_scatter(groups: list[np.ndarray], path: Path) -> None:

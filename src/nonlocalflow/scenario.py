@@ -6,9 +6,11 @@ its ``type`` (the model, a species, a check, a direction or a phi) declares
 the fields of each entry.  :func:`validate` checks a parsed file against
 the table before anything is built.  An unknown field is rejected with its
 path and the nearest known name.  A value of the wrong type, a non-finite
-number and a value out of range are rejected with their path.  Every
-absent optional field gets its default, so the builders read only
-validated values.
+number and a value out of range are rejected with their path, and so is a
+break of a rule between fields (at least one species, one dimension for
+all species, ``linfty-growth`` only with density tracking).  Every absent
+optional field gets its default, so the builders read only validated
+values.
 """
 
 from __future__ import annotations
@@ -265,9 +267,34 @@ def _walk(value, f: Field, parent: str, key: str, noun: str = ""):
     return out
 
 
+# species type -> its spatial dimension
+_SPECIES_DIM = {
+    "grid-1d": lambda sp: 1,
+    "grid-2d": lambda sp: 2,
+    "dirac": lambda sp: len(sp["point"]),
+    "particles": lambda sp: len(sp["positions"][0]),
+}
+
+
+def _check_rules(cfg: dict) -> None:
+    """The rules between fields that the table cannot state."""
+    if not cfg["species"]:
+        raise ScenarioParseError("scenario: species must hold at least one species, got []")
+    dims = [_SPECIES_DIM[sp["type"]](sp) for sp in cfg["species"]]
+    for i, dim in enumerate(dims):
+        if dim != dims[0]:
+            raise ScenarioParseError(f"species[{i}]: dimension {dim} differs from species[0]'s {dims[0]}")
+    for i, check in enumerate(cfg["checks"]):
+        if check["type"] == "linfty-growth" and not cfg["density_tracking"]:
+            raise ScenarioParseError(f"checks[{i}]: linfty-growth needs density_tracking true")
+
+
 def validate(raw) -> dict:
-    """``raw`` checked against :data:`SCENARIO`, with every default filled in."""
-    return _walk(raw, SCENARIO, "", "")
+    """``raw`` checked against :data:`SCENARIO` and the rules between its
+    fields, with every default filled in."""
+    cfg = _walk(raw, SCENARIO, "", "")
+    _check_rules(cfg)
+    return cfg
 
 
 def validate_checks(checks) -> list[dict]:

@@ -17,12 +17,13 @@ from typing import Sequence
 import numpy as np
 
 from .flow import (
+    FlowState,
     NonFiniteStateError,
     ParticleTrajectory,
     StepControl,
     _uniform_steps,
     integrate,
-    start_state,
+    transported_densities,
 )
 from .kernels import KernelMatrix, require_positive, scale_kernel
 from .measures import GridDensity, MeasureVector, rescale_to_probability
@@ -137,38 +138,37 @@ class SolutionRecord:
 def solve_direct(scenario: Scenario) -> SolutionRecord:
     """Self-consistent Lagrangian integration over the full horizon."""
     steps, _ = _uniform_steps(0.0, scenario.horizon, scenario.step.dt)
-    times, flow = integrate(
-        scenario.model,
-        None,
-        start_state(scenario.initial, scenario.density_values()),
-        scenario.horizon,
-        steps,
-        scenario.step.courant,
-        scenario.h_fd,
+    return solve_frozen(
+        scenario.model, scenario.initial, None, 0.0, scenario.horizon, steps,
+        scenario.step.courant, scenario.density_values(), scenario.h_fd,
     )
-    densities = [s.transported_density() for s in flow] if scenario.track_density else None
-    return SolutionRecord(times, [s.rho for s in flow], densities, {"mode": "direct"})
 
 
 def solve_frozen(
     model: VelocityModel,
     initial: MeasureVector,
-    frozen_r: ParticleTrajectory,
+    frozen_r: ParticleTrajectory | None,
     t0: float,
     t1: float,
     steps: int,
     courant: float = 0.1,
     density_values: Sequence[np.ndarray] | None = None,
     h_fd: float = 1e-4,
-):
-    """Linear transport along a frozen convolution source (the map r -> rho)."""
-    times, flow = integrate(
-        model, frozen_r, start_state(initial, density_values, t0), t1, steps, courant, h_fd
-    )
+) -> SolutionRecord:
+    """Transport of ``initial`` over [t0, t1] in ``steps`` RK4 steps.
+
+    The convolution source is ``frozen_r`` (the linear problem behind the
+    map r -> rho), or the solution itself when ``frozen_r`` is None.  Given
+    ``density_values`` (rho_0 at each particle), the record carries the
+    transported densities.
+    """
+    times, flow = integrate(model, frozen_r, FlowState(t0, initial), t1, steps, courant)
     densities = None
     if density_values is not None:
-        densities = [s.transported_density() for s in flow]
-    return times, [s.rho for s in flow], densities
+        dt = (t1 - t0) / steps
+        densities = transported_densities(model, frozen_r, flow, dt, density_values, h_fd)
+    mode = "direct" if frozen_r is None else "frozen"
+    return SolutionRecord(times, [s.rho for s in flow], densities, {"mode": mode})
 
 
 def window_length(scenario: Scenario) -> float:
@@ -203,7 +203,6 @@ def picard_window(
     t0: float,
     t1: float,
     rho0: MeasureVector,
-    r0: ParticleTrajectory | None = None,
     model: VelocityModel | None = None,
     steps: int | None = None,
 ) -> tuple[ParticleTrajectory, list[float]]:
@@ -215,20 +214,16 @@ def picard_window(
     model = model or scenario.model
     if steps is None:
         steps, _ = _uniform_steps(t0, t1, scenario.step.dt)
-    r_prev = r0 or ParticleTrajectory.frozen(t0, t1, rho0)
+    r_prev = ParticleTrajectory.frozen(t0, t1, rho0)
     distances: list[float] = []
     for _ in range(scenario.picard.max_iter):
-        times, states, _ = solve_frozen(
-            model, rho0, r_prev, t0, t1, steps, scenario.step.courant
-        )
-        traj = ParticleTrajectory(times, states)
-        dist = float(
-            w1_series((states[j], r_prev.at(times[j])) for j in range(1, len(states))).max()
-        )
+        rec = solve_frozen(model, rho0, r_prev, t0, t1, steps, scenario.step.courant)
+        pairs = zip(rec.states[1:], map(r_prev.at, rec.times[1:]))
+        dist = float(w1_series(pairs).max())
         distances.append(dist)
-        r_prev = traj
+        r_prev = rec.trajectory()
         if dist < scenario.picard.tol:
-            return traj, distances
+            return r_prev, distances
     raise PicardConvergenceError(distances)
 
 
@@ -287,18 +282,10 @@ def solve_picard(scenario: Scenario) -> SolutionRecord:
             np.asarray(times_all),
             [rescaled.with_positions(s.positions()) for s in states_all],
         )
-        steps = len(times_all) - 1
-        _, _, densities = solve_frozen(
-            scaled_model,
-            rescaled,
-            frozen,
-            0.0,
-            float(times_all[-1]),
-            steps,
-            scenario.step.courant,
-            density_values=scenario.density_values(),
-            h_fd=scenario.h_fd,
-        )
+        densities = solve_frozen(
+            scaled_model, rescaled, frozen, 0.0, float(times_all[-1]), len(times_all) - 1,
+            scenario.step.courant, scenario.density_values(), scenario.h_fd,
+        ).densities
     return SolutionRecord(
         np.asarray(times_all),
         states_all,

@@ -99,7 +99,7 @@ class TransportPlan:
 def w1_exact(
     mu: ParticleMeasure,
     nu: ParticleMeasure,
-    pair_cap: int = DEFAULT_PAIR_CAP,
+    pair_cap: int | None = None,
     *,
     warm: TransportPlan | None = None,
 ) -> tuple[float, TransportPlan]:
@@ -114,7 +114,11 @@ def w1_exact(
     so the simplex starts from it when both weight vectors are bitwise equal
     to the ones it solved, and from the northwest corner otherwise.  The
     certificate is checked either way.
+
+    ``pair_cap`` defaults to :data:`DEFAULT_PAIR_CAP` as it is at call time.
     """
+    if pair_cap is None:
+        pair_cap = DEFAULT_PAIR_CAP
     if mu.dim != nu.dim:
         raise ValueError("dimension mismatch")
     _check_masses(mu, nu)

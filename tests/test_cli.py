@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nonlocalflow import AuditError, VelocityField, VelocityModel, cli, solve_direct
+from nonlocalflow import AuditError, VelocityField, VelocityModel, cli, solve_direct, wasserstein
 from nonlocalflow.cli import RunConfig, main, run
 from nonlocalflow.output import emit_plotdata
 from nonlocalflow.scenario import (
@@ -224,12 +224,16 @@ def test_non_finite_scenario_fields_rejected_with_field(tmp_path, capsys, field,
         (["sedimentation-1d", "--n", "0"], "species[0]: "),
         (["pedestrian-2d", "--n", "0"], "species[0]: --n must be at least 1, got 0"),
         (["pedestrian-2d", "--n", "-5"], "species[0]: --n must be at least 1, got -5"),
+        (["sedimentation-1d", "--k-override", "nan"], "--k-override must be finite, got nan"),
+        (["sedimentation-1d", "--k-override", "inf"], "--k-override must be finite, got inf"),
+        (["sedimentation-1d", "--k-override=-inf"], "--k-override must be finite, got -inf"),
     ],
 )
 def test_bad_run_overrides_exit_2_with_field(tmp_path, capsys, argv, message):
-    out = str(tmp_path / "out")
-    assert main(["run", *argv, "--out", out, "--emit", "trajectories"]) == 2
+    out = tmp_path / "out"
+    assert main(["run", *argv, "--out", str(out), "--emit", "trajectories"]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -302,3 +306,22 @@ def test_non_finite_state_error_names_the_scenario(tmp_path, capsys, monkeypatch
     assert "non-finite state after step index 1 (t = 0.2" in err
     for item in ('"scenario": "zero-field-1d"', '"seed": 0', '"N": 5', '"T": 1.0', '"dt": 0.1'):
         assert item in err
+
+
+def test_pair_cap_fails_the_check_and_skips_the_w1_plot(tmp_path, capsys, monkeypatch):
+    # --n 16 puts 12 particles in the disk: every exact 2D W1 has 144 pairs, over a cap of 100
+    monkeypatch.setattr(wasserstein, "DEFAULT_PAIR_CAP", 100)
+    out = tmp_path / "out"
+    assert main(["run", "pedestrian-2d", "--n", "16", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "skipped plot w1-curve: 12x12 pairs exceed the cap 100; use w1_1d in 1D or subsample"
+    ]
+    assert "[pass] mass-conservation" in captured.out
+    assert "[FAIL] stability-initial: lhs=nan" in captured.out
+    rows = (out / "reports.csv").read_text().splitlines()
+    assert rows[1].startswith("mass-conservation,") and rows[1].count("true") == 1
+    assert rows[2].startswith("stability-initial,nan,nan,1.05,false,")
+    assert "exceed the cap 100" in rows[2]
+    assert (out / "trajectory.csv").exists()
+    assert sorted(p.name for p in (out / "plot").iterdir()) == ["particle-cloud.csv", "particle-cloud.svg"]

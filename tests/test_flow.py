@@ -5,12 +5,12 @@ from nonlocalflow import (
     FlowState,
     GridDensity,
     MeasureVector,
+    NonFiniteStateError,
     ParticleMeasure,
     ParticleTrajectory,
     StepControl,
     StepControlError,
     VelocityModel,
-    accumulate_divergence,
     constant_drift_field,
     dirac,
     flow_map_lipschitz_probe,
@@ -21,9 +21,11 @@ from nonlocalflow import (
     rk4_step,
     sedimentation_field,
     solve_direct,
+    transported_densities,
     uniform_density_1d,
     w1_1d,
 )
+from nonlocalflow import flow
 from nonlocalflow.solver import Scenario
 from nonlocalflow.scenario import _cosine_bump_1d
 from dataclasses import replace
@@ -101,25 +103,20 @@ def test_mass_conserved_bit_exactly_along_flow():
     assert state.rho.species[0].weights is mu.weights
 
 
-def _density_state(mu, dens):
-    return FlowState(
-        0.0,
-        MeasureVector((mu,)),
-        (dens.value_at(mu.positions),),
-        (np.zeros(len(mu)),),
-    )
+def _transported(model, mu, dens, dt, steps, h_fd=1e-4):
+    """Initial and final transported density of ``steps`` RK4 steps from ``mu``."""
+    states = [FlowState(0.0, MeasureVector((mu,)))]
+    for _ in range(steps):
+        states.append(rk4_step(model, None, states[-1], dt))
+    densities = transported_densities(model, None, states, dt, (dens.value_at(mu.positions),), h_fd)
+    return densities[0][0], densities[-1][0]
 
 
 def test_divergence_free_transport_keeps_density():
     model = constant_drift_field([0.4])
     mu, dens = unit_bump()
-    state = _density_state(mu, dens)
-    for _ in range(20):
-        nxt = rk4_step(model, None, state, 0.01)
-        state = accumulate_divergence(model, None, state, nxt, 0.01)
-    assert np.allclose(
-        state.transported_density()[0], dens.value_at(mu.positions), rtol=1e-12
-    )
+    _, final = _transported(model, mu, dens, 0.01, 20)
+    assert np.allclose(final, dens.value_at(mu.positions), rtol=1e-12)
 
 
 def test_linear_field_density_factor():
@@ -127,12 +124,9 @@ def test_linear_field_density_factor():
     alpha, t_end, dt, h_fd = 1.0, 0.5, 1e-3, 1e-4
     model = linear_local_field(alpha, 5.0, 1)
     mu, dens = unit_bump()
-    state = _density_state(mu, dens)
     steps = int(round(t_end / dt))
-    for _ in range(steps):
-        nxt = rk4_step(model, None, state, dt)
-        state = accumulate_divergence(model, None, state, nxt, dt, h_fd)
-    factor = state.transported_density()[0] / dens.value_at(mu.positions)
+    _, final = _transported(model, mu, dens, dt, steps, h_fd)
+    factor = final / dens.value_at(mu.positions)
     assert np.allclose(factor, np.exp(-alpha * t_end), atol=1e-6)
 
 
@@ -147,12 +141,27 @@ def test_two_particle_symmetry_divergence_zero():
         (uniform_density_1d(-1.0, 1.0, 16).axes[0],),
         np.ones(16) * 0.5,
     )
-    state = _density_state(mu, dens)
-    initial = state.transported_density()[0].copy()
-    for _ in range(30):
-        nxt = rk4_step(model, None, state, 0.01)
-        state = accumulate_divergence(model, None, state, nxt, 0.01)
-    assert np.allclose(state.transported_density()[0], initial, atol=1e-8)
+    initial, final = _transported(model, mu, dens, 0.01, 30)
+    assert np.allclose(final, initial, atol=1e-8)
+
+
+def test_non_finite_divergence_stops_a_tracked_solve(monkeypatch):
+    # positions stay finite; the divergence turns NaN after t = 0.1, and the
+    # midpoint clock of step index 2 is 0.125
+    divergence = flow.divergence_at
+
+    def broken(model, source, i, t, points, h_fd):
+        return np.full(len(points), np.nan) if t > 0.1 else divergence(model, source, i, t, points, h_fd)
+
+    monkeypatch.setattr(flow, "divergence_at", broken)
+    mu, dens = unit_bump()
+    scn = Scenario(
+        "nan-div", constant_drift_field([0.3]), MeasureVector((mu,)), horizon=0.5,
+        step=StepControl(0.05), track_density=True, initial_densities=(dens,),
+    )
+    assert solve_direct(replace(scn, track_density=False, initial_densities=None)).times[-1] == 0.5
+    with pytest.raises(NonFiniteStateError, match=r"non-finite state after step index 2 \(t = 0\.15"):
+        solve_direct(scn)
 
 
 def test_lipschitz_probe_zero_field():

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,6 +47,7 @@ def _oracle(record, head, cells, frame=False):
     return "\n".join(lines) + "\n"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no overflow or invalid value anywhere
 @settings(max_examples=150, deadline=None)
 @given(records())
 def test_long_tables_match_a_cell_by_cell_oracle(tmp_path_factory, record):
@@ -69,9 +71,18 @@ def test_long_tables_match_a_cell_by_cell_oracle(tmp_path_factory, record):
     assert (out / "plain.csv").read_text() == expected
 
     if any(len(mu) for mu in record.states[0].species):
-        with np.errstate(all="ignore"):  # the SVG rescale overflows near the largest doubles
-            emit_plotdata(record, "particle-cloud", out)
+        emit_plotdata(record, "particle-cloud", out)
         expected = _oracle(
             record, ["frame", "t", "species", "particle", *xs], lambda j, i, m, mu: [], frame=True
         )
         assert (out / "plot" / "particle-cloud.csv").read_text() == expected
+
+
+def test_cloud_spanning_the_double_range_has_finite_svg_coordinates(tmp_path):
+    big = np.finfo(float).max
+    mu = ParticleMeasure(2, np.array([[-big, -big], [big, big], [0.0, 5e-324]]), np.ones(3))
+    record = SolutionRecord(np.array([0.0]), [MeasureVector((mu,))], None, {"mode": "direct"})
+    emit_plotdata(record, "particle-cloud", tmp_path)
+    svg = (tmp_path / "plot" / "particle-cloud.svg").read_text()
+    assert "nan" not in svg and "inf" not in svg
+    assert 'cx="40.00" cy="280.00"' in svg and 'cx="440.00" cy="40.00"' in svg

@@ -98,6 +98,12 @@ def _rename(path, new):
         (_set(["species", 0, "mass"], NAN), "species[0]: mass must be finite and positive"),
         (_set(["species", 0, "support"], [1.0, -1.0]), "species[0]: support must be"),
         (_set(["model", "type"], "sediment"), "model: type must be one of"),
+        (_set(["checks"], [{"type": "linfty-growth"}]), "checks[0]: linfty-growth needs density_tracking true"),
+        (_set(["species"], []), "scenario: species must hold at least one species"),
+        (
+            lambda raw: raw["species"].append({"type": "dirac", "point": [0.0, 0.0]}),
+            "species[1]: dimension 2 differs from species[0]'s 1",
+        ),
     ],
 )
 def test_bad_scenario_files_exit_2_before_solving(tmp_path, capsys, edit, message):
