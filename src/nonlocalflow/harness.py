@@ -120,8 +120,9 @@ def check_stability_initial(
     rho0 = base.states[0]
     if K is None:
         K = StabilityConstants.of(scenario.model, rho0.total_measure()).K
-    rec_b = solve_direct(_untracked(scenario, sigma0))
+    # d0 first: a pair above the pair cap fails before anything is solved
     d0 = w1_vector(rho0, sigma0)
+    rec_b = solve_direct(_untracked(scenario, sigma0))
     fp = {**scenario.fingerprint(), **(fingerprint or {})}
     dists = w1_series(zip(base.states[1:], rec_b.states[1:]))
     if d0 == 0.0:

@@ -131,19 +131,13 @@ def total_mass(mu: ParticleMeasure) -> float:
 def push_forward(mu: ParticleMeasure, transport: Callable[[np.ndarray], np.ndarray]) -> ParticleMeasure:
     """Push-forward of ``mu`` under a point map; weights are untouched.
 
-    The map is applied per particle position and may also accept a full
-    (N, d) array (tried first).
+    The map acts on the (N, d) array of positions and returns an (N, d) array.
     """
     if len(mu) == 0:
         return mu
-    try:
-        moved = np.asarray(transport(mu.positions), dtype=np.float64)
-        if moved.shape != mu.positions.shape:
-            raise ValueError
-    except Exception:
-        moved = np.array([np.atleast_1d(transport(x)) for x in mu.positions], dtype=np.float64)
+    moved = np.asarray(transport(mu.positions), dtype=np.float64)
     if moved.shape != mu.positions.shape:
-        raise ValueError("point map must preserve dimension")
+        raise ValueError(f"point map must return shape {mu.positions.shape}, got {moved.shape}")
     return mu.with_positions(moved)
 
 

@@ -255,7 +255,7 @@ def w1_dual_lower_bound(
 def coupling_cost(weights: np.ndarray, xa: np.ndarray, xb: np.ndarray) -> float:
     """Cost of the identity coupling sum_m w_m |X(x_m) - Y(x_m)|.
 
-    Upper-bounds W1 between the two push-forwards of one ensemble; this is
-    the harness's workhorse inequality.
+    Upper-bounds W1 between the two push-forwards of one ensemble, since
+    pairing each particle with its own image is one admissible coupling.
     """
     return float(np.dot(weights, np.linalg.norm(np.atleast_2d(xa) - np.atleast_2d(xb), axis=1)))

@@ -308,6 +308,23 @@ def test_non_finite_state_error_names_the_scenario(tmp_path, capsys, monkeypatch
         assert item in err
 
 
+def test_picard_over_the_pair_cap_is_rejected_at_load(tmp_path, capsys, monkeypatch):
+    # 12 particles: every picard iterate pair needs 144 exact W1 pairs, over a cap of 100
+    monkeypatch.setattr(wasserstein, "DEFAULT_PAIR_CAP", 100)
+    calls = []
+    monkeypatch.setattr(cli, "solve", lambda s: calls.append(s))
+    out = tmp_path / "out"
+    assert main(["run", "pedestrian-2d", "--n", "16", "--mode", "picard", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: species[0]: picard mode needs exact W1 on 12x12 pairs, over the pair cap 100\n"
+    )
+    assert calls == [] and not out.exists()
+    # 1D iterates use the closed form, and 144 pairs are at the cap, not over it
+    assert load_scenario("sedimentation-1d", {"n": 20, "mode": "picard"}, audit=False).mode == "picard"
+    monkeypatch.setattr(wasserstein, "DEFAULT_PAIR_CAP", 144)
+    assert load_scenario("pedestrian-2d", {"n": 16, "mode": "picard"}, audit=False).mode == "picard"
+
+
 def test_pair_cap_fails_the_check_and_skips_the_w1_plot(tmp_path, capsys, monkeypatch):
     # --n 16 puts 12 particles in the disk: every exact 2D W1 has 144 pairs, over a cap of 100
     monkeypatch.setattr(wasserstein, "DEFAULT_PAIR_CAP", 100)

@@ -24,7 +24,7 @@ from nonlocalflow import (
     solve_direct,
     stability_battery,
 )
-from nonlocalflow import harness, solver, w1_series, w1_vector
+from nonlocalflow import harness, solver, w1_series, w1_vector, wasserstein
 from nonlocalflow.harness import perturbed_initial
 from nonlocalflow.cli import run_checks
 from nonlocalflow.scenario import _cosine_bump_1d, load_scenario
@@ -141,6 +141,17 @@ def test_battery_shares_one_base_solve(monkeypatch):
     for rep in reports:
         sigma0 = perturbed_initial(scn.initial, 0.05, rep.fingerprint["pair_seed"])
         assert rep.lhs == two_solve_ratio(scn, sigma0, K)
+
+
+def test_stability_pair_over_the_pair_cap_solves_nothing(monkeypatch):
+    # --n 16 puts 12 particles in the disk: d0 needs 144 pairs, over a cap of 100
+    scn = load_scenario("pedestrian-2d", {"n": 16}, audit=False)
+    base = solve_direct(scn)
+    monkeypatch.setattr(wasserstein, "DEFAULT_PAIR_CAP", 100)
+    calls = count_solves(monkeypatch)
+    with pytest.raises(wasserstein.PairCapError, match="12x12 pairs exceed the cap 100"):
+        check_stability_initial(scn, base, perturbed_initial(scn.initial, 0.05, 1))
+    assert calls == []
 
 
 @pytest.mark.parametrize("mode, solves", [("direct", 3), ("picard", 4)])

@@ -87,6 +87,13 @@ def test_push_forward_mass_bit_exact():
     assert total_mass(moved) == total_mass(mu)
 
 
+@pytest.mark.parametrize("transport", [lambda x: x[:, :1], lambda x: x.sum(axis=1), lambda x: x.T])
+def test_push_forward_rejects_a_map_of_the_wrong_shape(transport):
+    mu = ParticleMeasure(2, np.arange(6.0).reshape(3, 2), np.ones(3))
+    with pytest.raises(ValueError, match=r"point map must return shape \(3, 2\)"):
+        push_forward(mu, transport)
+
+
 def test_rescale_to_probability():
     mu = ParticleMeasure(1, np.array([[0.0], [1.0]]), np.array([1.0, 1.0]))
     nu = ParticleMeasure(1, np.array([[2.0]]), np.array([0.5]))
