@@ -19,7 +19,6 @@ from .harness import (
     check_linfty_growth,
     check_stability_general,
     check_stability_initial,
-    refinement_study,
     stability_battery,
 )
 from .kernels import (
@@ -46,7 +45,6 @@ from .measures import (
     dirac,
     particles_from_density,
     push_forward,
-    rescale_to_probability,
     total_mass,
     uniform_density_1d,
 )

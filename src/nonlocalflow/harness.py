@@ -13,7 +13,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .solver import (
     solve_direct,
     solve_frozen,
 )
-from .velocity import VelocityModel, _l1_ball_samples, velocity_batch
+from .velocity import VelocityModel, _l1_ball_samples, lipschitz_bound_b, velocity_batch
 from .wasserstein import w1_series, w1_vector
 
 
@@ -217,7 +217,7 @@ def check_stability_general(
     """
     model_a, model_b = problem_a.model, problem_b.model
     mass = max(rho0.total_measure(), sigma0.total_measure())
-    c = model_a.lip_x + model_a.lip_r * model_a.kernels.lip_x * mass
+    c = lipschitz_bound_b(model_a, mass)
     steps, _ = _uniform_steps(0.0, horizon, dt)
     rec_a = solve_frozen(model_a, rho0, problem_a.source, 0.0, horizon, steps, courant)
     rec_b = solve_frozen(model_b, sigma0, problem_b.source, 0.0, horizon, steps, courant)
@@ -315,53 +315,3 @@ def stability_battery(
         return [one(s) for s in seeds]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(one, seeds))
-
-
-def refinement_study(
-    scenario_factory: Callable[[int], Scenario],
-    n_list: Sequence[int],
-    dt_list: Sequence[float],
-    reference: Callable[[float], np.ndarray] | None = None,
-) -> list[dict]:
-    """Particle- and step-refinement table.
-
-    For consecutive N the W1 between terminal states must decrease; for
-    consecutive dt the terminal trajectory error (against the closed-form
-    reference if given, else a finer solve) shrinks at RK4 order.
-    """
-    rows: list[dict] = []
-    finals = []
-    for n in n_list:
-        rec = solve_direct(scenario_factory(n))
-        finals.append(rec.final())
-    for (na, a), (nb, b) in zip(zip(n_list, finals), zip(n_list[1:], finals[1:])):
-        rows.append(
-            {"kind": "N", "coarse": na, "fine": nb, "w1": w1_vector(a, b)}
-        )
-
-    if not dt_list:
-        return rows
-    base = scenario_factory(n_list[-1] if n_list else 0)
-    errors = []
-    if reference is None:
-        fine = solve_direct(replace(base, step=replace(base.step, dt=min(dt_list) / 4)))
-        target = np.vstack(fine.final().positions())
-    for dt in dt_list:
-        rec = solve_direct(replace(base, step=replace(base.step, dt=dt)))
-        got = np.vstack(rec.final().positions())
-        if reference is not None:
-            target = np.atleast_2d(reference(float(rec.times[-1])))
-        err = float(np.linalg.norm(got - target, axis=1).max())
-        errors.append(err)
-        rows.append({"kind": "dt", "dt": dt, "error": err})
-    for i in range(1, len(dt_list)):
-        if errors[i] > 0:
-            rows.append(
-                {
-                    "kind": "dt-ratio",
-                    "coarse": dt_list[i - 1],
-                    "fine": dt_list[i],
-                    "ratio": errors[i - 1] / errors[i],
-                }
-            )
-    return rows

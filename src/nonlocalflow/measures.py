@@ -63,11 +63,6 @@ class ParticleMeasure:
         object.__setattr__(new, "weights", self.weights)
         return new
 
-    def scaled(self, factor: float) -> "ParticleMeasure":
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return ParticleMeasure(self.dim, self.positions, self.weights * factor)
-
 
 def dirac(point: Sequence[float] | float, weight: float = 1.0) -> ParticleMeasure:
     pos = np.atleast_1d(np.asarray(point, dtype=np.float64))
@@ -139,23 +134,6 @@ def push_forward(mu: ParticleMeasure, transport: Callable[[np.ndarray], np.ndarr
     if moved.shape != mu.positions.shape:
         raise ValueError(f"point map must return shape {mu.positions.shape}, got {moved.shape}")
     return mu.with_positions(moved)
-
-
-def rescale_to_probability(rho: MeasureVector) -> tuple[MeasureVector, np.ndarray]:
-    """Scale every species to unit mass; returns the original masses.
-
-    Raises :class:`EmptySpeciesError` for a zero-mass species.  Constants in
-    the solver are always computed from the original masses (the returned
-    scales), never from the rescaled state.
-    """
-    scales = rho.masses()
-    for i, s in enumerate(scales):
-        if s <= 0:
-            raise EmptySpeciesError(f"empty species {i}")
-    rescaled = MeasureVector(
-        tuple(m.scaled(1.0 / s) for m, s in zip(rho.species, scales))
-    )
-    return rescaled, scales
 
 
 @dataclass(frozen=True)

@@ -136,12 +136,7 @@ def _svg_scatter(groups: list[np.ndarray], path: Path) -> None:
     path.write_text(_svg_document("".join(body)))
 
 
-def emit_plotdata(
-    record: SolutionRecord,
-    kind: str,
-    out_dir: Path,
-    other: SolutionRecord | None = None,
-) -> list[Path]:
+def emit_plotdata(record: SolutionRecord, kind: str, out_dir: Path) -> list[Path]:
     """Write the delimiter-separated table and SVG snapshot for one kind."""
     plot_dir = Path(out_dir) / "plot"
     plot_dir.mkdir(parents=True, exist_ok=True)
@@ -152,8 +147,7 @@ def emit_plotdata(
         groups += [m.positions for m in record.states[-1].species]
         _svg_scatter(groups, svg_path)
     elif kind == "w1-curve":
-        ref_states = other.states if other is not None else [record.states[0]] * len(record.states)
-        values = w1_series(zip(record.states, ref_states))
+        values = w1_series((state, record.states[0]) for state in record.states)
         rows = [[_fmt(t), _fmt(v)] for t, v in zip(record.times, values)]
         _write_csv(csv_path, ["t", "w1"], rows)
         _svg_curves([(record.times, np.asarray(values))], svg_path)

@@ -25,8 +25,8 @@ from .flow import (
     integrate,
     transported_densities,
 )
-from .kernels import KernelMatrix, require_positive, scale_kernel
-from .measures import GridDensity, MeasureVector, rescale_to_probability
+from .kernels import require_positive
+from .measures import EmptySpeciesError, GridDensity, MeasureVector
 from .velocity import VelocityModel, lipschitz_bound_b, velocity_batch
 from .wasserstein import w1_series
 
@@ -203,23 +203,33 @@ def picard_window(
     t0: float,
     t1: float,
     rho0: MeasureVector,
-    model: VelocityModel | None = None,
     steps: int | None = None,
 ) -> tuple[ParticleTrajectory, list[float]]:
-    """Iterate the frozen-source map to its fixed point on one window.
+    """Iterate the frozen-source map of ``scenario.model`` to its fixed point
+    on one window.
 
-    Returns the converged trajectory and the sequence of sup-in-time W1
-    distances between successive iterates.
+    Successive iterates are compared by the mass-normalised W1: each
+    species' distance divided by its mass in ``rho0``, summed over species,
+    sup over the window's snapshots; iteration stops once it is below
+    ``picard.tol``.  Returns the converged trajectory and that distance
+    sequence.
     """
-    model = model or scenario.model
     if steps is None:
         steps, _ = _uniform_steps(t0, t1, scenario.step.dt)
     r_prev = ParticleTrajectory.frozen(t0, t1, rho0)
     distances: list[float] = []
     for _ in range(scenario.picard.max_iter):
-        rec = solve_frozen(model, rho0, r_prev, t0, t1, steps, scenario.step.courant)
-        pairs = zip(rec.states[1:], map(r_prev.at, rec.times[1:]))
-        dist = float(w1_series(pairs).max())
+        rec = solve_frozen(scenario.model, rho0, r_prev, t0, t1, steps, scenario.step.courant)
+        targets = [r_prev.at(t) for t in rec.times[1:]]
+        # one series per species keeps each species' simplex warm start
+        per_species = [
+            w1_series(
+                (MeasureVector((a.species[i],)), MeasureVector((b.species[i],)))
+                for a, b in zip(rec.states[1:], targets)
+            ) / mass
+            for i, mass in enumerate(rho0.masses())
+        ]
+        dist = float(sum(per_species).max())
         distances.append(dist)
         r_prev = rec.trajectory()
         if dist < scenario.picard.tol:
@@ -230,64 +240,43 @@ def picard_window(
 def solve_picard(scenario: Scenario) -> SolutionRecord:
     """Chain contraction windows over [0, T].
 
-    Species are rescaled to probability around the solve (kernels are
-    compensated so the dynamics are unchanged); window lengths use the
-    constants computed from the original masses.
+    Windows are snapped onto the uniform step grid, so picard and direct
+    solves share snapshot times.  Tracked densities are one post-pass over
+    the converged snapshots, which are also the frozen source.  Raises
+    :class:`EmptySpeciesError` for a species of zero mass.
     """
-    rescaled, scales = rescale_to_probability(scenario.initial)
-    k = scenario.model.k
-    rows = tuple(
-        tuple(
-            scale_kernel(scenario.model.kernels.entries[i][j], scales[j])
-            for j in range(k)
-        )
-        for i in range(k)
-    )
-    scaled_model = VelocityModel(
-        scenario.model.fields,
-        KernelMatrix(rows),
-        scenario.model.dirac_species,
-    )
+    for i, mass in enumerate(scenario.initial.masses()):
+        if mass <= 0:
+            raise EmptySpeciesError(f"empty species {i}")
     window = window_length(scenario)
-    # snap windows onto the uniform step grid so picard and direct solves
-    # share snapshot times exactly
     total_steps, dtu = _uniform_steps(0.0, scenario.horizon, scenario.step.dt)
     window_steps = max(1, int(math.floor(window / dtu + 1e-12)))
     times_all = [0.0]
     states_all = [scenario.initial]
     per_window_distances: list[list[float]] = []
     window_edges = [0.0]
-    rho = rescaled
     step0 = 0
     while step0 < total_steps:
         steps = min(window_steps, total_steps - step0)
         t0 = step0 * dtu
         t1 = (step0 + steps) * dtu
-        traj, dists = picard_window(
-            scenario, t0, t1, rho, model=scaled_model, steps=steps
-        )
+        traj, dists = picard_window(scenario, t0, t1, states_all[-1], steps=steps)
         per_window_distances.append(dists)
         window_edges.append(t1)
-        for tj, sj in zip(traj.times[1:], traj.states[1:]):
-            times_all.append(float(tj))
-            # restore the original species weights (shared arrays)
-            states_all.append(scenario.initial.with_positions(sj.positions()))
-        rho = traj.states[-1]
+        times_all.extend(float(t) for t in traj.times[1:])
+        states_all.extend(traj.states[1:])
         step0 += steps
 
+    times = np.asarray(times_all)
     densities = None
     if scenario.track_density:
-        # one tracked pass along the converged trajectory per the frozen map
-        frozen = ParticleTrajectory(
-            np.asarray(times_all),
-            [rescaled.with_positions(s.positions()) for s in states_all],
+        converged = ParticleTrajectory(times, states_all)
+        flow = [FlowState(float(t), s) for t, s in zip(times, states_all)]
+        densities = transported_densities(
+            scenario.model, converged, flow, dtu, scenario.density_values(), scenario.h_fd
         )
-        densities = solve_frozen(
-            scaled_model, rescaled, frozen, 0.0, float(times_all[-1]), len(times_all) - 1,
-            scenario.step.courant, scenario.density_values(), scenario.h_fd,
-        ).densities
     return SolutionRecord(
-        np.asarray(times_all),
+        times,
         states_all,
         densities,
         {

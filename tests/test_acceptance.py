@@ -1,81 +1,93 @@
 """Acceptance battery: every criterion at its stated tolerance.
 
-Each test delegates to the shared suite runner (the CLI `suite` verb runs
-the same functions) and prints the one-line verdict for the log.  The
-verdict and detail come from the reports each criterion returns.
+The ten criteria run once per session, through the shared suite runner
+(the CLI `suite` verb runs the same code), and each test reads its
+criterion's result, its runtime and its printed verdict line from that one
+run.  The verdict and detail come from the reports each criterion returns.
 """
 
+import contextlib
+import io
 import json
+import time
+
+import pytest
 
 from nonlocalflow import suite
 from nonlocalflow.harness import BoundReport
 
 
-def _run(fn):
-    result = fn()
-    status = "PASS" if result.passed else "FAIL"
-    print(
-        f"[{status}] criterion {result.number}: {result.name} "
+@pytest.fixture(scope="module")
+def suite_run(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("suite")
+    printed = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(printed):
+        results = suite.run_suite(out_dir)
+    elapsed = time.perf_counter() - t0
+    print(printed.getvalue(), end="")
+    rows = json.loads((out_dir / "suite.json").read_text())
+    return {r.number: r for r in results}, printed.getvalue().splitlines(), elapsed, rows
+
+
+def _check(suite_run, number, runtime_bound=None):
+    results, lines, _, _ = suite_run
+    result = results[number]
+    assert result.passed, f"criterion {result.number}: {result.detail}"
+    verdict = (
+        f"[PASS] criterion {result.number}: {result.name} "
         f"({result.detail}) [{result.runtime:.1f}s]"
     )
-    assert result.passed, f"criterion {result.number}: {result.detail}"
+    assert verdict in lines
+    if runtime_bound is not None:
+        assert result.runtime < runtime_bound
     return result
 
 
-def test_criterion_1_mass_conservation():
-    res = _run(suite.criterion_1_mass_conservation)
-    assert res.runtime < 60.0
+def test_criterion_1_mass_conservation(suite_run):
+    _check(suite_run, 1, 60.0)
 
 
-def test_criterion_2_w1_exactness():
-    res = _run(suite.criterion_2_w1_exactness)
-    assert res.runtime < 60.0
+def test_criterion_2_w1_exactness(suite_run):
+    _check(suite_run, 2, 60.0)
 
 
-def test_criterion_3_duality():
-    _run(suite.criterion_3_duality)
+def test_criterion_3_duality(suite_run):
+    _check(suite_run, 3)
 
 
-def test_criterion_4_initial_stability():
-    res = _run(suite.criterion_4_initial_stability)
-    assert res.runtime < 300.0
+def test_criterion_4_initial_stability(suite_run):
+    _check(suite_run, 4, 300.0)
 
 
-def test_criterion_5_general_stability():
-    res = _run(suite.criterion_5_general_stability)
-    assert res.runtime < 180.0
+def test_criterion_5_general_stability(suite_run):
+    _check(suite_run, 5, 180.0)
 
 
-def test_criterion_6_contraction():
-    _run(suite.criterion_6_contraction)
+def test_criterion_6_contraction(suite_run):
+    _check(suite_run, 6)
 
 
-def test_criterion_7_method_agreement():
-    res = _run(suite.criterion_7_method_agreement)
-    assert res.runtime < 180.0
+def test_criterion_7_method_agreement(suite_run):
+    _check(suite_run, 7, 180.0)
 
 
-def test_criterion_8_weak_form():
-    _run(suite.criterion_8_weak_form)
+def test_criterion_8_weak_form(suite_run):
+    _check(suite_run, 8)
 
 
-def test_criterion_9_linfty_growth():
-    _run(suite.criterion_9_linfty_growth)
+def test_criterion_9_linfty_growth(suite_run):
+    _check(suite_run, 9)
 
 
-def test_criterion_10_reduced_ode():
-    _run(suite.criterion_10_reduced_ode)
+def test_criterion_10_reduced_ode(suite_run):
+    _check(suite_run, 10)
 
 
-def test_full_suite_under_ten_minutes(tmp_path):
-    import time
-
-    t0 = time.perf_counter()
-    results = suite.run_suite(tmp_path)
-    elapsed = time.perf_counter() - t0
-    assert all(r.passed for r in results)
+def test_full_suite_under_ten_minutes(suite_run):
+    results, _, elapsed, rows = suite_run
+    assert all(r.passed for r in results.values())
     assert elapsed < 600.0
-    rows = json.loads((tmp_path / "suite.json").read_text())
     assert [row["criterion"] for row in rows] == list(range(1, 11))
     for row in rows:
         assert row["reports"], row["criterion"]

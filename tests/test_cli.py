@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nonlocalflow import AuditError, VelocityField, VelocityModel, cli, solve_direct, wasserstein
+from nonlocalflow import AuditError, VelocityField, VelocityModel, cli, solve_direct, w1_vector, wasserstein
 from nonlocalflow.cli import RunConfig, main, run
 from nonlocalflow.output import emit_plotdata
 from nonlocalflow.scenario import (
@@ -136,10 +136,11 @@ def test_emit_plotdata_kinds(tmp_path):
     frames = {line.split(",")[0] for line in cloud[1:]}
     assert len(frames) == len(rec.times)
 
-    emit_plotdata(rec, "w1-curve", tmp_path, other=rec)
+    emit_plotdata(rec, "w1-curve", tmp_path)
     curve = (tmp_path / "plot/w1-curve.csv").read_text().splitlines()
     values = [float(line.split(",")[1]) for line in curve[1:]]
-    assert max(values) <= 1e-15  # identical pair: flat zero curve
+    assert values[0] == 0.0  # distance of the initial state to itself
+    assert values == [w1_vector(state, rec.states[0]) for state in rec.states]
 
     with pytest.raises(ValueError, match="unknown plot kind"):
         emit_plotdata(rec, "hologram", tmp_path)

@@ -19,7 +19,6 @@ from nonlocalflow import (
     kernel_library,
     linear_local_field,
     particles_from_density,
-    refinement_study,
     sedimentation_field,
     solve_direct,
     stability_battery,
@@ -264,31 +263,3 @@ def test_linfty_compressive_saturates():
     rep = check_linfty_growth(scn)
     assert rep.passed
     assert rep.lhs == pytest.approx(1.0, abs=0.01)
-
-
-def test_refinement_study():
-    def factory(n):
-        if n == 1:
-            scn = bump_scenario(30)
-            return replace(
-                scn,
-                model=linear_local_field(-1.0, 4.0, 1),
-                initial=MeasureVector((dirac([1.0]),)),
-                horizon=1.0,
-                step=StepControl(0.05),
-            )
-        return replace(bump_scenario(n), horizon=0.3)
-
-    rows = refinement_study(factory, [10, 20, 40, 80], [])
-    w1s = [r["w1"] for r in rows if r["kind"] == "N"]
-    assert len(w1s) == 3
-    assert all(b < a for a, b in zip(w1s, w1s[1:]))
-
-    # closed-form oracle: single particle in V = -x follows e^{-t}
-    rows_dt = refinement_study(
-        lambda n: factory(1), [1], [0.05, 0.025, 0.0125],
-        reference=lambda t: np.array([[np.exp(-t)]]),
-    )
-    ratios = [r["ratio"] for r in rows_dt if r["kind"] == "dt-ratio"]
-    assert len(ratios) == 2
-    assert all(12.0 <= r <= 20.0 for r in ratios), ratios

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from nonlocalflow import (
-    EmptySpeciesError,
     GridAxis,
     GridDensity,
     MeasureVector,
@@ -11,7 +10,6 @@ from nonlocalflow import (
     dirac,
     particles_from_density,
     push_forward,
-    rescale_to_probability,
     total_mass,
     uniform_density_1d,
     w1_1d,
@@ -92,31 +90,6 @@ def test_push_forward_rejects_a_map_of_the_wrong_shape(transport):
     mu = ParticleMeasure(2, np.arange(6.0).reshape(3, 2), np.ones(3))
     with pytest.raises(ValueError, match=r"point map must return shape \(3, 2\)"):
         push_forward(mu, transport)
-
-
-def test_rescale_to_probability():
-    mu = ParticleMeasure(1, np.array([[0.0], [1.0]]), np.array([1.0, 1.0]))
-    nu = ParticleMeasure(1, np.array([[2.0]]), np.array([0.5]))
-    rho = MeasureVector((mu, nu))
-    scaled, scales = rescale_to_probability(rho)
-    assert np.allclose(scales, [2.0, 0.5])
-    assert np.allclose(scaled.masses(), [1.0, 1.0])
-
-    already = MeasureVector((ParticleMeasure(1, np.array([[0.0]]), np.array([1.0])),))
-    same, ones = rescale_to_probability(already)
-    assert np.allclose(ones, [1.0])
-    assert np.allclose(same.masses(), [1.0])
-
-    single = MeasureVector((dirac([0.0], weight=3.0),))
-    scaled, scales = rescale_to_probability(single)
-    assert scaled.species[0].weights[0] == pytest.approx(1.0)
-    assert scales[0] == pytest.approx(3.0)
-
-
-def test_rescale_rejects_empty_species():
-    empty = ParticleMeasure(1, np.zeros((0, 1)), np.zeros(0))
-    with pytest.raises(EmptySpeciesError, match="empty species"):
-        rescale_to_probability(MeasureVector((empty,)))
 
 
 def test_quantile_discretization_uniform():

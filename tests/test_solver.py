@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import brentq
 
 from nonlocalflow import (
+    EmptySpeciesError,
     GridDensity,
     MeasureVector,
     ParticleMeasure,
@@ -14,6 +15,7 @@ from nonlocalflow import (
     Scenario,
     StabilityConstants,
     StepControl,
+    check_linfty_growth,
     constant_drift_field,
     dirac,
     kernel_library,
@@ -29,7 +31,7 @@ from nonlocalflow import (
     weak_form_residual,
     window_length,
 )
-from nonlocalflow.scenario import _cosine_bump_1d
+from nonlocalflow.scenario import _cosine_bump_1d, load_config, load_scenario, scenario_from_config
 
 
 def bump_particles(n=30, mass=1.0, support=(-1.0, 1.0)):
@@ -196,7 +198,7 @@ def test_solve_picard_zero_field_static():
 
 
 def test_solve_picard_restores_original_masses():
-    # species with non-unit mass: rescaling is applied and inverted exactly
+    # a species of non-unit mass keeps its weight array through every window
     k = kernel_library("tent")
     mu, _ = bump_particles(20, mass=2.5)
     scn = Scenario(
@@ -212,6 +214,52 @@ def test_solve_picard_restores_original_masses():
     direct = solve_direct(replace(scn, mode="direct"))
     gap = max(w1_vector(a, b) for a, b in zip(direct.states, rec.states))
     assert gap <= 1e-6
+
+
+def test_picard_distance_is_mass_normalised():
+    # mass 2.5 against the same cloud at unit mass with a 2.5x kernel: one
+    # dynamics, so the same iterates and the same normalised distances
+    mu, _ = bump_particles(40, mass=2.5)
+    unit = ParticleMeasure(1, mu.positions, mu.weights / 2.5)
+    common = dict(horizon=0.4, step=StepControl(0.004), mode="picard",
+                  picard=PicardParams(tol=1e-10, max_iter=60))
+    heavy = Scenario("heavy", sedimentation_field(kernel_library("tent"), mass=2.5),
+                     MeasureVector((mu,)), **common)
+    light = Scenario("light", sedimentation_field(kernel_library("tent", height=2.5)),
+                     MeasureVector((unit,)), **common)
+    a, b = solve_picard(heavy), solve_picard(light)
+    da, db = a.diagnostics["picard_distances"], b.diagnostics["picard_distances"]
+    assert len(da) > 1
+    assert [len(d) for d in da] == [len(d) for d in db]
+    assert max(abs(x - y) for xs, ys in zip(da, db) for x, y in zip(xs, ys)) <= 1e-14
+    gap = max(np.abs(sa.species[0].positions - sb.species[0].positions).max()
+              for sa, sb in zip(a.states, b.states))
+    assert gap <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["sedimentation-smooth-1d", "linear-local-compressive-1d"])
+def test_solve_picard_tracked_densities_match_direct(name):
+    cfg = load_config(name, {"mode": "picard"})
+    cfg["density_tracking"] = True
+    scn = scenario_from_config(cfg)
+    picard = solve_picard(scn)
+    direct = solve_direct(replace(scn, mode="direct"))
+    assert len(picard.densities) == len(direct.densities) == len(picard.times)
+    gap = max(
+        np.abs(np.log(p) - np.log(d)).max()
+        for dp, dd in zip(picard.densities, direct.densities)
+        for p, d in zip(dp, dd)
+    )
+    assert gap <= 1e-7
+    assert check_linfty_growth(scn, record=picard).passed
+
+
+def test_solve_picard_rejects_empty_species():
+    scn = load_scenario("predator-prey-1d", {"mode": "picard"}, audit=False)
+    empty = ParticleMeasure(1, np.zeros((0, 1)), np.zeros(0))
+    scn = replace(scn, initial=MeasureVector((empty, scn.initial.species[1])))
+    with pytest.raises(EmptySpeciesError, match="^empty species 0$"):
+        solve_picard(scn)
 
 
 def test_solve_dispatch():

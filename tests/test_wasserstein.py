@@ -231,7 +231,8 @@ def test_simplex_cold_and_warm_match_lp_oracle(case):
     assert abs(warm - lp_oracle(mu2, nu2)) <= 1e-10
 
     # different weights: the plan's basis does not fit, so the solve is cold
-    mu3, nu3 = mu2.scaled(2.0), nu2.scaled(2.0)
+    mu3 = ParticleMeasure(mu2.dim, mu2.positions, 2.0 * mu2.weights)
+    nu3 = ParticleMeasure(nu2.dim, nu2.positions, 2.0 * nu2.weights)
     with recorded_simplex() as calls:
         fallback, _ = w1_exact(mu3, nu3, warm=plan)
     assert calls[0][1] is None
