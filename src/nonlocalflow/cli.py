@@ -66,19 +66,18 @@ def _check_reports(scenario: Scenario, record: SolutionRecord, cfg: dict, k_over
     """The reports of one check of a scenario file."""
     kind = cfg["type"]
     fp = scenario.fingerprint()
-    # a direct solve is the base solve the stability pairs share, and the
-    # tracked solve the L-infinity check reads
-    direct = record if record.diagnostics["mode"] == "direct" else None
     if kind == "mass-conservation":
         masses = record.masses()
         drift = float(np.abs(masses - masses[0]).max())
         return [BoundReport.make("mass-conservation", drift, 0.0, 1.0, fp)]
     if kind == "stability-initial":
+        # a direct solve is the base solve the stability pairs share
+        direct = record if record.diagnostics["mode"] == "direct" else None
         return stability_battery(
             scenario, cfg["pairs"], cfg["eps"], scenario.seed, cfg["slack"], k_override, direct
         )
     if kind == "linfty-growth":
-        return [check_linfty_growth(scenario, cfg["slack"], record=direct)]
+        return [check_linfty_growth(scenario, record, cfg["slack"])]
     if kind == "lemma-stability":
         sigma0 = perturbed_initial(scenario.initial, cfg["eps"], scenario.seed)
         return [check_lemma_stability(scenario.model, scenario.initial, sigma0, fingerprint=fp)]

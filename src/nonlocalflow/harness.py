@@ -251,19 +251,14 @@ def check_stability_general(
 
 def check_linfty_growth(
     scenario: Scenario,
+    record: SolutionRecord,
     slack: float = 1.05,
     fingerprint: dict | None = None,
-    record: SolutionRecord | None = None,
 ) -> BoundReport:
-    """Transported density max vs sup-norm growth exp(C t).
-
-    ``record`` is the tracked direct solve of ``scenario`` when the caller
-    already holds it; otherwise the scenario is solved here.
-    """
+    """Transported density max vs sup-norm growth exp(C t), read from the
+    densities of ``record``, a tracked solve of ``scenario`` in either mode."""
     if not scenario.track_density:
         raise ValueError("scenario must track densities")
-    if record is None:
-        record = solve_direct(scenario)
     consts = scenario.constants()
     sup0 = max(
         dens.max_value() for dens in scenario.initial_densities if dens is not None
@@ -273,13 +268,7 @@ def check_linfty_growth(
         lhs_t = max(float(v.max()) if v.size else 0.0 for v in dens)
         rhs_t = sup0 * np.exp(consts.C * t)
         worst = max(worst, lhs_t / rhs_t)
-    fp = {
-        "scenario": scenario.name,
-        "T": scenario.horizon,
-        "dt": scenario.step.dt,
-        "seed": scenario.seed,
-        **(fingerprint or {}),
-    }
+    fp = {**scenario.fingerprint(), **(fingerprint or {})}
     return BoundReport.make("linfty-growth", worst, 1.0, slack, fp)
 
 

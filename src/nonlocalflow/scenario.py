@@ -10,8 +10,7 @@ number and a value out of range are rejected with their path, and so is a
 break of a rule between fields (at least one species, one dimension for
 all species, ``linfty-growth`` only with density tracking).  Every absent
 optional field gets its default, so the builders read only validated
-values.  Once the species are built, picard mode in 2D and up is rejected
-for a species whose exact W1 between iterates would exceed the pair cap.
+values.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .measures import (
     particles_from_density,
     uniform_density_1d,
 )
-from . import wasserstein
 from .solver import PicardParams, Scenario
 from .velocity import (
     VelocityField,
@@ -410,14 +408,6 @@ def scenario_from_config(raw: dict, audit: bool = True) -> Scenario:
     cfg = validate(raw)
     built = [_build_species(sp, i) for i, sp in enumerate(cfg["species"])]
     initial = MeasureVector(tuple(mu for mu, _ in built))
-    if cfg["mode"] == "picard" and initial.dim >= 2:
-        # picard windows measure exact W1 between successive iterates
-        for i, mu in enumerate(initial.species):
-            if len(mu) ** 2 > wasserstein.DEFAULT_PAIR_CAP:
-                raise ScenarioParseError(
-                    f"species[{i}]: picard mode needs exact W1 on {len(mu)}x{len(mu)} pairs, "
-                    f"over the pair cap {wasserstein.DEFAULT_PAIR_CAP}"
-                )
     model = _build_model(cfg["model"], list(initial.species))
     track = cfg["density_tracking"]
     scenario = Scenario(

@@ -28,7 +28,7 @@ from .flow import (
 from .kernels import require_positive
 from .measures import EmptySpeciesError, GridDensity, MeasureVector
 from .velocity import VelocityModel, lipschitz_bound_b, velocity_batch
-from .wasserstein import w1_series
+from .wasserstein import coupling_cost
 
 
 @dataclass(frozen=True)
@@ -208,28 +208,27 @@ def picard_window(
     """Iterate the frozen-source map of ``scenario.model`` to its fixed point
     on one window.
 
-    Successive iterates are compared by the mass-normalised W1: each
-    species' distance divided by its mass in ``rho0``, summed over species,
-    sup over the window's snapshots; iteration stops once it is below
-    ``picard.tol``.  Returns the converged trajectory and that distance
-    sequence.
+    Every iterate pushes the same particles of ``rho0``, so pairing each
+    particle with itself couples two successive iterates.  They are compared
+    by the cost of that coupling, an upper bound on their W1: each species'
+    cost divided by its mass in ``rho0``, summed over species, sup over the
+    window's snapshots; iteration stops once it is below ``picard.tol``.
+    Returns the converged trajectory and that distance sequence.
     """
     if steps is None:
         steps, _ = _uniform_steps(t0, t1, scenario.step.dt)
     r_prev = ParticleTrajectory.frozen(t0, t1, rho0)
+    masses = rho0.masses()
     distances: list[float] = []
     for _ in range(scenario.picard.max_iter):
         rec = solve_frozen(scenario.model, rho0, r_prev, t0, t1, steps, scenario.step.courant)
-        targets = [r_prev.at(t) for t in rec.times[1:]]
-        # one series per species keeps each species' simplex warm start
-        per_species = [
-            w1_series(
-                (MeasureVector((a.species[i],)), MeasureVector((b.species[i],)))
-                for a, b in zip(rec.states[1:], targets)
-            ) / mass
-            for i, mass in enumerate(rho0.masses())
-        ]
-        dist = float(sum(per_species).max())
+        dist = float(max(
+            sum(
+                coupling_cost(a.weights, a.positions, b.positions) / mass
+                for a, b, mass in zip(state.species, r_prev.at(t).species, masses)
+            )
+            for t, state in zip(rec.times[1:], rec.states[1:])
+        ))
         distances.append(dist)
         r_prev = rec.trajectory()
         if dist < scenario.picard.tol:

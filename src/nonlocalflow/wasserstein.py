@@ -99,7 +99,6 @@ class TransportPlan:
 def w1_exact(
     mu: ParticleMeasure,
     nu: ParticleMeasure,
-    pair_cap: int | None = None,
     *,
     warm: TransportPlan | None = None,
 ) -> tuple[float, TransportPlan]:
@@ -113,12 +112,9 @@ def w1_exact(
     of measures with the same weights (push-forwards never change weights),
     so the simplex starts from it when both weight vectors are bitwise equal
     to the ones it solved, and from the northwest corner otherwise.  The
-    certificate is checked either way.
-
-    ``pair_cap`` defaults to :data:`DEFAULT_PAIR_CAP` as it is at call time.
+    certificate is checked either way.  Raises :class:`PairCapError` above
+    :data:`DEFAULT_PAIR_CAP` pairs, read at call time.
     """
-    if pair_cap is None:
-        pair_cap = DEFAULT_PAIR_CAP
     if mu.dim != nu.dim:
         raise ValueError("dimension mismatch")
     _check_masses(mu, nu)
@@ -127,9 +123,9 @@ def w1_exact(
         if n == m == 0:
             return 0.0, TransportPlan(np.zeros(0, int), np.zeros(0, int), np.zeros(0), 0.0)
         raise UnequalMassError("W1 undefined for unequal masses (one side empty)")
-    if n * m > pair_cap:
+    if n * m > DEFAULT_PAIR_CAP:
         raise PairCapError(
-            f"{n}x{m} pairs exceed the cap {pair_cap}; use w1_1d in 1D or subsample"
+            f"{n}x{m} pairs exceed the cap {DEFAULT_PAIR_CAP}; use w1_1d in 1D or subsample"
         )
     diff = mu.positions[:, None, :] - nu.positions[None, :, :]
     cost = np.sqrt(np.einsum("nmd,nmd->nm", diff, diff))
@@ -257,5 +253,6 @@ def coupling_cost(weights: np.ndarray, xa: np.ndarray, xb: np.ndarray) -> float:
 
     Upper-bounds W1 between the two push-forwards of one ensemble, since
     pairing each particle with its own image is one admissible coupling.
+    ``solver.picard_window`` measures successive Picard iterates with it.
     """
     return float(np.dot(weights, np.linalg.norm(np.atleast_2d(xa) - np.atleast_2d(xb), axis=1)))

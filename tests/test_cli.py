@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nonlocalflow import AuditError, VelocityField, VelocityModel, cli, solve_direct, w1_vector, wasserstein
+from nonlocalflow import AuditError, VelocityField, VelocityModel, _accel, cli, solve_direct, w1_vector, wasserstein
 from nonlocalflow.cli import RunConfig, main, run
 from nonlocalflow.output import emit_plotdata
 from nonlocalflow.scenario import (
@@ -309,21 +309,16 @@ def test_non_finite_state_error_names_the_scenario(tmp_path, capsys, monkeypatch
         assert item in err
 
 
-def test_picard_over_the_pair_cap_is_rejected_at_load(tmp_path, capsys, monkeypatch):
-    # 12 particles: every picard iterate pair needs 144 exact W1 pairs, over a cap of 100
+def test_picard_over_the_pair_cap_runs_without_the_simplex(tmp_path, monkeypatch):
+    # 12 particles: exact W1 between two iterates would need 144 pairs, over a
+    # cap of 100, but picard compares iterates particle by particle
     monkeypatch.setattr(wasserstein, "DEFAULT_PAIR_CAP", 100)
     calls = []
-    monkeypatch.setattr(cli, "solve", lambda s: calls.append(s))
+    monkeypatch.setattr(_accel, "transport_simplex", lambda *a, **k: calls.append(a))
     out = tmp_path / "out"
-    assert main(["run", "pedestrian-2d", "--n", "16", "--mode", "picard", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "error: species[0]: picard mode needs exact W1 on 12x12 pairs, over the pair cap 100\n"
-    )
-    assert calls == [] and not out.exists()
-    # 1D iterates use the closed form, and 144 pairs are at the cap, not over it
-    assert load_scenario("sedimentation-1d", {"n": 20, "mode": "picard"}, audit=False).mode == "picard"
-    monkeypatch.setattr(wasserstein, "DEFAULT_PAIR_CAP", 144)
-    assert load_scenario("pedestrian-2d", {"n": 16, "mode": "picard"}, audit=False).mode == "picard"
+    argv = ["run", "pedestrian-2d", "--n", "16", "--mode", "picard", "--emit", "trajectories"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert calls == [] and (out / "trajectory.csv").exists()
 
 
 def test_pair_cap_fails_the_check_and_skips_the_w1_plot(tmp_path, capsys, monkeypatch):

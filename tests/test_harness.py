@@ -167,15 +167,18 @@ def test_run_checks_reuses_a_direct_record(monkeypatch, mode, solves):
         assert rep.lhs == two_solve_ratio(scn, sigma0, K)
 
 
-def test_run_checks_reuses_a_direct_record_for_linfty(monkeypatch):
-    scn = load_scenario("linear-local-compressive-1d", audit=False)
+@pytest.mark.parametrize("mode, own_direct_solves", [("direct", 1), ("picard", 0)])
+def test_run_checks_reuses_the_run_record_for_linfty(monkeypatch, mode, own_direct_solves):
+    scn = load_scenario("linear-local-compressive-1d", {"mode": mode}, audit=False)
     calls = count_solves(monkeypatch)
     real = solver.solve_direct
     monkeypatch.setattr(solver, "solve_direct", lambda s: calls.append(s) or real(s))
-    (report,) = run_checks(scn, solve(scn), [{"type": "linfty-growth"}])
-    assert len(calls) == 1
+    record = solve(scn)
+    (report,) = run_checks(scn, record, [{"type": "linfty-growth"}])
+    # no direct solve beyond the run's own: the check reads the run's densities
+    assert len(calls) == own_direct_solves
     monkeypatch.undo()
-    assert report.lhs == check_linfty_growth(scn).lhs
+    assert report.lhs == check_linfty_growth(scn, record).lhs
 
 
 def test_default_k_given_explicitly_is_the_default_report():
@@ -242,7 +245,7 @@ def test_general_check_degenerates_to_initial_check():
 def test_linfty_divergence_free():
     scn = bump_scenario(track=True)
     scn = replace(scn, model=constant_drift_field([0.3]))
-    rep = check_linfty_growth(scn)
+    rep = check_linfty_growth(scn, solve_direct(scn))
     assert rep.passed
     assert rep.lhs <= 1.0 + 1e-9
 
@@ -260,6 +263,6 @@ def test_linfty_compressive_saturates():
         track_density=True,
         initial_densities=(dens,),
     )
-    rep = check_linfty_growth(scn)
+    rep = check_linfty_growth(scn, solve_direct(scn))
     assert rep.passed
     assert rep.lhs == pytest.approx(1.0, abs=0.01)

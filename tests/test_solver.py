@@ -10,6 +10,7 @@ from nonlocalflow import (
     GridDensity,
     MeasureVector,
     ParticleMeasure,
+    ParticleTrajectory,
     PicardConvergenceError,
     PicardParams,
     Scenario,
@@ -17,6 +18,7 @@ from nonlocalflow import (
     StepControl,
     check_linfty_growth,
     constant_drift_field,
+    coupling_cost,
     dirac,
     kernel_library,
     linear_local_field,
@@ -26,7 +28,9 @@ from nonlocalflow import (
     sedimentation_field,
     solve,
     solve_direct,
+    solve_frozen,
     solve_picard,
+    w1_series,
     w1_vector,
     weak_form_residual,
     window_length,
@@ -170,6 +174,38 @@ def test_picard_max_iter_error_carries_distances():
     with pytest.raises(PicardConvergenceError) as err:
         picard_window(scn, 0.0, 0.3, scn.initial)
     assert len(err.value.distances) == 3
+
+
+@pytest.mark.parametrize("name", ["pedestrian-2d", "predator-prey-1d"])
+def test_picard_distance_is_the_identity_coupling_and_exact_w1(name):
+    # two successive iterates push the same particles of rho_0, and pairing
+    # each particle with itself is their optimal coupling
+    scn = load_scenario(name, {"mode": "picard"}, audit=False)
+    steps = 5
+    t1 = steps * scn.step.dt
+    _, dists = picard_window(scn, 0.0, t1, scn.initial, steps=steps)
+    masses = scn.initial.masses()
+    frozen = ParticleTrajectory.frozen(0.0, t1, scn.initial)
+    first = solve_frozen(scn.model, scn.initial, frozen, 0.0, t1, steps, scn.step.courant)
+    second = solve_frozen(scn.model, scn.initial, first.trajectory(), 0.0, t1, steps, scn.step.courant)
+    for dist, rec, prev in ((dists[0], first, frozen), (dists[1], second, first.trajectory())):
+        targets = [prev.at(t) for t in rec.times[1:]]
+        coupling = max(
+            sum(
+                coupling_cost(a.weights, a.positions, b.positions) / mass
+                for a, b, mass in zip(state.species, target.species, masses)
+            )
+            for state, target in zip(rec.states[1:], targets)
+        )
+        exact = sum(
+            w1_series(
+                (MeasureVector((a.species[i],)), MeasureVector((b.species[i],)))
+                for a, b in zip(rec.states[1:], targets)
+            ) / mass
+            for i, mass in enumerate(masses)
+        ).max()
+        assert dist == coupling
+        assert dist == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_solve_picard_agrees_with_direct():

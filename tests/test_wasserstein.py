@@ -23,7 +23,7 @@ from nonlocalflow import (
     w1_series,
     w1_vector,
 )
-from nonlocalflow import _accel
+from nonlocalflow import _accel, wasserstein
 from nonlocalflow.wasserstein import CERT_TOL
 
 
@@ -320,16 +320,40 @@ def test_zero_iff_equal_after_merging():
     assert w1_1d(b, c) > 1e-3
 
 
-def test_coupling_upper_bound():
-    # pairing bound: W1(X#rho, Y#rho) <= sum w |X - Y|
-    rng = np.random.default_rng(6)
-    base = ParticleMeasure(2, rng.normal(size=(30, 2)), rng.uniform(0.1, 0.4, 30))
-    xa = base.positions + 0.3 * np.sin(base.positions)
-    xb = base.positions @ np.array([[0.9, 0.1], [-0.2, 1.1]])
-    fa = base.with_positions(xa)
-    fb = base.with_positions(xb)
-    exact = w1_exact(fa, fb)[0]
-    assert exact <= coupling_cost(base.weights, xa, xb) + 1e-9
+@st.composite
+def pushed_ensembles(draw):
+    """One weighted ensemble's images under two smooth maps x A + a sin(x F + c) + b.
+
+    Also says whether both maps are increasing 1D maps: A >= 1 > |a F| then.
+    """
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(1, 8))
+    increasing = dim == 1 and draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(-3.0, 3.0, size=(n, dim))
+    weights = rng.uniform(0.1, 1.0, size=n)
+
+    def smooth_map():
+        lin = rng.uniform(1.0, 2.0, (1, 1)) if increasing else rng.uniform(-2.0, 2.0, (dim, dim))
+        freq = rng.uniform(-1.0, 1.0, (dim, dim))
+        wave = rng.uniform(0.0, 0.9) * np.sin(x @ freq + rng.uniform(-np.pi, np.pi, dim))
+        return x @ lin + wave + rng.uniform(-1.0, 1.0, dim)
+
+    return increasing, weights, smooth_map(), smooth_map()
+
+
+@settings(max_examples=80, deadline=None)
+@given(pushed_ensembles())
+def test_coupling_upper_bound(case):
+    # pairing each particle with its own image is one coupling of X#rho and
+    # Y#rho; for two increasing 1D maps it is the monotone, optimal one
+    increasing, weights, xa, xb = case
+    dim = xa.shape[1]
+    exact = w1_exact(ParticleMeasure(dim, xa, weights), ParticleMeasure(dim, xb, weights))[0]
+    cost = coupling_cost(weights, xa, xb)
+    assert cost >= exact - 1e-12
+    if increasing:
+        assert cost == pytest.approx(exact, abs=1e-12)
 
 
 def test_mass_mismatch_rejected():
@@ -339,12 +363,13 @@ def test_mass_mismatch_rejected():
         w1_exact(dirac([0.0], weight=1.0), dirac([1.0], weight=1.1))
 
 
-def test_pair_cap():
+def test_pair_cap(monkeypatch):
+    monkeypatch.setattr(wasserstein, "DEFAULT_PAIR_CAP", 100)
     rng = np.random.default_rng(7)
     mu = ParticleMeasure(1, rng.normal(size=(40, 1)), np.full(40, 1.0 / 40))
     nu = ParticleMeasure(1, rng.normal(size=(40, 1)), np.full(40, 1.0 / 40))
     with pytest.raises(PairCapError, match="cap"):
-        w1_exact(mu, nu, pair_cap=100)
+        w1_exact(mu, nu)
 
 
 def test_dual_lower_bound_examples():
