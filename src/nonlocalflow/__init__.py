@@ -5,7 +5,7 @@ from ._accel import BACKEND
 from .flow import (
     FlowState,
     NonFiniteStateError,
-    ParticleTrajectory,
+    SolutionRecord,
     StepControl,
     StepControlError,
     flow_map_lipschitz_probe,
@@ -14,7 +14,6 @@ from .flow import (
 )
 from .harness import (
     BoundReport,
-    FrozenProblem,
     check_lemma_stability,
     check_linfty_growth,
     check_stability_general,
@@ -52,8 +51,6 @@ from .solver import (
     PicardConvergenceError,
     PicardParams,
     Scenario,
-    SolutionRecord,
-    StabilityConstants,
     TestFunction,
     picard_window,
     polynomial_bump_test,

@@ -85,7 +85,7 @@ def _check_reports(scenario: Scenario, record: SolutionRecord, cfg: dict, k_over
         scenario.model, scenario.initial, scenario.horizon, scenario.step.dt,
         seed=scenario.seed, courant=scenario.step.courant,
     )
-    bound = math.exp(scenario.constants().C * scenario.horizon)
+    bound = math.exp(scenario.lipschitz_b() * scenario.horizon)
     return [BoundReport.make("flow-map-lipschitz", ratio, bound, 1.0 + cfg["tolerance"], fp)]
 
 
@@ -135,17 +135,22 @@ def run(config: RunConfig) -> int:
 def _read_measure_csv(path: str) -> ParticleMeasure:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        cols = [c.strip() for c in header]
+        cols = [c.strip() for c in next(reader, [])]
         if "weight" not in cols:
-            raise ScenarioParseError(f"{path}: need columns x_1..x_d,weight")
+            raise ScenarioParseError(f"{path}, line 1: need columns x_1..x_d,weight")
         wi = cols.index("weight")
         dims = [i for i, c in enumerate(cols) if c.startswith("x_")]
         pos = []
         w = []
         for row in reader:
-            pos.append([float(row[i]) for i in dims])
-            w.append(float(row[wi]))
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(cols):
+                raise ScenarioParseError(f"{where}: {len(row)} fields, header has {len(cols)}")
+            try:
+                pos.append([float(row[i]) for i in dims])
+                w.append(float(row[wi]))
+            except ValueError as exc:
+                raise ScenarioParseError(f"{where}: {exc}") from None
     return ParticleMeasure(len(dims), np.asarray(pos), np.asarray(w))
 
 
@@ -215,10 +220,10 @@ def main(argv=None) -> int:
         except ScenarioParseError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        consts = scenario.constants()
+        c = scenario.lipschitz_b()
         print(
             f"audit passed: {scenario.name} (k={scenario.initial.k}, "
-            f"d={scenario.initial.dim}, C={consts.C:.6g}, K={consts.K:.6g})"
+            f"d={scenario.initial.dim}, C={c:.6g}, K={2.0 * c:.6g})"
         )
         return 0
     if args.verb == "scenarios":

@@ -2,7 +2,7 @@
 
 Particles move along dX/dt = V(t, X, (rho * eta)(X)).  In self-consistent
 mode the convolution source is the evolving stage ensemble itself (the
-coupled particle ODE system); in Picard mode it is a frozen trajectory,
+coupled particle ODE system); in Picard mode it is a frozen record,
 interpolated linearly in time at the RK stage times.  Weights are never
 touched, so species masses are conserved bit-exactly.
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -64,20 +64,23 @@ class FlowState:
     passive: tuple[np.ndarray, ...] | None = None
 
 
-class ParticleTrajectory:
-    """Snapshots of one solve; linear interpolation between stored times."""
+@dataclass
+class SolutionRecord:
+    """Time-indexed snapshots of one solve, plus diagnostics.
 
-    def __init__(self, times: Sequence[float], states: Sequence[MeasureVector]):
-        self.times = np.asarray(times, dtype=np.float64)
-        self.states = list(states)
+    A record is also a frozen convolution source: :meth:`at` interpolates
+    its states linearly in time.
+    """
+
+    times: np.ndarray
+    states: list[MeasureVector]
+    densities: list[tuple[np.ndarray, ...]] | None = None
+    diagnostics: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.times = np.asarray(self.times, dtype=np.float64)
         if self.times.size != len(self.states) or self.times.size == 0:
             raise ValueError("one state per time required")
-        if (np.diff(self.times) <= 0).any():
-            raise ValueError("times must be strictly increasing")
-
-    @classmethod
-    def frozen(cls, t0: float, t1: float, rho: MeasureVector) -> "ParticleTrajectory":
-        return cls([t0, t1], [rho, rho])
 
     def at(self, t: float) -> MeasureVector:
         times = self.times
@@ -98,9 +101,15 @@ class ParticleTrajectory:
             ]
         )
 
+    def masses(self) -> np.ndarray:
+        return np.array([s.masses() for s in self.states])
+
+    def final(self) -> MeasureVector:
+        return self.states[-1]
+
 
 def _stage_source(
-    frozen_r: ParticleTrajectory | None,
+    frozen_r: SolutionRecord | None,
     template: MeasureVector,
     stage_positions: Sequence[np.ndarray],
     t_stage: float,
@@ -112,7 +121,7 @@ def _stage_source(
 
 def rk4_step(
     model: VelocityModel,
-    frozen_r: ParticleTrajectory | None,
+    frozen_r: SolutionRecord | None,
     state: FlowState,
     dt: float,
     courant: float = 0.1,
@@ -121,7 +130,7 @@ def rk4_step(
     one classical RK4 step.
 
     ``frozen_r is None`` selects self-consistent mode; otherwise the frozen
-    trajectory supplies the convolution source at the stage times.
+    record supplies the convolution source at the stage times.
     """
     StepControl(dt, courant).check(
         lipschitz_bound_b(model, state.rho.total_measure())
@@ -191,7 +200,7 @@ def _non_finite(j: int, t: float) -> NonFiniteStateError:
 
 def transported_densities(
     model: VelocityModel,
-    frozen_r: ParticleTrajectory | None,
+    frozen_r: SolutionRecord | None,
     flow: Sequence[FlowState],
     dt: float,
     density_values: Sequence[np.ndarray],
@@ -230,7 +239,7 @@ def _uniform_steps(t0: float, t1: float, dt: float) -> tuple[int, float]:
 
 def integrate(
     model: VelocityModel,
-    frozen_r: ParticleTrajectory | None,
+    frozen_r: SolutionRecord | None,
     state: FlowState,
     t1: float,
     steps: int,

@@ -17,16 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .flow import ParticleTrajectory, _uniform_steps
+from .flow import SolutionRecord, _uniform_steps
 from .kernels import sample_box
 from .measures import MeasureVector
-from .solver import (
-    Scenario,
-    SolutionRecord,
-    StabilityConstants,
-    solve_direct,
-    solve_frozen,
-)
+from .solver import Scenario, solve_direct, solve_frozen
 from .velocity import VelocityModel, _l1_ball_samples, lipschitz_bound_b, velocity_batch
 from .wasserstein import w1_series, w1_vector
 
@@ -46,13 +40,6 @@ class BoundReport:
         lhs, rhs = float(lhs), float(rhs)
         passed = math.isfinite(lhs) and math.isfinite(rhs) and lhs <= rhs * slack
         return cls(name, lhs, rhs, float(slack), passed, fingerprint)
-
-
-def worker_count() -> int:
-    env = os.environ.get("NONLOCAL_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 def _ensemble_box(vectors: Sequence[MeasureVector], inflate: float) -> tuple[np.ndarray, np.ndarray]:
@@ -119,7 +106,7 @@ def check_stability_initial(
     """
     rho0 = base.states[0]
     if K is None:
-        K = StabilityConstants.of(scenario.model, rho0.total_measure()).K
+        K = 2.0 * lipschitz_bound_b(scenario.model, rho0.total_measure())
     # d0 first: a pair above the pair cap fails before anything is solved
     d0 = w1_vector(rho0, sigma0)
     rec_b = solve_direct(_untracked(scenario, sigma0))
@@ -131,14 +118,6 @@ def check_stability_initial(
     growth = np.exp(K * base.times[1:])
     ratio = float((dists / (growth * d0)).max()) if dists.size else 0.0
     return BoundReport.make("stability-initial-data", ratio, 1.0, slack, fp)
-
-
-@dataclass(frozen=True)
-class FrozenProblem:
-    """One decoupled problem: a model plus the frozen convolution source."""
-
-    model: VelocityModel
-    source: ParticleTrajectory
 
 
 # Dirac position blocks sampled per velocity-gap estimate
@@ -195,8 +174,10 @@ def _sup_kernel_gap(
 
 
 def check_stability_general(
-    problem_a: FrozenProblem,
-    problem_b: FrozenProblem,
+    model_a: VelocityModel,
+    source_a: SolutionRecord,
+    model_b: VelocityModel,
+    source_b: SolutionRecord,
     rho0: MeasureVector,
     sigma0: MeasureVector,
     horizon: float,
@@ -207,7 +188,9 @@ def check_stability_general(
     courant: float = 0.1,
     fingerprint: dict | None = None,
 ) -> BoundReport:
-    """Full perturbation estimate on the frozen-coefficient problems.
+    """Full perturbation estimate on the frozen-coefficient problems: model
+    ``model_a`` with frozen source ``source_a`` from ``rho0``, against
+    ``model_b`` with ``source_b`` from ``sigma0``.
 
     lhs(t) = W1(rho_t, sigma_t);
     rhs(t) = e^{Ct} W1(rho_0, sigma_0)
@@ -215,15 +198,12 @@ def check_stability_general(
     C = Lip_x(V) + Lip_r(V) Lip_x(eta) max(masses); reported as the max over
     snapshots of lhs/rhs against 1.0 at the given slack.
     """
-    model_a, model_b = problem_a.model, problem_b.model
     mass = max(rho0.total_measure(), sigma0.total_measure())
     c = lipschitz_bound_b(model_a, mass)
     steps, _ = _uniform_steps(0.0, horizon, dt)
-    rec_a = solve_frozen(model_a, rho0, problem_a.source, 0.0, horizon, steps, courant)
-    rec_b = solve_frozen(model_b, sigma0, problem_b.source, 0.0, horizon, steps, courant)
-    sup_rs = float(
-        w1_series((problem_a.source.at(t), problem_b.source.at(t)) for t in rec_a.times).max()
-    )
+    rec_a = solve_frozen(model_a, rho0, source_a, 0.0, horizon, steps, courant)
+    rec_b = solve_frozen(model_b, sigma0, source_b, 0.0, horizon, steps, courant)
+    sup_rs = float(w1_series((source_a.at(t), source_b.at(t)) for t in rec_a.times).max())
     lo, hi = _ensemble_box([rho0, sigma0], inflate=model_a.sup_bound * horizon + 1.0)
     r_radius = mass * max(model_a.kernels.sup_bound, model_b.kernels.sup_bound)
     gap_v = _sup_velocity_gap(model_a, model_b, lo, hi, r_radius, samples, seed, (0.0,))
@@ -259,14 +239,14 @@ def check_linfty_growth(
     densities of ``record``, a tracked solve of ``scenario`` in either mode."""
     if not scenario.track_density:
         raise ValueError("scenario must track densities")
-    consts = scenario.constants()
+    c = scenario.lipschitz_b()
     sup0 = max(
         dens.max_value() for dens in scenario.initial_densities if dens is not None
     )
     worst = 0.0
     for t, dens in zip(record.times, record.densities):
         lhs_t = max(float(v.max()) if v.size else 0.0 for v in dens)
-        rhs_t = sup0 * np.exp(consts.C * t)
+        rhs_t = sup0 * np.exp(c * t)
         worst = max(worst, lhs_t / rhs_t)
     fp = {**scenario.fingerprint(), **(fingerprint or {})}
     return BoundReport.make("linfty-growth", worst, 1.0, slack, fp)
@@ -286,7 +266,7 @@ def stability_battery(
     The unperturbed datum is solved once (or ``base``, a direct solve of the
     scenario, is used) and shared by every pair.  A given ``K`` is passed on
     and recorded in each fingerprint as ``k_override``.  Runs pairs
-    concurrently; NONLOCAL_THREADS caps the worker count.
+    concurrently, one worker per core.
     """
     if base is None:
         base = solve_direct(_untracked(scenario, scenario.initial))
@@ -299,8 +279,5 @@ def stability_battery(
         )
 
     seeds = [seed0 + i for i in range(pairs)]
-    workers = min(worker_count(), pairs)
-    if workers <= 1:
-        return [one(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, pairs)) as pool:
         return list(pool.map(one, seeds))

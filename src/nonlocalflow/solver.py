@@ -19,7 +19,7 @@ import numpy as np
 from .flow import (
     FlowState,
     NonFiniteStateError,
-    ParticleTrajectory,
+    SolutionRecord,
     StepControl,
     _uniform_steps,
     integrate,
@@ -74,8 +74,9 @@ class Scenario:
         n = sum(len(m) for m in self.initial.species)
         return {"scenario": self.name, "seed": self.seed, "dt": self.step.dt, "T": self.horizon, "N": n}
 
-    def constants(self) -> "StabilityConstants":
-        return StabilityConstants.of(self.model, self.initial.total_measure())
+    def lipschitz_b(self) -> float:
+        """C, the Lipschitz bound of the effective field at the initial mass."""
+        return lipschitz_bound_b(self.model, self.initial.total_measure())
 
     def density_values(self) -> list[np.ndarray] | None:
         if not self.track_density:
@@ -89,23 +90,6 @@ class Scenario:
         return vals
 
 
-@dataclass(frozen=True)
-class StabilityConstants:
-    """C bounds the effective field's Lipschitz constant; the growth rate K is 2C."""
-
-    C: float
-    K: float
-
-    def __post_init__(self):
-        if self.C < 0 or abs(self.K - 2.0 * self.C) > 1e-12 * max(1.0, self.C):
-            raise ValueError("need C >= 0 and K = 2C")
-
-    @classmethod
-    def of(cls, model: VelocityModel, mass: float) -> "StabilityConstants":
-        c = lipschitz_bound_b(model, mass)
-        return cls(c, 2.0 * c)
-
-
 class PicardConvergenceError(RuntimeError):
     """Fixed-point iteration hit max_iter; carries the distance sequence."""
 
@@ -114,25 +98,6 @@ class PicardConvergenceError(RuntimeError):
             f"picard iteration did not converge; distances {distances}"
         )
         self.distances = distances
-
-
-@dataclass
-class SolutionRecord:
-    """Time-indexed snapshots of one solve, plus diagnostics."""
-
-    times: np.ndarray
-    states: list[MeasureVector]
-    densities: list[tuple[np.ndarray, ...]] | None
-    diagnostics: dict
-
-    def trajectory(self) -> ParticleTrajectory:
-        return ParticleTrajectory(self.times, self.states)
-
-    def masses(self) -> np.ndarray:
-        return np.array([s.masses() for s in self.states])
-
-    def final(self) -> MeasureVector:
-        return self.states[-1]
 
 
 def solve_direct(scenario: Scenario) -> SolutionRecord:
@@ -147,7 +112,7 @@ def solve_direct(scenario: Scenario) -> SolutionRecord:
 def solve_frozen(
     model: VelocityModel,
     initial: MeasureVector,
-    frozen_r: ParticleTrajectory | None,
+    frozen_r: SolutionRecord | None,
     t0: float,
     t1: float,
     steps: int,
@@ -158,10 +123,12 @@ def solve_frozen(
     """Transport of ``initial`` over [t0, t1] in ``steps`` RK4 steps.
 
     The convolution source is ``frozen_r`` (the linear problem behind the
-    map r -> rho), or the solution itself when ``frozen_r`` is None.  Given
-    ``density_values`` (rho_0 at each particle), the record carries the
-    transported densities.
+    map r -> rho), a record whose times must strictly increase, or the
+    solution itself when ``frozen_r`` is None.  Given ``density_values``
+    (rho_0 at each particle), the record carries the transported densities.
     """
+    if frozen_r is not None and (np.diff(frozen_r.times) <= 0).any():
+        raise ValueError("times must be strictly increasing")
     times, flow = integrate(model, frozen_r, FlowState(t0, initial), t1, steps, courant)
     densities = None
     if density_values is not None:
@@ -177,7 +144,7 @@ def window_length(scenario: Scenario) -> float:
     Found by bisection to 1e-12; the full horizon is covered by chaining
     such windows.
     """
-    c = scenario.constants().C
+    c = scenario.lipschitz_b()
     if c == 0.0:
         return scenario.horizon
     sigma = scenario.picard.sigma
@@ -204,7 +171,7 @@ def picard_window(
     t1: float,
     rho0: MeasureVector,
     steps: int | None = None,
-) -> tuple[ParticleTrajectory, list[float]]:
+) -> tuple[SolutionRecord, list[float]]:
     """Iterate the frozen-source map of ``scenario.model`` to its fixed point
     on one window.
 
@@ -213,11 +180,11 @@ def picard_window(
     by the cost of that coupling, an upper bound on their W1: each species'
     cost divided by its mass in ``rho0``, summed over species, sup over the
     window's snapshots; iteration stops once it is below ``picard.tol``.
-    Returns the converged trajectory and that distance sequence.
+    Returns the converged record and that distance sequence.
     """
     if steps is None:
         steps, _ = _uniform_steps(t0, t1, scenario.step.dt)
-    r_prev = ParticleTrajectory.frozen(t0, t1, rho0)
+    r_prev = SolutionRecord([t0, t1], [rho0, rho0])
     masses = rho0.masses()
     distances: list[float] = []
     for _ in range(scenario.picard.max_iter):
@@ -230,7 +197,7 @@ def picard_window(
             for t, state in zip(rec.times[1:], rec.states[1:])
         ))
         distances.append(dist)
-        r_prev = rec.trajectory()
+        r_prev = rec
         if dist < scenario.picard.tol:
             return r_prev, distances
     raise PicardConvergenceError(distances)
@@ -259,31 +226,28 @@ def solve_picard(scenario: Scenario) -> SolutionRecord:
         steps = min(window_steps, total_steps - step0)
         t0 = step0 * dtu
         t1 = (step0 + steps) * dtu
-        traj, dists = picard_window(scenario, t0, t1, states_all[-1], steps=steps)
+        rec, dists = picard_window(scenario, t0, t1, states_all[-1], steps=steps)
         per_window_distances.append(dists)
         window_edges.append(t1)
-        times_all.extend(float(t) for t in traj.times[1:])
-        states_all.extend(traj.states[1:])
+        times_all.extend(float(t) for t in rec.times[1:])
+        states_all.extend(rec.states[1:])
         step0 += steps
 
-    times = np.asarray(times_all)
-    densities = None
-    if scenario.track_density:
-        converged = ParticleTrajectory(times, states_all)
-        flow = [FlowState(float(t), s) for t, s in zip(times, states_all)]
-        densities = transported_densities(
-            scenario.model, converged, flow, dtu, scenario.density_values(), scenario.h_fd
-        )
-    return SolutionRecord(
-        times,
+    record = SolutionRecord(
+        times_all,
         states_all,
-        densities,
-        {
+        diagnostics={
             "mode": "picard",
             "window_edges": window_edges,
             "picard_distances": per_window_distances,
         },
     )
+    if scenario.track_density:
+        flow = [FlowState(float(t), s) for t, s in zip(record.times, states_all)]
+        record.densities = transported_densities(
+            scenario.model, record, flow, dtu, scenario.density_values(), scenario.h_fd
+        )
+    return record
 
 
 def solve(scenario: Scenario) -> SolutionRecord:

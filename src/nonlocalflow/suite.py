@@ -25,7 +25,6 @@ from .scenario import bundled_scenarios, load_raw, load_scenario, scenario_from_
 from .flow import StepControl
 from .harness import (
     BoundReport,
-    FrozenProblem,
     check_linfty_growth,
     check_stability_general,
     stability_battery,
@@ -227,9 +226,8 @@ def _drift_perturbed(model: VelocityModel, eps: float) -> VelocityModel:
 @criterion(5, "general stability under kernel/velocity perturbations")
 def criterion_5_general_stability() -> list[BoundReport]:
     scenario = load_scenario("sedimentation-1d", audit=False)
-    source = solve_direct(scenario).trajectory()
+    source = solve_direct(scenario)
     mass = scenario.initial.total_measure()
-    problem_a = FrozenProblem(scenario.model, source)
     reports = []
     for eps in (1e-3, 1e-2, 1e-1):
         perturbed_kernel = sedimentation_field(
@@ -245,13 +243,16 @@ def criterion_5_general_stability() -> list[BoundReport]:
         ):
             reports.append(
                 check_stability_general(
-                    problem_a,
-                    FrozenProblem(model_b, source),
+                    scenario.model,
+                    source,
+                    model_b,
+                    source,
                     scenario.initial,
                     scenario.initial,
                     scenario.horizon,
                     scenario.step.dt,
                     seed=scenario.seed,
+                    courant=scenario.step.courant,
                     fingerprint={"perturbation": tag, "eps": eps},
                 )
             )
@@ -286,7 +287,7 @@ def criterion_6_contraction() -> list[BoundReport]:
             picard=PicardParams(tol=1e-10, max_iter=80),
         )
         record = solve_picard(scenario)
-        c = scenario.constants().C
+        c = scenario.lipschitz_b()
         edges = record.diagnostics["window_edges"]
         for w, dists in enumerate(record.diagnostics["picard_distances"]):
             span = edges[w + 1] - edges[w]

@@ -87,10 +87,14 @@ class VelocityModel:
 
 
 def lipschitz_bound_b(model: VelocityModel, mass: float) -> float:
-    """Lipschitz constant of the effective field b(t,x) = V(t, x, rho*eta)."""
+    """Lipschitz constant of the effective field b(t,x) = V(t, x, rho*eta);
+    a negative or non-finite bound, from lying metadata, is rejected."""
     if mass < 0:
         raise ValueError("mass must be nonnegative")
-    return model.lip_x + model.lip_r * model.kernels.lip_x * mass
+    c = model.lip_x + model.lip_r * model.kernels.lip_x * mass
+    if not (np.isfinite(c) and c >= 0):
+        raise ValueError(f"Lipschitz bound of b must be finite and >= 0, got {c!r}")
+    return c
 
 
 def dirac_positions(model: VelocityModel, rho: MeasureVector) -> np.ndarray:

@@ -267,6 +267,25 @@ def test_cli_w1_verb(tmp_path, capsys):
     assert float(capsys.readouterr().out.strip()) == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "line 1: need columns x_1..x_d,weight"),
+        ("x_1,weight\n0.0,1.0\n2.0\n", "line 3: 1 fields, header has 2"),
+        ("x_1,weight\n0.0,1.0,5.0\n", "line 2: 3 fields, header has 2"),
+        ("x_1,weight\nabc,1.0\n", "line 2: could not convert string to float: 'abc'"),
+    ],
+    ids=["empty", "short-row", "long-row", "non-numeric"],
+)
+def test_cli_w1_rejects_a_malformed_measure_csv(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.csv"
+    good = tmp_path / "good.csv"
+    bad.write_text(text)
+    good.write_text("x_1,weight\n3.0,1.0\n")
+    assert main(["w1", str(bad), str(good)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}, {message}\n"
+
+
 def test_audit_error_carries_witness():
     raw = load_raw("predator-decoupled-1d")
     raw["audit_radius"] = 30.0  # spring sup bound only certified on radius 3

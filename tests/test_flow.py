@@ -7,7 +7,7 @@ from nonlocalflow import (
     MeasureVector,
     NonFiniteStateError,
     ParticleMeasure,
-    ParticleTrajectory,
+    SolutionRecord,
     StepControl,
     StepControlError,
     VelocityModel,
@@ -224,7 +224,7 @@ def test_trajectory_interpolation():
     mu = dirac([0.0])
     a = MeasureVector((mu,))
     b = MeasureVector((mu.with_positions(np.array([[1.0]])),))
-    traj = ParticleTrajectory([0.0, 1.0], [a, b])
+    traj = SolutionRecord([0.0, 1.0], [a, b])
     assert traj.at(-1.0).species[0].positions[0, 0] == 0.0
     assert traj.at(0.25).species[0].positions[0, 0] == pytest.approx(0.25)
     assert traj.at(1.0).species[0].positions[0, 0] == 1.0

@@ -5,7 +5,6 @@ import pytest
 
 from nonlocalflow import (
     BoundReport,
-    FrozenProblem,
     GridDensity,
     MeasureVector,
     Scenario,
@@ -136,7 +135,7 @@ def test_battery_shares_one_base_solve(monkeypatch):
     reports = stability_battery(scn, pairs=5)
     assert len(calls) == 6
     monkeypatch.undo()
-    K = scn.constants().K
+    K = 2.0 * scn.lipschitz_b()
     for rep in reports:
         sigma0 = perturbed_initial(scn.initial, 0.05, rep.fingerprint["pair_seed"])
         assert rep.lhs == two_solve_ratio(scn, sigma0, K)
@@ -161,7 +160,7 @@ def test_run_checks_reuses_a_direct_record(monkeypatch, mode, solves):
     reports = run_checks(scn, record, [{"type": "stability-initial", "pairs": 3}])
     assert len(calls) == solves
     monkeypatch.undo()
-    K = scn.constants().K
+    K = 2.0 * scn.lipschitz_b()
     for rep in reports:
         sigma0 = perturbed_initial(scn.initial, 0.05, rep.fingerprint["pair_seed"])
         assert rep.lhs == two_solve_ratio(scn, sigma0, K)
@@ -186,15 +185,14 @@ def test_default_k_given_explicitly_is_the_default_report():
     base = solve_direct(scn)
     sigma0 = perturbed_initial(scn.initial, 0.05, seed=2)
     default = check_stability_initial(scn, base, sigma0)
-    assert check_stability_initial(scn, base, sigma0, K=scn.constants().K) == default
+    assert check_stability_initial(scn, base, sigma0, K=2.0 * scn.lipschitz_b()) == default
 
 
 def test_general_stability_identical_problems():
     scn = bump_scenario()
-    source = solve_direct(scn).trajectory()
-    problem = FrozenProblem(scn.model, source)
+    source = solve_direct(scn)
     rep = check_stability_general(
-        problem, problem, scn.initial, scn.initial, scn.horizon, scn.step.dt
+        scn.model, source, scn.model, source, scn.initial, scn.initial, scn.horizon, scn.step.dt
     )
     assert rep.lhs <= 1e-9
     assert rep.passed
@@ -202,11 +200,10 @@ def test_general_stability_identical_problems():
 
 def test_general_stability_perturbed_initial_data():
     scn = bump_scenario()
-    source = solve_direct(scn).trajectory()
-    problem = FrozenProblem(scn.model, source)
+    source = solve_direct(scn)
     sigma0 = perturbed_initial(scn.initial, 0.03, seed=5)
     rep = check_stability_general(
-        problem, problem, scn.initial, sigma0, scn.horizon, scn.step.dt
+        scn.model, source, scn.model, source, scn.initial, sigma0, scn.horizon, scn.step.dt
     )
     assert rep.passed
 
@@ -214,9 +211,9 @@ def test_general_stability_perturbed_initial_data():
 def test_general_stability_on_a_dirac_coupling_model():
     # the velocity gap hands Dirac position blocks to the predator's field
     scn = load_scenario("predator-prey-1d")
-    problem = FrozenProblem(scn.model, solve_direct(scn).trajectory())
+    source = solve_direct(scn)
     rep = check_stability_general(
-        problem, problem, scn.initial, scn.initial, scn.horizon, scn.step.dt
+        scn.model, source, scn.model, source, scn.initial, scn.initial, scn.horizon, scn.step.dt
     )
     assert rep.passed
     assert rep.fingerprint["gap_velocity"] == 0.0
@@ -228,11 +225,12 @@ def test_general_check_degenerates_to_initial_check():
     scn = bump_scenario()
     sigma0 = perturbed_initial(scn.initial, 0.05, seed=9)
     rec_rho = solve_direct(scn)
-    traj_rho = rec_rho.trajectory()
-    traj_sigma = solve_direct(replace(scn, initial=sigma0)).trajectory()
+    rec_sigma = solve_direct(replace(scn, initial=sigma0))
     rep_general = check_stability_general(
-        FrozenProblem(scn.model, traj_rho),
-        FrozenProblem(scn.model, traj_sigma),
+        scn.model,
+        rec_rho,
+        scn.model,
+        rec_sigma,
         scn.initial,
         sigma0,
         scn.horizon,

@@ -10,11 +10,10 @@ from nonlocalflow import (
     GridDensity,
     MeasureVector,
     ParticleMeasure,
-    ParticleTrajectory,
     PicardConvergenceError,
     PicardParams,
     Scenario,
-    StabilityConstants,
+    SolutionRecord,
     StepControl,
     check_linfty_growth,
     constant_drift_field,
@@ -104,14 +103,32 @@ def test_masses_constant_in_record():
     assert np.abs(masses - masses[0]).max() == 0.0
 
 
-def test_stability_constants():
-    c = StabilityConstants(1.5, 3.0)
-    assert c.K == pytest.approx(2 * c.C)
-    with pytest.raises(ValueError):
-        StabilityConstants(1.0, 1.5)
+def test_scenario_lipschitz_b():
     scn = sedimentation_scenario()
-    consts = scn.constants()
-    assert consts.C == pytest.approx(1.0)  # lip_r=1, lip(eta)=1, mass=1
+    assert scn.lipschitz_b() == pytest.approx(1.0)  # lip_r=1, lip(eta)=1, mass=1
+
+
+def test_record_needs_one_state_per_time():
+    rho = MeasureVector((dirac([0.0]),))
+    with pytest.raises(ValueError, match="one state per time"):
+        SolutionRecord([0.0, 1.0], [rho])
+    with pytest.raises(ValueError, match="one state per time"):
+        SolutionRecord([], [])
+
+
+@pytest.mark.parametrize("times", [[0.0, 0.5, 0.5], [0.0, 0.6, 0.3]])
+def test_solve_frozen_rejects_a_source_whose_times_do_not_increase(times):
+    scn = sedimentation_scenario(n=10)
+    source = SolutionRecord(times, [scn.initial] * len(times))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        solve_frozen(scn.model, scn.initial, source, 0.0, 0.3, 3)
+
+
+@pytest.mark.parametrize("t1", [0.0, -0.1])
+def test_picard_window_rejects_a_window_whose_times_do_not_increase(t1):
+    scn = sedimentation_scenario(n=10)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        picard_window(scn, 0.0, t1, scn.initial, steps=2)
 
 
 def test_window_length_examples():
@@ -160,7 +177,7 @@ def test_picard_window_matches_direct():
 def test_picard_contraction_ratio_bound():
     scn = sedimentation_scenario(n=40, horizon=0.3, dt=0.003,
                                  picard=PicardParams(tol=1e-10, max_iter=60))
-    c = scn.constants().C
+    c = scn.lipschitz_b()
     traj, dists = picard_window(scn, 0.0, 0.3, scn.initial)
     bound = c * 0.3 * math.exp(c * 0.3) + 0.05
     for a, b in zip(dists, dists[1:]):
@@ -185,10 +202,10 @@ def test_picard_distance_is_the_identity_coupling_and_exact_w1(name):
     t1 = steps * scn.step.dt
     _, dists = picard_window(scn, 0.0, t1, scn.initial, steps=steps)
     masses = scn.initial.masses()
-    frozen = ParticleTrajectory.frozen(0.0, t1, scn.initial)
+    frozen = SolutionRecord([0.0, t1], [scn.initial, scn.initial])
     first = solve_frozen(scn.model, scn.initial, frozen, 0.0, t1, steps, scn.step.courant)
-    second = solve_frozen(scn.model, scn.initial, first.trajectory(), 0.0, t1, steps, scn.step.courant)
-    for dist, rec, prev in ((dists[0], first, frozen), (dists[1], second, first.trajectory())):
+    second = solve_frozen(scn.model, scn.initial, first, 0.0, t1, steps, scn.step.courant)
+    for dist, rec, prev in ((dists[0], first, frozen), (dists[1], second, first)):
         targets = [prev.at(t) for t in rec.times[1:]]
         coupling = max(
             sum(

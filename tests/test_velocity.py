@@ -103,6 +103,14 @@ def test_lipschitz_bound_b_examples():
     assert lipschitz_bound_b(model3, 5.0) == pytest.approx(model3.lip_x)
 
 
+@pytest.mark.parametrize("lip_x", [-1.0, float("nan")])
+def test_lipschitz_bound_b_rejects_a_negative_or_nan_bound(lip_x):
+    field = VelocityField(1, 1, lambda t, xs, rs: xs, sup_bound=1.0, lip_x=lip_x, lip_r=0.0)
+    model = VelocityModel((field,), sedimentation_field(kernel_library("tent")).kernels)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        lipschitz_bound_b(model, 1.0)
+
+
 def test_effective_field_lipschitz_within_bound():
     k = kernel_library("tent", 1, scale=0.7, height=0.9)
     model = sedimentation_field(k)
