@@ -3,7 +3,6 @@ with an exact Wasserstein-1 toolkit and a bound-certification harness."""
 
 from ._accel import BACKEND
 from .flow import (
-    FlowState,
     NonFiniteStateError,
     SolutionRecord,
     StepControl,

@@ -81,10 +81,8 @@ def _check_reports(scenario: Scenario, record: SolutionRecord, cfg: dict, k_over
     if kind == "lemma-stability":
         sigma0 = perturbed_initial(scenario.initial, cfg["eps"], scenario.seed)
         return [check_lemma_stability(scenario.model, scenario.initial, sigma0, fingerprint=fp)]
-    ratio = flow_map_lipschitz_probe(  # flow-lipschitz
-        scenario.model, scenario.initial, scenario.horizon, scenario.step.dt,
-        seed=scenario.seed, courant=scenario.step.courant,
-    )
+    # flow-lipschitz: the flow of the field with the run's record as frozen source
+    ratio = flow_map_lipschitz_probe(scenario.model, record, seed=scenario.seed, courant=scenario.step.courant)
     bound = math.exp(scenario.lipschitz_b() * scenario.horizon)
     return [BoundReport.make("flow-map-lipschitz", ratio, bound, 1.0 + cfg["tolerance"], fp)]
 

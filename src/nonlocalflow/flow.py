@@ -2,7 +2,7 @@
 
 Particles move along dX/dt = V(t, X, (rho * eta)(X)).  In self-consistent
 mode the convolution source is the evolving stage ensemble itself (the
-coupled particle ODE system); in Picard mode it is a frozen record,
+coupled particle ODE system); in frozen mode it is a frozen record,
 interpolated linearly in time at the RK stage times.  Weights are never
 touched, so species masses are conserved bit-exactly.
 
@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import require_positive
-from .measures import MeasureVector
+from .measures import MeasureVector, ParticleMeasure
 from .velocity import VelocityModel, lipschitz_bound_b, velocity_batch
 
 
@@ -31,7 +31,7 @@ class StepControlError(ValueError):
 
 
 class NonFiniteStateError(ValueError):
-    """A step left a non-finite position, tracer or divergence integral."""
+    """A step left a non-finite position or divergence integral."""
 
 
 @dataclass(frozen=True)
@@ -49,19 +49,6 @@ class StepControl:
                 f"dt too large for Lipschitz constant: dt*{lipschitz} = "
                 f"{self.dt * lipschitz} > courant {self.courant}"
             )
-
-
-@dataclass(frozen=True)
-class FlowState:
-    """Ensemble state along the flow.
-
-    ``passive`` holds per-species tracer positions that are advected by the
-    species' field but carry no mass and do not act on the dynamics.
-    """
-
-    t: float
-    rho: MeasureVector
-    passive: tuple[np.ndarray, ...] | None = None
 
 
 @dataclass
@@ -122,30 +109,27 @@ def _stage_source(
 def rk4_step(
     model: VelocityModel,
     frozen_r: SolutionRecord | None,
-    state: FlowState,
+    rho: MeasureVector,
+    t: float,
     dt: float,
     courant: float = 0.1,
-) -> FlowState:
-    """Advance every particle of every species, and any passive tracers, by
-    one classical RK4 step.
+) -> MeasureVector:
+    """Advance every particle of every species by one classical RK4 step
+    from time ``t``.
 
     ``frozen_r is None`` selects self-consistent mode; otherwise the frozen
-    record supplies the convolution source at the stage times.
+    record supplies the convolution source at the stage times, and the step
+    check uses its mass, on which Lip(b_r) depends.
     """
-    StepControl(dt, courant).check(
-        lipschitz_bound_b(model, state.rho.total_measure())
-    )
-    t, template = state.t, state.rho
-    k = template.k
-    # every moving point set: each species, then each species' tracers
-    points = [*template.positions(), *(state.passive or ())]
-    owners = [*range(k), *range(len(points) - k)]
+    source_mass = (rho if frozen_r is None else frozen_r.states[0]).total_measure()
+    StepControl(dt, courant).check(lipschitz_bound_b(model, source_mass))
+    points = rho.positions()
 
     def stage(t_stage: float, pts: list[np.ndarray]) -> list[np.ndarray]:
-        source = _stage_source(frozen_r, template, pts[:k], t_stage)
+        source = _stage_source(frozen_r, rho, pts, t_stage)
         return [
             velocity_batch(model, source, i, t_stage, p) if p.size else p
-            for i, p in zip(owners, pts)
+            for i, p in enumerate(pts)
         ]
 
     def shifted(vels: list[np.ndarray], factor: float) -> list[np.ndarray]:
@@ -156,12 +140,10 @@ def rk4_step(
     k3 = stage(t + 0.5 * dt, shifted(k2, 0.5 * dt))
     k4 = stage(t + dt, shifted(k3, dt))
     sixth = dt / 6.0
-    moved = [
+    return rho.with_positions([
         p + sixth * (a + 2.0 * b + 2.0 * c + d)
         for p, a, b, c, d in zip(points, k1, k2, k3, k4)
-    ]
-    passive = None if state.passive is None else tuple(moved[k:])
-    return FlowState(t + dt, template.with_positions(moved[:k]), passive)
+    ])
 
 
 def divergence_at(
@@ -195,37 +177,37 @@ def divergence_at(
 
 
 def _non_finite(j: int, t: float) -> NonFiniteStateError:
-    return NonFiniteStateError(f"non-finite state after step index {j} (t = {t!r})")
+    return NonFiniteStateError(f"non-finite state after step index {j} (t = {float(t)!r})")
 
 
 def transported_densities(
     model: VelocityModel,
     frozen_r: SolutionRecord | None,
-    flow: Sequence[FlowState],
+    record: SolutionRecord,
     dt: float,
     density_values: Sequence[np.ndarray],
     h_fd: float,
 ) -> list[tuple[np.ndarray, ...]]:
-    """rho_0 * exp(-integral of div V) along the characteristics of ``flow``.
+    """rho_0 * exp(-integral of div V) along the characteristics of ``record``.
 
-    ``flow`` holds the states of one :func:`integrate` call, ``dt`` apart;
-    ``density_values`` gives rho_0 at each particle of ``flow[0]``.  Each
-    step's integral uses the midpoint rule: div V at ``state.t + dt/2`` (the
-    accumulated stage clock) with positions averaged between the step's two
-    states.  Returns one tuple of per-species densities per state.  Raises
+    ``record`` holds the states of one solve, ``dt`` apart;
+    ``density_values`` gives rho_0 at each particle of its first state.
+    Each step's integral uses the midpoint rule: div V at the record's time
+    plus dt/2 with positions averaged between the step's two states.
+    Returns one tuple of per-species densities per state.  Raises
     :class:`NonFiniteStateError` naming the first step whose integral is not
     finite.
     """
     initial = [np.asarray(v, dtype=np.float64) for v in density_values]
-    acc = [np.zeros(len(m)) for m in flow[0].rho.species]
+    acc = [np.zeros(len(m)) for m in record.states[0].species]
     densities = [tuple(d0 * np.exp(-a) for d0, a in zip(initial, acc))]
-    for j, (state, nxt) in enumerate(zip(flow, flow[1:])):
-        tm = state.t + 0.5 * dt
-        mid = [0.5 * (a + b) for a, b in zip(state.rho.positions(), nxt.rho.positions())]
-        source = _stage_source(frozen_r, state.rho, mid, tm)
+    for j, (state, nxt) in enumerate(zip(record.states, record.states[1:])):
+        tm = record.times[j] + 0.5 * dt
+        mid = [0.5 * (a + b) for a, b in zip(state.positions(), nxt.positions())]
+        source = _stage_source(frozen_r, state, mid, tm)
         acc = [a + dt * divergence_at(model, source, i, tm, mid[i], h_fd) for i, a in enumerate(acc)]
         if not all(np.isfinite(a).all() for a in acc):
-            raise _non_finite(j, flow[0].t + dt * (j + 1))
+            raise _non_finite(j, record.times[j + 1])
         densities.append(tuple(d0 * np.exp(-a) for d0, a in zip(initial, acc)))
     return densities
 
@@ -240,37 +222,34 @@ def _uniform_steps(t0: float, t1: float, dt: float) -> tuple[int, float]:
 def integrate(
     model: VelocityModel,
     frozen_r: SolutionRecord | None,
-    state: FlowState,
+    initial: MeasureVector,
+    t0: float,
     t1: float,
     steps: int,
     courant: float = 0.1,
-) -> tuple[np.ndarray, list[FlowState]]:
-    """The RK4 loop: ``steps`` uniform steps from ``state.t`` to ``t1``.
+) -> SolutionRecord:
+    """The RK4 loop: ``steps`` uniform steps from ``initial`` at ``t0`` to ``t1``.
 
-    Returns the snapshot times ``t0 + dt*(j+1)`` (prefixed by ``t0``) and
-    the state after each step (prefixed by ``state``).  The stage clock of
-    each step is the accumulated ``state.t``, not the snapshot time.  Raises
+    Returns the record of the snapshot times ``t0 + dt*j`` and the state at
+    each; step j starts at its record time.  Raises
     :class:`NonFiniteStateError` naming the step and its time when a step
-    leaves a non-finite position or tracer.
+    leaves a non-finite position.
     """
-    t0 = state.t
     dt = (t1 - t0) / steps
     times = [t0]
-    states = [state]
+    states = [initial]
     for j in range(steps):
-        state = rk4_step(model, frozen_r, state, dt, courant)
+        rho = rk4_step(model, frozen_r, states[-1], times[-1], dt, courant)
         times.append(t0 + dt * (j + 1))
-        if not all(np.isfinite(a).all() for a in (*state.rho.positions(), *(state.passive or ()))):
+        if not all(np.isfinite(p).all() for p in rho.positions()):
             raise _non_finite(j, times[-1])
-        states.append(state)
-    return np.asarray(times), states
+        states.append(rho)
+    return SolutionRecord(times, states)
 
 
 def flow_map_lipschitz_probe(
     model: VelocityModel,
-    initial: MeasureVector,
-    horizon: float,
-    dt: float,
+    record: SolutionRecord,
     species: int = 0,
     pairs: int = 64,
     separation: float = 1e-3,
@@ -279,26 +258,28 @@ def flow_map_lipschitz_probe(
 ) -> float:
     """Max over probe pairs of |X_T(x) - X_T(y)| / |x - y|.
 
-    Probes are passive tracers advected by the species' field; they carry no
-    mass and do not influence the dynamics.  The ratio must stay below
+    X is the flow of the species' field with ``record`` as frozen source,
+    on the record's own step grid: the probe points form that species of a
+    measure whose other species are empty.  The ratio must stay below
     exp(Lip(b) * T) up to integration error.
     """
     rng = np.random.default_rng(seed)
-    pos = initial.species[species].positions
-    lo = pos.min(axis=0) if len(pos) else np.zeros(initial.dim)
-    hi = pos.max(axis=0) if len(pos) else np.zeros(initial.dim)
-    base = rng.uniform(lo - 0.5, hi + 0.5, size=(pairs, initial.dim))
-    offsets = rng.normal(size=(pairs, initial.dim))
+    start = record.states[0]
+    pos = start.species[species].positions
+    lo = pos.min(axis=0) if len(pos) else np.zeros(start.dim)
+    hi = pos.max(axis=0) if len(pos) else np.zeros(start.dim)
+    base = rng.uniform(lo - 0.5, hi + 0.5, size=(pairs, start.dim))
+    offsets = rng.normal(size=(pairs, start.dim))
     offsets *= separation / np.linalg.norm(offsets, axis=1, keepdims=True)
     probes_a = base
     probes_b = base + offsets
     gap0 = np.linalg.norm(probes_a - probes_b, axis=1)
 
-    steps, _ = _uniform_steps(0.0, horizon, dt)
-    passive = [np.zeros((0, initial.dim)) for _ in range(initial.k)]
-    passive[species] = np.vstack([probes_a, probes_b])
-    start = FlowState(0.0, initial, passive=tuple(passive))
-    _, states = integrate(model, None, start, horizon, steps, courant)
-    moved = states[-1].passive[species]
+    probes = [ParticleMeasure(start.dim, np.zeros((0, start.dim)), np.zeros(0))] * start.k
+    probes[species] = ParticleMeasure(start.dim, np.vstack([probes_a, probes_b]), np.ones(2 * pairs))
+    times = record.times
+    moved = integrate(
+        model, record, MeasureVector(tuple(probes)), times[0], times[-1], times.size - 1, courant
+    ).final().species[species].positions
     gap_t = np.linalg.norm(moved[:pairs] - moved[pairs:], axis=1)
     return float(np.max(gap_t / gap0))

@@ -52,11 +52,11 @@ def check_lemma_stability(
     r: MeasureVector,
     s: MeasureVector,
     samples: int = 400,
-    times: Sequence[float] = (0.0,),
     seed: int = 0,
     fingerprint: dict | None = None,
 ) -> BoundReport:
-    """Velocity gap under a change of convolution source vs Lip_r * Lip(eta) * W1.
+    """Velocity gap under a change of convolution source vs Lip_r * Lip(eta) * W1,
+    sampled at t = 0.
 
     The bound is exact, so slack is 1.0; sampling can only under-estimate
     the left-hand side.
@@ -64,11 +64,10 @@ def check_lemma_stability(
     lo, hi = _ensemble_box([r, s], inflate=1.0)
     xs = sample_box(lo, hi, samples, seed)
     lhs = 0.0
-    for t in times:
-        for i in range(model.k):
-            vr = velocity_batch(model, r, i, t, xs)
-            vs = velocity_batch(model, s, i, t, xs)
-            lhs = max(lhs, float(np.linalg.norm(vr - vs, axis=1).max()))
+    for i in range(model.k):
+        vr = velocity_batch(model, r, i, 0.0, xs)
+        vs = velocity_batch(model, s, i, 0.0, xs)
+        lhs = max(lhs, float(np.linalg.norm(vr - vs, axis=1).max()))
     rhs = model.lip_r * model.kernels.lip_x * w1_vector(r, s)
     fp = {"samples": samples, "seed": seed, **(fingerprint or {})}
     return BoundReport.make("lemma-velocity-stability", lhs, rhs, 1.0, fp)
@@ -83,10 +82,6 @@ def perturbed_initial(
         p + rng.normal(scale=eps, size=p.shape) for p in rho.positions()
     ]
     return rho.with_positions(moved)
-
-
-def _untracked(scenario: Scenario, initial: MeasureVector) -> Scenario:
-    return replace(scenario, initial=initial, track_density=False, initial_densities=None)
 
 
 def check_stability_initial(
@@ -109,7 +104,7 @@ def check_stability_initial(
         K = 2.0 * lipschitz_bound_b(scenario.model, rho0.total_measure())
     # d0 first: a pair above the pair cap fails before anything is solved
     d0 = w1_vector(rho0, sigma0)
-    rec_b = solve_direct(_untracked(scenario, sigma0))
+    rec_b = solve_direct(replace(scenario, initial=sigma0, initial_densities=None))
     fp = {**scenario.fingerprint(), **(fingerprint or {})}
     dists = w1_series(zip(base.states[1:], rec_b.states[1:]))
     if d0 == 0.0:
@@ -132,8 +127,8 @@ def _sup_velocity_gap(
     r_radius: float,
     samples: int,
     seed: int,
-    times: Sequence[float],
 ) -> float:
+    """sup over sampled (x, r) at t = 0 of |V(0, x, r) - U(0, x, r)|."""
     xs = sample_box(lo, hi, samples, seed)
     rs = _l1_ball_samples(a.k, r_radius, samples, seed + 7)
     # fields of single-particle species also range over the Dirac positions
@@ -141,12 +136,11 @@ def _sup_velocity_gap(
         (sample_box(lo, hi, len(a.dirac_species), seed + 21 + j),) for j in range(_DIRAC_BLOCKS)
     ]
     worst = 0.0
-    for t in times:
-        for fa, fb in zip(a.fields, b.fields):
-            for extra in dirac_args if fa.needs_dirac_positions else [()]:
-                va = fa.evaluate(t, xs, rs, *extra)
-                vb = fb.evaluate(t, xs, rs, *extra)
-                worst = max(worst, float(np.linalg.norm(va - vb, axis=1).max()))
+    for fa, fb in zip(a.fields, b.fields):
+        for extra in dirac_args if fa.needs_dirac_positions else [()]:
+            va = fa.evaluate(0.0, xs, rs, *extra)
+            vb = fb.evaluate(0.0, xs, rs, *extra)
+            worst = max(worst, float(np.linalg.norm(va - vb, axis=1).max()))
     return worst
 
 
@@ -157,19 +151,18 @@ def _sup_kernel_gap(
     hi: np.ndarray,
     samples: int,
     seed: int,
-    times: Sequence[float],
 ) -> float:
+    """sup over sampled x at t = 0 of |eta(0, x) - nu(0, x)|, entry by entry."""
     span = hi - lo
     radius = 0.5 * float(np.linalg.norm(span))
     xs = sample_box(-radius * np.ones(a.dim), radius * np.ones(a.dim), samples, seed)
     xs = np.vstack([xs, np.zeros((1, a.dim))])
     worst = 0.0
-    for t in times:
-        for i in range(a.k):
-            for j in range(a.k):
-                va = a.kernels.entries[i][j].evaluate(t, xs)
-                vb = b.kernels.entries[i][j].evaluate(t, xs)
-                worst = max(worst, float(np.abs(va - vb).max()))
+    for i in range(a.k):
+        for j in range(a.k):
+            va = a.kernels.entries[i][j].evaluate(0.0, xs)
+            vb = b.kernels.entries[i][j].evaluate(0.0, xs)
+            worst = max(worst, float(np.abs(va - vb).max()))
     return worst
 
 
@@ -206,8 +199,8 @@ def check_stability_general(
     sup_rs = float(w1_series((source_a.at(t), source_b.at(t)) for t in rec_a.times).max())
     lo, hi = _ensemble_box([rho0, sigma0], inflate=model_a.sup_bound * horizon + 1.0)
     r_radius = mass * max(model_a.kernels.sup_bound, model_b.kernels.sup_bound)
-    gap_v = _sup_velocity_gap(model_a, model_b, lo, hi, r_radius, samples, seed, (0.0,))
-    gap_k = _sup_kernel_gap(model_a, model_b, lo, hi, samples, seed + 3, (0.0,))
+    gap_v = _sup_velocity_gap(model_a, model_b, lo, hi, r_radius, samples, seed)
+    gap_k = _sup_kernel_gap(model_a, model_b, lo, hi, samples, seed + 3)
     d0 = w1_vector(rho0, sigma0)
     worst = 0.0
     lhs = w1_series(zip(rec_a.states[1:], rec_b.states[1:]))
@@ -237,7 +230,7 @@ def check_linfty_growth(
 ) -> BoundReport:
     """Transported density max vs sup-norm growth exp(C t), read from the
     densities of ``record``, a tracked solve of ``scenario`` in either mode."""
-    if not scenario.track_density:
+    if scenario.initial_densities is None:
         raise ValueError("scenario must track densities")
     c = scenario.lipschitz_b()
     sup0 = max(
@@ -269,7 +262,7 @@ def stability_battery(
     concurrently, one worker per core.
     """
     if base is None:
-        base = solve_direct(_untracked(scenario, scenario.initial))
+        base = solve_direct(replace(scenario, initial_densities=None))
     extra = {} if K is None else {"k_override": K}
 
     def one(seed: int) -> BoundReport:

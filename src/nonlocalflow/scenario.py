@@ -409,12 +409,11 @@ def scenario_from_config(raw: dict, audit: bool = True) -> Scenario:
     built = [_build_species(sp, i) for i, sp in enumerate(cfg["species"])]
     initial = MeasureVector(tuple(mu for mu, _ in built))
     model = _build_model(cfg["model"], list(initial.species))
-    track = cfg["density_tracking"]
     scenario = Scenario(
         name=cfg["name"], model=model, initial=initial, horizon=cfg["horizon"],
-        step=StepControl(cfg["dt"], cfg["courant"]), mode=cfg["mode"], track_density=track,
+        step=StepControl(cfg["dt"], cfg["courant"]), mode=cfg["mode"],
         picard=PicardParams(**cfg["picard"]), h_fd=cfg["h_fd"], seed=cfg["seed"], config=cfg,
-        initial_densities=tuple(dens for _, dens in built) if track else None,
+        initial_densities=tuple(dens for _, dens in built) if cfg["density_tracking"] else None,
     )
     if audit:
         radius = cfg.get("audit_radius")

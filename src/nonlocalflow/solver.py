@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .flow import (
-    FlowState,
     NonFiniteStateError,
     SolutionRecord,
     StepControl,
@@ -53,8 +52,8 @@ class Scenario:
     horizon: float
     step: StepControl
     mode: str = "direct"
-    track_density: bool = False
     picard: PicardParams = field(default_factory=PicardParams)
+    # rho_0 per species; densities are tracked exactly when these are given
     initial_densities: tuple[GridDensity | None, ...] | None = None
     h_fd: float = 1e-4
     seed: int = 0
@@ -66,8 +65,6 @@ class Scenario:
         require_positive("h_fd", self.h_fd)
         if self.mode not in ("direct", "picard"):
             raise ValueError("mode must be 'direct' or 'picard'")
-        if self.track_density and self.initial_densities is None:
-            raise ValueError("density tracking needs per-species initial densities")
 
     def fingerprint(self) -> dict:
         """What a report or an error names to replay this scenario."""
@@ -79,7 +76,7 @@ class Scenario:
         return lipschitz_bound_b(self.model, self.initial.total_measure())
 
     def density_values(self) -> list[np.ndarray] | None:
-        if not self.track_density:
+        if self.initial_densities is None:
             return None
         vals = []
         for mu, dens in zip(self.initial.species, self.initial_densities):
@@ -129,40 +126,40 @@ def solve_frozen(
     """
     if frozen_r is not None and (np.diff(frozen_r.times) <= 0).any():
         raise ValueError("times must be strictly increasing")
-    times, flow = integrate(model, frozen_r, FlowState(t0, initial), t1, steps, courant)
-    densities = None
+    record = integrate(model, frozen_r, initial, t0, t1, steps, courant)
+    record.diagnostics["mode"] = "direct" if frozen_r is None else "frozen"
     if density_values is not None:
         dt = (t1 - t0) / steps
-        densities = transported_densities(model, frozen_r, flow, dt, density_values, h_fd)
-    mode = "direct" if frozen_r is None else "frozen"
-    return SolutionRecord(times, [s.rho for s in flow], densities, {"mode": mode})
+        record.densities = transported_densities(model, frozen_r, record, dt, density_values, h_fd)
+    return record
 
 
 def window_length(scenario: Scenario) -> float:
     """Largest window with C * T * exp(C * T) <= sigma, capped by the horizon.
 
-    Found by bisection to 1e-12; the full horizon is covered by chaining
-    such windows.
+    The horizon itself when it qualifies (tested on C * T first, so exp
+    cannot overflow); otherwise the root lies below sigma / C, because
+    exp(C * T) >= 1, and is found by bisection to 1e-12.  The full horizon is
+    covered by chaining such windows.
     """
     c = scenario.lipschitz_b()
-    if c == 0.0:
-        return scenario.horizon
     sigma = scenario.picard.sigma
 
     def f(tw: float) -> float:
         return c * tw * math.exp(c * tw) - sigma
 
-    hi = 1.0
-    while f(hi) < 0:
-        hi *= 2.0
-    lo = 0.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
+    if c * scenario.horizon <= sigma and f(scenario.horizon) <= 0:
+        return scenario.horizon
+    lo, hi = 0.0, sigma / c
+    mid = 0.5 * hi
+    # a bracket of adjacent floats wider than 1e-12 stops too: mid is an end
+    while hi - lo > 1e-12 and lo < mid < hi:
         if f(mid) <= 0:
             lo = mid
         else:
             hi = mid
-    return min(0.5 * (lo + hi), scenario.horizon)
+        mid = 0.5 * (lo + hi)
+    return min(mid, scenario.horizon)
 
 
 def picard_window(
@@ -242,10 +239,9 @@ def solve_picard(scenario: Scenario) -> SolutionRecord:
             "picard_distances": per_window_distances,
         },
     )
-    if scenario.track_density:
-        flow = [FlowState(float(t), s) for t, s in zip(record.times, states_all)]
+    if scenario.initial_densities is not None:
         record.densities = transported_densities(
-            scenario.model, record, flow, dtu, scenario.density_values(), scenario.h_fd
+            scenario.model, record, record, dtu, scenario.density_values(), scenario.h_fd
         )
     return record
 

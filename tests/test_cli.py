@@ -191,6 +191,27 @@ def test_audit_rejects_nan_kernel_scale(tmp_path, capsys):
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
+def test_tiny_kernel_passes_audit_and_run(tmp_path):
+    # kernel height 1e-13 puts every r sample within 1e-12 of every other:
+    # the Lip_r check has no separated pair and is skipped, not crashed on
+    raw = load_raw("sedimentation-1d")
+    raw["model"]["kernel"]["height"] = 1e-13
+    path = tmp_path / "tiny-kernel.json"
+    path.write_text(json.dumps(raw))
+    assert main(["audit", str(path)]) == 0
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_picard_run_with_a_subnormal_rate_finishes(tmp_path):
+    # C = 1e-320: one window covers the horizon instead of a bisection on
+    # an infinite bracket
+    raw = load_raw("linear-local-compressive-1d")
+    raw["model"]["alpha"] = -1e-320
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--mode", "picard", "--out", str(tmp_path / "out")]) == 0
+
+
 NAN = float("nan")
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from nonlocalflow import (
-    FlowState,
     GridDensity,
     MeasureVector,
     NonFiniteStateError,
@@ -26,8 +25,9 @@ from nonlocalflow import (
     w1_1d,
 )
 from nonlocalflow import flow
-from nonlocalflow.solver import Scenario
-from nonlocalflow.scenario import _cosine_bump_1d
+from nonlocalflow.flow import integrate
+from nonlocalflow.solver import Scenario, solve_frozen, solve_picard
+from nonlocalflow.scenario import _cosine_bump_1d, load_scenario
 from dataclasses import replace
 
 
@@ -39,19 +39,17 @@ def unit_bump(n=12):
 
 def test_zero_field_step_is_identity():
     model = constant_drift_field([0.0])
-    state = FlowState(0.0, MeasureVector((dirac([0.7]),)))
-    nxt = rk4_step(model, None, state, 0.05)
-    assert np.array_equal(nxt.rho.species[0].positions, state.rho.species[0].positions)
-    assert nxt.t == pytest.approx(0.05)
+    rho = MeasureVector((dirac([0.7]),))
+    nxt = rk4_step(model, None, rho, 0.0, 0.05)
+    assert np.array_equal(nxt.species[0].positions, rho.species[0].positions)
 
 
 def test_constant_field_exact_shift():
     model = constant_drift_field([0.3, -0.1])
     mu = ParticleMeasure(2, np.array([[0.0, 0.0], [1.0, 2.0]]), np.array([1.0, 1.0]))
-    state = FlowState(0.0, MeasureVector((mu,)))
-    nxt = rk4_step(model, None, state, 0.2)
+    nxt = rk4_step(model, None, MeasureVector((mu,)), 0.0, 0.2)
     assert np.allclose(
-        nxt.rho.species[0].positions, mu.positions + 0.2 * np.array([0.3, -0.1]),
+        nxt.species[0].positions, mu.positions + 0.2 * np.array([0.3, -0.1]),
         atol=1e-15,
     )
 
@@ -59,11 +57,10 @@ def test_constant_field_exact_shift():
 def test_linear_field_one_step_matches_taylor_degree_4():
     alpha, dt, x0 = 0.7, 0.1, 1.3
     model = linear_local_field(alpha, 5.0, 1)
-    state = FlowState(0.0, MeasureVector((dirac([x0]),)))
-    nxt = rk4_step(model, None, state, dt)
+    nxt = rk4_step(model, None, MeasureVector((dirac([x0]),)), 0.0, dt)
     a = alpha * dt
     taylor = x0 * (1 + a + a**2 / 2 + a**3 / 6 + a**4 / 24)
-    assert nxt.rho.species[0].positions[0, 0] == pytest.approx(taylor, abs=1e-15)
+    assert nxt.species[0].positions[0, 0] == pytest.approx(taylor, abs=1e-15)
     # degree-4 truncation of the exponential: error O(dt^5)
     assert abs(taylor - x0 * np.exp(a)) < (abs(alpha) * dt) ** 5
 
@@ -86,29 +83,26 @@ def test_rk4_self_convergence_order():
 
 def test_step_control_violation():
     model = linear_local_field(-4.0, 2.0, 1)  # C = 4
-    state = FlowState(0.0, MeasureVector((dirac([0.5]),)))
     with pytest.raises(StepControlError, match="dt too large"):
-        rk4_step(model, None, state, 0.1)  # 0.4 > courant 0.1
+        rk4_step(model, None, MeasureVector((dirac([0.5]),)), 0.0, 0.1)  # 0.4 > courant 0.1
 
 
 def test_mass_conserved_bit_exactly_along_flow():
     k = kernel_library("tent")
     model = sedimentation_field(k)
     mu, _ = unit_bump(20)
-    state = FlowState(0.0, MeasureVector((mu,)))
-    m0 = float(np.sum(state.rho.species[0].weights))
-    for _ in range(50):
-        state = rk4_step(model, None, state, 0.01)
-    assert float(np.sum(state.rho.species[0].weights)) == m0
-    assert state.rho.species[0].weights is mu.weights
+    rho = MeasureVector((mu,))
+    m0 = float(np.sum(rho.species[0].weights))
+    for j in range(50):
+        rho = rk4_step(model, None, rho, 0.01 * j, 0.01)
+    assert float(np.sum(rho.species[0].weights)) == m0
+    assert rho.species[0].weights is mu.weights
 
 
 def _transported(model, mu, dens, dt, steps, h_fd=1e-4):
     """Initial and final transported density of ``steps`` RK4 steps from ``mu``."""
-    states = [FlowState(0.0, MeasureVector((mu,)))]
-    for _ in range(steps):
-        states.append(rk4_step(model, None, states[-1], dt))
-    densities = transported_densities(model, None, states, dt, (dens.value_at(mu.positions),), h_fd)
+    record = integrate(model, None, MeasureVector((mu,)), 0.0, dt * steps, steps)
+    densities = transported_densities(model, None, record, dt, (dens.value_at(mu.positions),), h_fd)
     return densities[0][0], densities[-1][0]
 
 
@@ -157,24 +151,30 @@ def test_non_finite_divergence_stops_a_tracked_solve(monkeypatch):
     mu, dens = unit_bump()
     scn = Scenario(
         "nan-div", constant_drift_field([0.3]), MeasureVector((mu,)), horizon=0.5,
-        step=StepControl(0.05), track_density=True, initial_densities=(dens,),
+        step=StepControl(0.05), initial_densities=(dens,),
     )
-    assert solve_direct(replace(scn, track_density=False, initial_densities=None)).times[-1] == 0.5
+    assert solve_direct(replace(scn, initial_densities=None)).times[-1] == 0.5
     with pytest.raises(NonFiniteStateError, match=r"non-finite state after step index 2 \(t = 0\.15"):
         solve_direct(scn)
+
+
+def _probe(model, init, horizon, dt):
+    """The probe ratio on the record of a direct solve of ``init``."""
+    scn = Scenario("probe", model, init, horizon=horizon, step=StepControl(dt))
+    return flow_map_lipschitz_probe(model, solve_direct(scn))
 
 
 def test_lipschitz_probe_zero_field():
     model = constant_drift_field([0.0])
     init = MeasureVector((dirac([0.0]),))
-    ratio = flow_map_lipschitz_probe(model, init, horizon=1.0, dt=0.1)
+    ratio = _probe(model, init, horizon=1.0, dt=0.1)
     assert ratio == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lipschitz_probe_contracting_field():
     model = linear_local_field(-1.0, 5.0, 1)
     init = MeasureVector((dirac([0.5]),))
-    ratio = flow_map_lipschitz_probe(model, init, horizon=1.0, dt=0.01)
+    ratio = _probe(model, init, horizon=1.0, dt=0.01)
     assert ratio == pytest.approx(np.exp(-1.0), rel=1e-6)
     assert ratio <= 1.0
 
@@ -187,7 +187,7 @@ def test_lipschitz_probe_uses_the_solver_step_grid():
     # 2.2e-13; an 8-step grid misses by 6.8e-11
     model = linear_local_field(-1.0, 5.0, 1)
     init = MeasureVector((dirac([0.5]),))
-    ratio = flow_map_lipschitz_probe(model, init, horizon=0.14, dt=0.02)
+    ratio = _probe(model, init, horizon=0.14, dt=0.02)
     z = -0.02
     amplification = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
     assert abs(ratio - amplification**7) <= 1e-12
@@ -199,7 +199,7 @@ def test_lipschitz_probe_within_gronwall_bound():
     mu, _ = unit_bump(15)
     init = MeasureVector((mu,))
     horizon = 0.4
-    ratio = flow_map_lipschitz_probe(model, init, horizon, dt=0.005)
+    ratio = _probe(model, init, horizon, dt=0.005)
     bound = np.exp(lipschitz_bound_b(model, init.total_measure()) * horizon)
     assert ratio <= bound * 1.01
 
@@ -241,3 +241,60 @@ def test_solve_stops_at_the_first_non_finite_step():
     scn = Scenario("nan", model, MeasureVector((dirac([0.0]),)), horizon=0.5, step=StepControl(0.05))
     with pytest.raises(ValueError, match=r"non-finite state after step index 2 \(t = 0\.15"):
         solve_direct(scn)
+
+
+def _clocked_drift():
+    """A constant drift whose field records every time it is called at."""
+    calls = []
+
+    def drift(t, xs, rs):
+        calls.append(t)
+        return np.full_like(xs, 0.3)
+
+    base = constant_drift_field([0.3])
+    return VelocityModel((replace(base.fields[0], evaluate=drift),), base.kernels), calls
+
+
+def test_step_j_starts_at_the_record_time():
+    # ten steps of 0.1: an accumulated clock reaches 0.7999999999999999 where
+    # the record holds 0.1 * 8 = 0.8; each step evaluates four stages
+    model, calls = _clocked_drift()
+    init = MeasureVector((dirac([0.0]),))
+    direct = solve_direct(Scenario("clock", model, init, horizon=1.0, step=StepControl(0.1)))
+    assert calls[::4] == list(direct.times[:-1])
+    calls.clear()
+    frozen = solve_frozen(model, init, direct, 0.3, 1.0, 7)
+    assert calls[::4] == list(frozen.times[:-1])
+    assert frozen.times[0] == 0.3 and frozen.times[-1] == 1.0
+
+
+def test_frozen_step_check_uses_the_source_mass():
+    # sedimentation with a tent kernel: C = Lip(eta) * mass, and dt = 0.1
+    # allows C <= 1 at courant 0.1
+    model = sedimentation_field(kernel_library("tent", 1, scale=1.0, height=1.0))
+    light = MeasureVector((dirac([0.0], weight=1.0),))
+    heavy = MeasureVector((dirac([0.2], weight=10.0),))
+    light_source = SolutionRecord([0.0, 1.0], [light, light])
+    heavy_source = SolutionRecord([0.0, 1.0], [heavy, heavy])
+    moved = rk4_step(model, light_source, heavy, 0.0, 0.1)
+    assert np.isfinite(moved.species[0].positions).all()
+    with pytest.raises(StepControlError, match="dt too large"):
+        rk4_step(model, heavy_source, light, 0.0, 0.1)
+
+
+def test_sedimentation_probe_rides_the_run_record_in_both_modes():
+    # the probe of a self-consistent re-solve read 1.2523751235051772; the
+    # frozen flow along either record differs from it at O(dt^2) only
+    scn = load_scenario("sedimentation-1d")
+    for record in (solve_direct(scn), solve_picard(scn)):
+        ratio = flow_map_lipschitz_probe(scn.model, record, seed=scn.seed, courant=scn.step.courant)
+        assert ratio == pytest.approx(1.2523751235051772, rel=1e-7)
+
+
+def test_probe_runs_on_a_dirac_species():
+    scn = load_scenario("predator-prey-1d")
+    record = solve_direct(scn)
+    bound = np.exp(scn.lipschitz_b() * scn.horizon)
+    for species in (0, 1):
+        ratio = flow_map_lipschitz_probe(scn.model, record, species=species, courant=scn.step.courant)
+        assert np.isfinite(ratio) and 0.0 < ratio <= bound * 1.01

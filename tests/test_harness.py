@@ -39,7 +39,6 @@ def bump_scenario(n=30, horizon=0.3, dt=0.005, mass=1.0, track=False):
         MeasureVector((mu,)),
         horizon=horizon,
         step=StepControl(dt),
-        track_density=track,
         initial_densities=(dens,) if track else None,
     )
 
@@ -122,8 +121,8 @@ def count_solves(monkeypatch) -> list:
 
 def two_solve_ratio(scn, sigma0, K):
     # the initial-data ratio from two independent solves of rho_0 and sigma_0
-    rec_a = solve_direct(replace(scn, track_density=False, initial_densities=None))
-    rec_b = solve_direct(replace(scn, initial=sigma0, track_density=False, initial_densities=None))
+    rec_a = solve_direct(replace(scn, initial_densities=None))
+    rec_b = solve_direct(replace(scn, initial=sigma0, initial_densities=None))
     d0 = w1_vector(scn.initial, sigma0)
     dists = w1_series(zip(rec_a.states[1:], rec_b.states[1:]))
     return float((dists / (np.exp(K * rec_a.times[1:]) * d0)).max())
@@ -258,7 +257,6 @@ def test_linfty_compressive_saturates():
         MeasureVector((mu,)),
         horizon=1.0,
         step=StepControl(0.01),
-        track_density=True,
         initial_densities=(dens,),
     )
     rep = check_linfty_growth(scn, solve_direct(scn))

@@ -149,6 +149,22 @@ def test_window_length_examples():
     assert window_length(c4) < 0.5 * window_length(c2)  # doubling C more than halves
 
 
+def test_window_length_of_a_subnormal_rate_is_the_horizon():
+    scn = replace(sedimentation_scenario(), model=linear_local_field(-1e-320, 4.0, 1))
+    assert window_length(scn) == scn.horizon
+
+
+@pytest.mark.parametrize("c", [2.0, 1e-5])
+def test_window_length_on_a_long_horizon_matches_the_root(c):
+    # exp(C * horizon) overflows; the horizon test on C * T comes first.  At
+    # C = 1e-5 the root is near 35173, where adjacent floats are 7.3e-12
+    # apart, so the bisection cannot close to 1e-12 and stops on adjacency
+    scn = replace(sedimentation_scenario(), model=linear_local_field(-c, 4.0, 1), horizon=1e6,
+                  step=StepControl(0.01))
+    oracle = brentq(lambda t: c * t * math.exp(c * t) - 0.5, 0.0, 0.5 / c, xtol=1e-13)
+    assert window_length(scn) == pytest.approx(oracle, abs=1e-9)
+
+
 def test_picard_zero_velocity_single_iteration():
     model = constant_drift_field([0.0])
     mu, _ = bump_particles(8)
