@@ -83,9 +83,8 @@ from .wasserstein import (
     TransportPlan,
     UnequalMassError,
     coupling_cost,
-    default_dual_family,
+    kantorovich_potential,
     w1_1d,
-    w1_dual_lower_bound,
     w1_exact,
     w1_series,
     w1_vector,

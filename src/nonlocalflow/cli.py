@@ -102,7 +102,15 @@ def run_checks(scenario: Scenario, record: SolutionRecord, checks: list[dict], k
 
 def run(config: RunConfig) -> int:
     """Execute one scenario end to end; exit 0 iff all requested checks pass."""
-    scenario = scenario_from_config(load_config(config.scenario, config.overrides))
+    cfg = load_config(config.scenario, config.overrides)
+    if "densities" in config.emit and not cfg["density_tracking"]:
+        raise ScenarioParseError("density_tracking: --emit densities needs density_tracking true")
+    stability = any(check["type"] == "stability-initial" for check in cfg["checks"])
+    if "k_override" in config.overrides and not (stability and "reports" in config.emit):
+        raise ScenarioParseError(
+            "--k-override: acts only on a stability-initial check with --emit reports"
+        )
+    scenario = scenario_from_config(cfg)
     record = solve(scenario)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -134,10 +142,10 @@ def _read_measure_csv(path: str) -> ParticleMeasure:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         cols = [c.strip() for c in next(reader, [])]
-        if "weight" not in cols:
+        dims = [i for i, c in enumerate(cols) if c.startswith("x_")]
+        if "weight" not in cols or not dims:
             raise ScenarioParseError(f"{path}, line 1: need columns x_1..x_d,weight")
         wi = cols.index("weight")
-        dims = [i for i, c in enumerate(cols) if c.startswith("x_")]
         pos = []
         w = []
         for row in reader:
@@ -149,6 +157,8 @@ def _read_measure_csv(path: str) -> ParticleMeasure:
                 w.append(float(row[wi]))
             except ValueError as exc:
                 raise ScenarioParseError(f"{where}: {exc}") from None
+            if not (np.isfinite(pos[-1]).all() and math.isfinite(w[-1]) and w[-1] > 0):
+                raise ScenarioParseError(f"{where}: positions must be finite and the weight finite and positive")
     return ParticleMeasure(len(dims), np.asarray(pos), np.asarray(w))
 
 
@@ -203,6 +213,10 @@ def main(argv=None) -> int:
         try:
             mu = _read_measure_csv(args.measure_a)
             nu = _read_measure_csv(args.measure_b)
+            if mu.dim != nu.dim:
+                raise ScenarioParseError(
+                    f"{args.measure_a}, line 1: dimension {mu.dim} differs from dimension {nu.dim} of {args.measure_b}"
+                )
             value = w1_1d(mu, nu) if mu.dim == 1 else w1_exact(mu, nu)[0]
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)

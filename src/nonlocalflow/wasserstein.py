@@ -2,14 +2,15 @@
 
 1D distances use the closed-form quantile coupling.  General dimensions run
 a transportation simplex on the complete bipartite graph and return a plan
-together with a complementary-slackness certificate.  A family of certified
-1-Lipschitz test functions provides duality lower bounds.
+together with a complementary-slackness certificate.  The plan carries the
+simplex's optimal target duals, and :func:`kantorovich_potential` turns them
+into a 1-Lipschitz function whose integral against mu - nu attains W1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -76,14 +77,19 @@ class SimplexBasis:
 class TransportPlan:
     """Sparse coupling between two ensembles with its transport cost.
 
-    ``basis`` is the simplex basis the plan came from, if any; ``w1_exact``
-    can start a later solve with the same weights from it.
+    ``target_support`` holds the target points y_j and ``target_dual`` the
+    simplex's optimal duals v_j on them, which define the plan's
+    :func:`kantorovich_potential`.  ``basis`` is the simplex basis the plan
+    came from, if any; ``w1_exact`` can start a later solve with the same
+    weights from it.
     """
 
     source_index: np.ndarray
     target_index: np.ndarray
     mass: np.ndarray
     cost: float
+    target_support: np.ndarray
+    target_dual: np.ndarray
     basis: SimplexBasis | None = None
 
     def marginal_residual(self, mu: ParticleMeasure, nu: ParticleMeasure) -> float:
@@ -121,7 +127,8 @@ def w1_exact(
     n, m = len(mu), len(nu)
     if n == 0 or m == 0:
         if n == m == 0:
-            return 0.0, TransportPlan(np.zeros(0, int), np.zeros(0, int), np.zeros(0), 0.0)
+            empty = np.zeros(0)
+            return 0.0, TransportPlan(np.zeros(0, int), np.zeros(0, int), empty, 0.0, nu.positions, empty)
         raise UnequalMassError("W1 undefined for unequal masses (one side empty)")
     if n * m > DEFAULT_PAIR_CAP:
         raise PairCapError(
@@ -153,11 +160,32 @@ def w1_exact(
             f"slackness {slackness}"
         )
     keep = mass > 0
-    plan = TransportPlan(src[keep], tgt[keep], mass[keep], total, basis)
+    plan = TransportPlan(src[keep], tgt[keep], mass[keep], total, nu.positions, v, basis)
     res = plan.marginal_residual(mu, nu)
     if res > MARGINAL_TOL * max(1.0, float(mu.weights.max())):
         raise RuntimeError(f"plan marginals off by {res}")
     return total, plan
+
+
+def kantorovich_potential(plan: TransportPlan, points: np.ndarray) -> np.ndarray:
+    """The plan's potential phi(x) = min_j (|x - y_j| - v_j) at ``points`` (P, d).
+
+    phi is 1-Lipschitz, as a minimum of 1-Lipschitz functions.  For a plan
+    of ``w1_exact(mu, nu)`` it equals the row duals u_i on mu's support and
+    -v_j on nu's, so the integral of phi d(mu - nu) is the dual objective,
+    which equals W1.  Points are taken in blocks of ``_accel.block_rows(M)``
+    rows, so no (P, M) array is built.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    ys, v = plan.target_support, plan.target_dual
+    if len(v) == 0:  # the empty problem, whose potential is 0
+        return np.zeros(len(points))
+    out = np.empty(len(points))
+    rows = _accel.block_rows(len(v))
+    for lo in range(0, len(points), rows):
+        diff = points[lo : lo + rows, None, :] - ys[None, :, :]
+        out[lo : lo + rows] = (np.sqrt(np.einsum("pmd,pmd->pm", diff, diff)) - v).min(axis=1)
+    return out
 
 
 def w1_series(pairs: Iterable[tuple[MeasureVector, MeasureVector]]) -> np.ndarray:
@@ -190,62 +218,6 @@ def w1_series(pairs: Iterable[tuple[MeasureVector, MeasureVector]]) -> np.ndarra
 def w1_vector(rho: MeasureVector, sigma: MeasureVector) -> float:
     """Sum of per-species W1 distances (the vector metric)."""
     return float(w1_series([(rho, sigma)])[0])
-
-
-# ---------------------------------------------------------------------------
-# duality lower bounds
-# ---------------------------------------------------------------------------
-
-DualFunction = Callable[[np.ndarray], np.ndarray]
-
-
-def default_dual_family(
-    mu: ParticleMeasure, nu: ParticleMeasure, max_affine: int = 8, seed: int = 0
-) -> list[DualFunction]:
-    """Certified 1-Lipschitz test functions adapted to the two supports.
-
-    Coordinate projections, distance-to-anchor functions, and seeded
-    max-of-affine functions with slopes clipped to the unit ball.
-    """
-    dim = mu.dim
-    family: list[DualFunction] = []
-    for a in range(dim):
-        family.append(lambda x, a=a: np.atleast_2d(x)[:, a])
-    anchors = []
-    for ens in (mu, nu):
-        if len(ens):
-            anchors.append(ens.positions[0])
-            anchors.append(ens.positions.mean(axis=0))
-    for p in anchors:
-        family.append(lambda x, p=p: np.linalg.norm(np.atleast_2d(x) - p, axis=1))
-    rng = np.random.default_rng(seed)
-    support = np.vstack([mu.positions, nu.positions]) if len(mu) + len(nu) else np.zeros((1, dim))
-    for _ in range(max_affine):
-        slopes = rng.normal(size=(4, dim))
-        norms = np.maximum(np.linalg.norm(slopes, axis=1, keepdims=True), 1.0)
-        slopes = slopes / norms
-        offsets = rng.normal(scale=1.0 + np.abs(support).max(), size=4)
-        family.append(
-            lambda x, s=slopes, b=offsets: np.max(np.atleast_2d(x) @ s.T + b, axis=1)
-        )
-    return family
-
-
-def w1_dual_lower_bound(
-    mu: ParticleMeasure,
-    nu: ParticleMeasure,
-    phi_family: Sequence[DualFunction] | None = None,
-) -> float:
-    """Max over the family of |integral of phi d(mu - nu)|; never exceeds W1."""
-    _check_masses(mu, nu)
-    if phi_family is None:
-        phi_family = default_dual_family(mu, nu)
-    best = 0.0
-    for phi in phi_family:
-        a = float(np.dot(phi(mu.positions), mu.weights)) if len(mu) else 0.0
-        b = float(np.dot(phi(nu.positions), nu.weights)) if len(nu) else 0.0
-        best = max(best, abs(a - b))
-    return best
 
 
 def coupling_cost(weights: np.ndarray, xa: np.ndarray, xb: np.ndarray) -> float:

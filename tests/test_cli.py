@@ -180,6 +180,26 @@ def test_cli_main_verbs(tmp_path):
     assert (out / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sedimentation-1d", "--emit", "densities"],
+         "density_tracking: --emit densities needs density_tracking true"),
+        (["zero-field-1d", "--k-override", "0"],
+         "--k-override: acts only on a stability-initial check with --emit reports"),
+        (["sedimentation-1d", "--k-override", "0", "--emit", "trajectories"],
+         "--k-override: acts only on a stability-initial check with --emit reports"),
+    ],
+    ids=["densities-untracked", "k-override-without-check", "k-override-without-reports"],
+)
+def test_run_rejects_an_emit_or_override_with_nothing_to_act_on(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(cli, "solve", lambda scenario: pytest.fail("solved a rejected run"))
+    out = tmp_path / "out"
+    assert main(["run", *argv, "--n", "20", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_audit_rejects_nan_kernel_scale(tmp_path, capsys):
     raw = load_raw("sedimentation-1d")
     raw["model"]["kernel"]["scale"] = float("nan")
@@ -295,8 +315,13 @@ def test_cli_w1_verb(tmp_path, capsys):
         ("x_1,weight\n0.0,1.0\n2.0\n", "line 3: 1 fields, header has 2"),
         ("x_1,weight\n0.0,1.0,5.0\n", "line 2: 3 fields, header has 2"),
         ("x_1,weight\nabc,1.0\n", "line 2: could not convert string to float: 'abc'"),
+        ("x_1,weight\nnan,1\n", "line 2: positions must be finite and the weight finite and positive"),
+        ("x_1,weight\n0.0,-1\n", "line 2: positions must be finite and the weight finite and positive"),
+        ("weight\n1\n", "line 1: need columns x_1..x_d,weight"),
+        ("x_1,x_2,weight\n0.0,0.0,1.0\n", "line 1: dimension 2 differs from dimension 1 of {good}"),
     ],
-    ids=["empty", "short-row", "long-row", "non-numeric"],
+    ids=["empty", "short-row", "long-row", "non-numeric", "nan-cell", "negative-weight",
+         "no-position-column", "dimension-mismatch"],
 )
 def test_cli_w1_rejects_a_malformed_measure_csv(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.csv"
@@ -304,7 +329,7 @@ def test_cli_w1_rejects_a_malformed_measure_csv(tmp_path, capsys, text, message)
     bad.write_text(text)
     good.write_text("x_1,weight\n3.0,1.0\n")
     assert main(["w1", str(bad), str(good)]) == 2
-    assert capsys.readouterr().err == f"error: {bad}, {message}\n"
+    assert capsys.readouterr().err == f"error: {bad}, {message.format(good=good)}\n"
 
 
 def test_audit_error_carries_witness():

@@ -15,10 +15,9 @@ from nonlocalflow import (
     UnequalMassError,
     concat,
     coupling_cost,
-    default_dual_family,
     dirac,
+    kantorovich_potential,
     w1_1d,
-    w1_dual_lower_bound,
     w1_exact,
     w1_series,
     w1_vector,
@@ -49,6 +48,12 @@ def lp_oracle(mu, nu):
     )
     assert res.success
     return float(res.fun)
+
+
+def potential_value(plan, mu, nu):
+    """Integral of the plan's Kantorovich potential against mu - nu."""
+    phi_mu = kantorovich_potential(plan, mu.positions) @ mu.weights
+    return phi_mu - kantorovich_potential(plan, nu.positions) @ nu.weights
 
 
 def northwest_flows(supply, demand):
@@ -218,17 +223,21 @@ def test_simplex_cold_and_warm_match_lp_oracle(case):
         cold, plan = w1_exact(mu, nu)
     assert calls[0][1] is None
     assert_certified(calls[0])
-    assert abs(cold - lp_oracle(mu, nu)) <= 1e-10
+    lp = lp_oracle(mu, nu)
+    assert abs(cold - lp) <= 1e-10
+    assert abs(potential_value(plan, mu, nu) - lp) <= 1e-10
 
     # push both measures forward: same weights, so the old basis is feasible
     rng = np.random.default_rng(seed)
     mu2 = mu.with_positions(mu.positions + rng.normal(scale=0.3, size=mu.positions.shape))
     nu2 = nu.with_positions(nu.positions + rng.normal(scale=0.3, size=nu.positions.shape))
     with recorded_simplex() as calls:
-        warm, _ = w1_exact(mu2, nu2, warm=plan)
+        warm, warm_plan = w1_exact(mu2, nu2, warm=plan)
     assert calls[0][1] is not None
     assert_certified(calls[0])
-    assert abs(warm - lp_oracle(mu2, nu2)) <= 1e-10
+    lp = lp_oracle(mu2, nu2)
+    assert abs(warm - lp) <= 1e-10
+    assert abs(potential_value(warm_plan, mu2, nu2) - lp) <= 1e-10
 
     # different weights: the plan's basis does not fit, so the solve is cold
     mu3 = ParticleMeasure(mu2.dim, mu2.positions, 2.0 * mu2.weights)
@@ -372,35 +381,28 @@ def test_pair_cap(monkeypatch):
         w1_exact(mu, nu)
 
 
-def test_dual_lower_bound_examples():
-    a, b = dirac([0.0]), dirac([3.0])
-    # the aligned coordinate projection is tight for two diracs
-    assert w1_dual_lower_bound(a, b) == pytest.approx(3.0, abs=1e-9)
-    mu = ParticleMeasure(1, np.array([[0.5], [1.5]]), np.array([0.5, 0.5]))
-    assert w1_dual_lower_bound(mu, mu) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_duality_sandwich_random_instances():
-    rng = np.random.default_rng(8)
-    gaps = []
-    for _ in range(40):
-        mu, nu = random_pair(rng, max_pts=5)
-        exact = w1_exact(mu, nu)[0]
-        lower = w1_dual_lower_bound(mu, nu)
-        assert lower <= exact + 1e-9
-        gaps.append(exact - lower)
-    assert min(gaps) > -1e-9
-
-
-def test_dual_family_functions_are_1_lipschitz():
+def test_kantorovich_potential_is_1_lipschitz_and_attains_w1(monkeypatch):
+    # a small block puts the 300 points below into many row blocks
+    monkeypatch.setattr(_accel, "_BLOCK_ELEMENTS", 32)
     rng = np.random.default_rng(9)
-    mu, nu = random_pair(rng, max_pts=5, dim=2)
-    xs = rng.normal(size=(300, 2))
-    ys = rng.normal(size=(300, 2))
-    for phi in default_dual_family(mu, nu):
-        gap = np.abs(phi(xs) - phi(ys))
-        dist = np.linalg.norm(xs - ys, axis=1)
-        assert (gap <= dist + 1e-9).all()
+    for dim in (1, 2, 3):
+        mu, nu = random_pair(rng, max_pts=8, dim=dim)
+        _, plan = w1_exact(mu, nu)
+        xs, ys = rng.normal(scale=2.0, size=(2, 300, dim))
+        phi_x = kantorovich_potential(plan, xs)
+        dense = np.linalg.norm(xs[:, None, :] - nu.positions[None, :, :], axis=2)
+        assert np.allclose(phi_x, (dense - plan.target_dual).min(axis=1), rtol=0, atol=1e-12)
+        gap = np.abs(phi_x - kantorovich_potential(plan, ys))
+        assert (gap <= np.linalg.norm(xs - ys, axis=1) + 1e-12).all()
+    for _ in range(50):
+        mu, nu = random_pair(rng, max_pts=12, dim=1)
+        assert abs(potential_value(w1_exact(mu, nu)[1], mu, nu) - w1_1d(mu, nu)) <= 1e-12
+    a, b = dirac([0.0]), dirac([3.0])
+    assert potential_value(w1_exact(a, b)[1], a, b) == pytest.approx(3.0, abs=1e-12)
+    mu = ParticleMeasure(1, np.array([[0.5], [1.5]]), np.array([0.5, 0.5]))
+    assert potential_value(w1_exact(mu, mu)[1], mu, mu) == pytest.approx(0.0, abs=1e-12)
+    empty = ParticleMeasure(2, np.zeros((0, 2)), np.zeros(0))
+    assert kantorovich_potential(w1_exact(empty, empty)[1], np.ones((3, 2))).tolist() == [0.0] * 3
 
 
 def test_w1_vector_examples():
