@@ -381,28 +381,42 @@ def test_pair_cap(monkeypatch):
         w1_exact(mu, nu)
 
 
-def test_kantorovich_potential_is_1_lipschitz_and_attains_w1(monkeypatch):
+def test_kantorovich_potential_matches_dense_and_attains_w1(monkeypatch):
     # a small block puts the 300 points below into many row blocks
     monkeypatch.setattr(_accel, "_BLOCK_ELEMENTS", 32)
     rng = np.random.default_rng(9)
     for dim in (1, 2, 3):
         mu, nu = random_pair(rng, max_pts=8, dim=dim)
         _, plan = w1_exact(mu, nu)
-        xs, ys = rng.normal(scale=2.0, size=(2, 300, dim))
-        phi_x = kantorovich_potential(plan, xs)
+        xs = rng.normal(scale=2.0, size=(300, dim))
         dense = np.linalg.norm(xs[:, None, :] - nu.positions[None, :, :], axis=2)
-        assert np.allclose(phi_x, (dense - plan.target_dual).min(axis=1), rtol=0, atol=1e-12)
-        gap = np.abs(phi_x - kantorovich_potential(plan, ys))
-        assert (gap <= np.linalg.norm(xs - ys, axis=1) + 1e-12).all()
+        expected = (dense - plan.target_dual).min(axis=1)
+        assert np.allclose(kantorovich_potential(plan, xs), expected, rtol=0, atol=1e-12)
     for _ in range(50):
         mu, nu = random_pair(rng, max_pts=12, dim=1)
         assert abs(potential_value(w1_exact(mu, nu)[1], mu, nu) - w1_1d(mu, nu)) <= 1e-12
+    empty = ParticleMeasure(2, np.zeros((0, 2)), np.zeros(0))
+    assert kantorovich_potential(w1_exact(empty, empty)[1], np.ones((3, 2))).tolist() == [0.0] * 3
+
+
+def test_dual_lower_bound_examples():
+    # the potential's value is the dual bound, and it is tight
     a, b = dirac([0.0]), dirac([3.0])
     assert potential_value(w1_exact(a, b)[1], a, b) == pytest.approx(3.0, abs=1e-12)
     mu = ParticleMeasure(1, np.array([[0.5], [1.5]]), np.array([0.5, 0.5]))
     assert potential_value(w1_exact(mu, mu)[1], mu, mu) == pytest.approx(0.0, abs=1e-12)
-    empty = ParticleMeasure(2, np.zeros((0, 2)), np.zeros(0))
-    assert kantorovich_potential(w1_exact(empty, empty)[1], np.ones((3, 2))).tolist() == [0.0] * 3
+
+
+def test_dual_family_functions_are_1_lipschitz(monkeypatch):
+    # the dual function of exact W1 is the plan's Kantorovich potential
+    monkeypatch.setattr(_accel, "_BLOCK_ELEMENTS", 32)
+    rng = np.random.default_rng(9)
+    for dim in (1, 2, 3):
+        mu, nu = random_pair(rng, max_pts=8, dim=dim)
+        _, plan = w1_exact(mu, nu)
+        xs, ys = rng.normal(scale=2.0, size=(2, 300, dim))
+        gap = np.abs(kantorovich_potential(plan, xs) - kantorovich_potential(plan, ys))
+        assert (gap <= np.linalg.norm(xs - ys, axis=1) + 1e-12).all()
 
 
 def test_w1_vector_examples():
