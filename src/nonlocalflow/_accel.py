@@ -3,11 +3,22 @@
 The particle method spends nearly all of its time summing radial kernel
 profiles over particle ensembles (one convolution per velocity evaluation)
 and merging sorted weight sequences for 1D transport costs.  Both are
-vectorized numpy.  The radial sum is one fused dense pass over blocks of
-evaluation points: each block builds its squared distances coordinate by
-coordinate in one reused (rows, N) buffer, applies the profile in place and
-finishes with one matrix-vector product, so its memory is O(block + M)
-whatever N, M and d are.
+vectorized numpy.
+
+In 1D a radial sum is exact and O((N + M) log N): every compact profile
+sums over one window [x - s, x + s] of sorted centres, and each profile
+(tent, bump, cosine lobe) is a short sum of coefficients in the point times
+weighted moments of the centres, read from prefix sums.  The moments are
+anchored at the midpoint of each centre's cell of width s, so a window,
+which meets at most three cells, only ever differences O(1) quantities.
+Non-finite input takes the dense pass below, which defines its NaN and inf
+results.
+
+In 2D and up a radial sum is one fused dense pass over blocks of evaluation
+points: each block builds its squared distances coordinate by coordinate in
+one reused (rows, N) buffer, applies the profile in place and finishes with
+one matrix-vector product, so its memory is O(block + M) whatever N, M and
+d are.
 
 The transportation simplex behind exact W1 is in Python with numpy
 pricing.  It keeps its spanning tree (parents, depths and potentials) from
@@ -16,6 +27,8 @@ and it can start from a given basis.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -32,6 +45,9 @@ PROFILE_COSINE = 3
 # A block of rows holds about this many (row, centre) elements, so that its
 # two (rows, N) buffers stay in cache.
 _BLOCK_ELEMENTS = 1 << 16
+# A block of the windowed 1D sum gathers about this many (moment, row) pairs
+# at each of its five piece edges.
+_WINDOW_BLOCK_ELEMENTS = 1 << 13
 
 
 def block_rows(n: int) -> int:
@@ -66,6 +82,126 @@ def unit_profile(sq: np.ndarray, code: int, scale: float) -> np.ndarray:
     return sq
 
 
+# The windowed 1D sum.  A point at x in units of the scale lies in cell
+# q = floor(x), at offset u = x - q - 1/2 from the cell's midpoint, and its
+# support window meets cells q - 1, q and q + 1.  The window is cut into
+# four pieces of one cell each, the middle two split at the point, where
+# |x - c| has its kink: piece p lies in cell q + _PIECE_CELLS[p], and its
+# centres lie left of the point (side +1) or at or right of it (side -1).
+# A centre at offset d from its own cell's midpoint is v - d from the point,
+# with v = u - delta and delta the piece's cell offset.
+_PIECE_CELLS = np.array([-1.0, 0.0, 0.0, 1.0])
+_PIECE_SIDES = np.array([1.0, 1.0, -1.0, -1.0])
+# Moments per centre of each windowed profile: w d^k for k < K, or w cos
+# and w sin for the cosine lobe.
+_MOMENTS = {PROFILE_TENT: 2, PROFILE_BUMP: 5, PROFILE_COSINE: 2}
+# The pieces' edges are x - 1, q, x, q + 1 and x + 1.
+_WINDOW_EDGES = np.array([[-1.0], [0.0], [1.0]])
+_CELL_EDGES = np.array([[0.0], [1.0]])
+
+
+def _in_powers_of_u(expansion) -> np.ndarray:
+    """(J, K * 4) matrix from a window's moments sum w d^k of piece p (row
+    k * 4 + p) to the coefficients of u^j of the window's sum.
+
+    ``expansion(side)`` lists the coefficients in v of c_k(v), where
+    profile(|v - d|) = sum_k c_k(v) d^k on that side of the point.
+    """
+    rows = max(len(c_k) for c_k in expansion(1.0))
+    columns = []
+    for k in range(len(expansion(1.0))):
+        for delta, side in zip(_PIECE_CELLS, _PIECE_SIDES):
+            # c_k(u - delta) by the binomial theorem
+            column = np.zeros(rows)
+            for i, a in enumerate(expansion(side)[k]):
+                for j in range(i + 1):
+                    column[j] += a * math.comb(i, j) * (-delta) ** (i - j)
+            columns.append(column)
+    return np.array(columns).T
+
+
+# tent 1 - side*(v - d); bump (1 - (v - d)^2)^2 expanded in d
+_POLYNOMIAL_PROFILES = {
+    PROFILE_TENT: _in_powers_of_u(lambda side: [[1.0, -side], [side]]),
+    PROFILE_BUMP: _in_powers_of_u(
+        lambda side: [[1.0, 0.0, -2.0, 0.0, 1.0], [0.0, 4.0, 0.0, -4.0], [-2.0, 0.0, 6.0], [0.0, -4.0], [1.0]]
+    ),
+}
+# cos(pi/2 (v - d)) by the angle-sum formula, from the moments sum w cos(pi
+# d / 2) and sum w sin(pi d / 2), with cos and sin of pi v / 2 expanded in
+# pi u / 2 and pi delta / 2: rows are the coefficients of cos(pi u / 2) and
+# sin(pi u / 2)
+_COS_DELTA = np.round(np.cos(0.5 * np.pi * _PIECE_CELLS))
+_SIN_DELTA = np.round(np.sin(0.5 * np.pi * _PIECE_CELLS))
+_COSINE_PIECES = np.array(
+    [np.concatenate([_COS_DELTA, -_SIN_DELTA]), np.concatenate([_SIN_DELTA, _COS_DELTA])]
+)
+
+
+def _cell_moments(d: np.ndarray, code: int, out: np.ndarray) -> None:
+    """Turn the weights in row 0 of ``out`` (K, N) into the weighted moments
+    of the centres' offsets ``d`` from their cells' midpoints."""
+    if code == PROFILE_COSINE:
+        half_pi_d = 0.5 * np.pi * d
+        np.multiply(out[0], np.sin(half_pi_d), out=out[1])
+        np.multiply(out[0], np.cos(half_pi_d), out=out[0])
+        return
+    for k in range(1, out.shape[0]):
+        np.multiply(out[k - 1], d, out=out[k])
+
+
+def _windowed_sum_1d(x: np.ndarray, c: np.ndarray, w: np.ndarray, code: int, scale: float) -> np.ndarray | None:
+    """Unit-height ``radial_sum`` in 1D for a profile supported on |x - c| <= scale.
+
+    In units of ``scale``, sorted centres are binned into unit cells and
+    each carries its offset d from its cell's midpoint, |d| <= 1/2.  A
+    piece's sum is a fixed combination of its centres' weighted moments of
+    d, read from prefix sums, with coefficients in the point's offset u:
+    every moment and coefficient is O(1), so no sum cancels between
+    far-apart coordinates.  One search of five sorted keys per point finds
+    its pieces.  O((N + M) log N) time and O(N + M) memory.
+
+    Returns None if an input is not finite (or overflows in units of
+    ``scale``), so that the dense pass gives its NaN and inf semantics.
+    """
+    order = np.argsort(c, kind="stable")
+    c_scaled = c[order] / scale
+    x_scaled = x / scale
+    # sorting puts -inf first and inf and NaN last, and a sum is finite
+    # only if every term is (an overflow merely takes the dense pass)
+    if not math.isfinite(c_scaled[0] + c_scaled[-1] + x_scaled.sum() + w.sum()):
+        return None
+    moments = _MOMENTS[code]
+    prefix = np.zeros((moments, c.size + 1))
+    np.take(w, order, out=prefix[0, 1:])
+    _cell_moments(c_scaled - np.floor(c_scaled) - 0.5, code, prefix[:, 1:])
+    np.cumsum(prefix[:, 1:], axis=1, out=prefix[:, 1:])
+    q = np.floor(x_scaled)
+    u = x_scaled - q - 0.5
+    out = np.empty(x.size)
+    rows = max(1, _WINDOW_BLOCK_ELEMENTS // moments)
+    for lo in range(0, x.size, rows):
+        hi = min(lo + rows, x.size)
+        keys = np.empty((5, hi - lo))
+        np.add(x_scaled[lo:hi], _WINDOW_EDGES, out=keys[0::2])
+        np.add(q[lo:hi], _CELL_EDGES, out=keys[1::2])
+        at_edges = np.take(prefix, np.searchsorted(c_scaled, keys), axis=1)
+        pieces = (at_edges[:, 1:] - at_edges[:, :-1]).reshape(4 * moments, hi - lo)
+        ub = u[lo:hi]
+        if code == PROFILE_COSINE:
+            parts = _COSINE_PIECES @ pieces
+            half_pi_u = 0.5 * np.pi * ub
+            out[lo:hi] = np.cos(half_pi_u) * parts[0] + np.sin(half_pi_u) * parts[1]
+            continue
+        # Horner's rule in u
+        parts = _POLYNOMIAL_PROFILES[code] @ pieces
+        value = parts[-1]
+        for part in parts[-2::-1]:
+            value = value * ub + part
+        out[lo:hi] = value
+    return out
+
+
 def radial_sum(
     points: np.ndarray,
     centers: np.ndarray,
@@ -82,10 +218,15 @@ def radial_sum(
     centers = np.ascontiguousarray(centers, dtype=np.float64)
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     m, n = points.shape[0], centers.shape[0]
-    if n == 0:
+    if n == 0 or m == 0:
         return np.zeros(m)
     if code == PROFILE_CONSTANT:
         return np.full(m, height * float(weights.sum()))
+    if points.shape[1] == 1 and code in _MOMENTS:
+        out = _windowed_sum_1d(points[:, 0], centers[:, 0], weights, code, scale)
+        if out is not None:
+            out *= height
+            return out
     out = np.empty(m)
     rows = block_rows(n)
     sq_buf = np.empty((min(rows, m), n))

@@ -54,6 +54,8 @@ class RunConfig:
         for key in self.overrides:
             if key not in OVERRIDES:
                 raise ScenarioParseError(f"unknown override {key!r}")
+        if not self.emit:
+            raise ScenarioParseError("--emit: needs at least one of " + ",".join(KNOWN_EMITS))
         for kind in self.emit:
             if kind not in KNOWN_EMITS:
                 raise ScenarioParseError(f"unknown emit flag {kind!r}")

@@ -10,7 +10,6 @@ slack and names its scenario fingerprint for replay.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -258,8 +257,8 @@ def stability_battery(
 
     The unperturbed datum is solved once (or ``base``, a direct solve of the
     scenario, is used) and shared by every pair.  A given ``K`` is passed on
-    and recorded in each fingerprint as ``k_override``.  Runs pairs
-    concurrently, one worker per core.
+    and recorded in each fingerprint as ``k_override``.  Runs the pairs one
+    after another.
     """
     if base is None:
         base = solve_direct(replace(scenario, initial_densities=None))
@@ -272,5 +271,8 @@ def stability_battery(
         )
 
     seeds = [seed0 + i for i in range(pairs)]
-    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, pairs)) as pool:
+    # One worker: the pairs' solves hold the GIL between small numpy calls,
+    # so a second thread only contends for it.  perfbench/spans.py traces
+    # the pairs by rebinding this module's ThreadPoolExecutor.
+    with ThreadPoolExecutor(max_workers=1) as pool:
         return list(pool.map(one, seeds))

@@ -4,7 +4,9 @@ Every kernel carries its exact sup bound and spatial Lipschitz constant;
 all stability constants in the solver and harness are derived from these
 numbers, so they are part of the type and never re-estimated.  Library
 kernels are radial and time-independent, which gives them a fast summation
-path through :mod:`nonlocalflow._accel`.  ``Kernel.evaluate(t, xs)`` maps
+path through :mod:`nonlocalflow._accel`: in 1D an exact sum over each
+point's support window by cell-anchored prefix sums, in O((N + M) log N),
+and in 2D a blocked dense pass.  ``Kernel.evaluate(t, xs)`` maps
 offsets (M, d) to values (M,) and carries ``t`` so user kernels may vary
 in time.
 """

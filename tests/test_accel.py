@@ -156,6 +156,107 @@ def test_radial_sum_memory_does_not_grow_with_pairs():
     assert peak < 8 * 2**20
 
 
+@st.composite
+def windowed_instances(draw):
+    """1D instances for the windowed sum: unsorted centres with duplicates
+    and tight clusters, points on the support edges and on the centres,
+    possibly no points, and a block size that splits the points."""
+    scale = draw(st.one_of(st.sampled_from([0.1, 0.25, 0.5, 1.5]), st.floats(0.1, 2.0)))
+    coord = st.one_of(st.floats(-3.0, 3.0), st.integers(-12, 12).map(lambda k: k / 4))
+    base = draw(st.lists(coord, min_size=1, max_size=10))
+    near = st.sampled_from([0.0, 0.0, 1e-12, -1e-9, 1e-6])
+    copies = draw(st.lists(st.tuples(st.sampled_from(base), near), max_size=10))
+    centers = draw(st.permutations(base + [b + e for b, e in copies]))
+    on_edge = st.builds(lambda c, sign: c + sign * scale, st.sampled_from(centers), st.sampled_from([-1.0, 1.0]))
+    points = draw(st.lists(st.one_of(coord, on_edge, st.sampled_from(centers)), max_size=12))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=len(centers), max_size=len(centers)))
+    height = draw(st.floats(0.1, 3.0))
+    block = draw(st.integers(1, 40))
+    return block, np.reshape(points, (-1, 1)), np.reshape(centers, (-1, 1)), np.array(weights), scale, height
+
+
+@pytest.mark.parametrize("code", [1, 2, 3])
+@settings(max_examples=150, deadline=None)
+@given(instance=windowed_instances())
+def test_windowed_1d_sum_matches_the_loop(code, instance):
+    block, points, centers, weights, scale, height = instance
+    with mock.patch.object(_accel, "_WINDOW_BLOCK_ELEMENTS", block):
+        fast = _accel.radial_sum(points, centers, weights, code, scale, height)
+    slow = _radial_sum_loop(points, centers, weights, code, scale, height)
+    tol = 1e-13 * (1.0 + height * float(weights.sum()))
+    assert fast.shape == (len(points),)
+    assert np.allclose(fast, slow, rtol=0.0, atol=tol)
+
+
+@pytest.mark.parametrize("code", [1, 2, 3])
+def test_windowed_1d_sum_at_the_support_edges(code):
+    # points exactly one scale from a centre get nothing from it
+    centers = np.array([[0.5], [-0.25], [-0.25], [2.0]])
+    weights = np.array([0.5, 0.25, 1.0, 0.75])
+    points = np.array([[1.25], [-0.25], [-1.0], [0.5], [2.75], [1.25 + 1e-12], [0.5 - 0.75]])
+    fast = _accel.radial_sum(points, centers, weights, code, 0.75, 2.0)
+    slow = _radial_sum_loop(points, centers, weights, code, 0.75, 2.0)
+    assert np.allclose(fast, slow, rtol=0.0, atol=1e-13 * (1.0 + 2.0 * weights.sum()))
+
+
+@pytest.mark.parametrize("code", [0, 1, 2, 3])
+def test_radial_sum_with_no_points(code):
+    out = _accel.radial_sum(np.zeros((0, 1)), np.ones((3, 1)), np.ones(3), code, 0.5, 1.0)
+    assert out.shape == (0,)
+
+
+def _on_x_axis(xs):
+    """1D coordinates as the points (x, 0) of the plane, which take the dense pass."""
+    return np.column_stack([xs, np.zeros(len(xs))])
+
+
+@pytest.mark.parametrize("code", [1, 2, 3])
+def test_windowed_1d_sum_matches_the_dense_pass_at_2000(code):
+    rng = np.random.default_rng(11)
+    centers = np.concatenate([rng.uniform(-2.0, 2.0, 1500), rng.normal(0.3, 0.01, 500)])
+    points = np.concatenate([rng.uniform(-2.5, 2.5, 1000), centers[::2]])
+    weights = rng.uniform(0.0, 1.0, 2000) / 1000.0
+    fast = _accel.radial_sum(points[:, None], centers[:, None], weights, code, 0.3, 1.5)
+    dense = _accel.radial_sum(_on_x_axis(points), _on_x_axis(centers), weights, code, 0.3, 1.5)
+    assert np.allclose(fast, dense, rtol=0.0, atol=1e-13 * (1.0 + 1.5 * weights.sum()))
+
+
+@pytest.mark.parametrize("code", [1, 2, 3])
+def test_windowed_1d_sum_memory_is_linear(code):
+    # 20 000 x 20 000 in 1D: an (M, N) buffer alone would take 3.2 GB
+    rng = np.random.default_rng(4)
+    points = rng.uniform(-1.0, 1.0, size=(20000, 1))
+    centers = rng.uniform(-1.0, 1.0, size=(20000, 1))
+    weights = np.full(20000, 1.0 / 20000)
+    tracemalloc.start()
+    try:
+        _accel.radial_sum(points, centers, weights, code, 0.1, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("code", [1, 2, 3])
+@pytest.mark.parametrize(
+    "where, value",
+    [("point", math.nan), ("point", math.inf), ("centre", math.nan), ("centre", -math.inf), ("weight", math.nan)],
+)
+def test_windowed_1d_sum_keeps_the_dense_non_finite_results(code, where, value):
+    # the far NaN centre sorts past every window and still poisons every point
+    points = np.array([0.0, 0.4, -3.0])
+    centers = np.array([0.1, 0.5, -0.2, 40.0])
+    weights = np.array([0.5, 0.25, 1.0, 0.75])
+    {"point": points, "centre": centers, "weight": weights}[where][-1] = value
+    one_d = _accel.radial_sum(points[:, None], centers[:, None], weights, code, 0.5, 1.0)
+    dense = _accel.radial_sum(_on_x_axis(points), _on_x_axis(centers), weights, code, 0.5, 1.0)
+    np.testing.assert_array_equal(one_d, dense)
+    if where == "point" and math.isnan(value):
+        assert np.isnan(one_d[-1]) and np.isfinite(one_d[:-1]).all()
+    elif math.isnan(value):
+        assert np.isnan(one_d).all()
+
+
 def _w1_merge_loop(xu, wu, xv, wv):
     # two pointers over both sorted sequences, integrating |F_u - F_v|
     i = j = 0

@@ -189,8 +189,12 @@ def test_cli_main_verbs(tmp_path):
          "--k-override: acts only on a stability-initial check with --emit reports"),
         (["sedimentation-1d", "--k-override", "0", "--emit", "trajectories"],
          "--k-override: acts only on a stability-initial check with --emit reports"),
+        (["sedimentation-1d", "--emit", ""],
+         "--emit: needs at least one of trajectories,densities,reports,plotdata"),
+        (["sedimentation-1d", "--emit", ","],
+         "--emit: needs at least one of trajectories,densities,reports,plotdata"),
     ],
-    ids=["densities-untracked", "k-override-without-check", "k-override-without-reports"],
+    ids=["densities-untracked", "k-override-without-check", "k-override-without-reports", "emit-empty", "emit-commas-only"],
 )
 def test_run_rejects_an_emit_or_override_with_nothing_to_act_on(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.setattr(cli, "solve", lambda scenario: pytest.fail("solved a rejected run"))
