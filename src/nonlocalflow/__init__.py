@@ -68,11 +68,9 @@ from .velocity import (
     congestion_speed,
     constant_direction,
     constant_drift_field,
-    dirac_coupling_field,
     lipschitz_bound_b,
     linear_local_field,
     pedestrian_field,
-    phi_field,
     sedimentation_field,
     toward_point,
     velocity_batch,

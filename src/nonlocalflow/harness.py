@@ -114,10 +114,6 @@ def check_stability_initial(
     return BoundReport.make("stability-initial-data", ratio, 1.0, slack, fp)
 
 
-# Dirac position blocks sampled per velocity-gap estimate
-_DIRAC_BLOCKS = 4
-
-
 def _sup_velocity_gap(
     a: VelocityModel,
     b: VelocityModel,
@@ -130,16 +126,11 @@ def _sup_velocity_gap(
     """sup over sampled (x, r) at t = 0 of |V(0, x, r) - U(0, x, r)|."""
     xs = sample_box(lo, hi, samples, seed)
     rs = _l1_ball_samples(a.k, r_radius, samples, seed + 7)
-    # fields of single-particle species also range over the Dirac positions
-    dirac_args = [
-        (sample_box(lo, hi, len(a.dirac_species), seed + 21 + j),) for j in range(_DIRAC_BLOCKS)
-    ]
     worst = 0.0
     for fa, fb in zip(a.fields, b.fields):
-        for extra in dirac_args if fa.needs_dirac_positions else [()]:
-            va = fa.evaluate(0.0, xs, rs, *extra)
-            vb = fb.evaluate(0.0, xs, rs, *extra)
-            worst = max(worst, float(np.linalg.norm(va - vb, axis=1).max()))
+        va = fa.evaluate(0.0, xs, rs)
+        vb = fb.evaluate(0.0, xs, rs)
+        worst = max(worst, float(np.linalg.norm(va - vb, axis=1).max()))
     return worst
 
 

@@ -8,9 +8,9 @@ the table before anything is built.  An unknown field is rejected with its
 path and the nearest known name.  A value of the wrong type, a non-finite
 number and a value out of range are rejected with their path, and so is a
 break of a rule between fields (at least one species, one dimension for
-all species, ``linfty-growth`` only with density tracking).  Every absent
-optional field gets its default, so the builders read only validated
-values.
+all species, ``linfty-growth`` only with density tracking and a grid
+species).  Every absent optional field gets its default, so the builders
+read only validated values.
 """
 
 from __future__ import annotations
@@ -39,14 +39,13 @@ from .measures import (
 from .solver import PicardParams, Scenario
 from .velocity import (
     VelocityField,
+    VelocityModel,
     audit_model,
     congestion_speed,
     constant_direction,
     constant_drift_field,
-    dirac_coupling_field,
     linear_local_field,
     pedestrian_field,
-    phi_field,
     sedimentation_field,
     toward_point,
 )
@@ -284,9 +283,12 @@ def _check_rules(cfg: dict) -> None:
     for i, dim in enumerate(dims):
         if dim != dims[0]:
             raise ScenarioParseError(f"species[{i}]: dimension {dim} differs from species[0]'s {dims[0]}")
+    grids = any(sp["type"] in ("grid-1d", "grid-2d") for sp in cfg["species"])
     for i, check in enumerate(cfg["checks"]):
         if check["type"] == "linfty-growth" and not cfg["density_tracking"]:
             raise ScenarioParseError(f"checks[{i}]: linfty-growth needs density_tracking true")
+        if check["type"] == "linfty-growth" and not grids:
+            raise ScenarioParseError(f"checks[{i}]: linfty-growth needs a grid-1d or grid-2d species")
 
 
 def validate(raw) -> dict:
@@ -356,16 +358,17 @@ def _kernel(cfg: dict, dim: int):
 
 
 def _build_phi(cfg: dict, ball: float) -> VelocityField:
-    # phi_field(func, dim, k, sup_bound, lip_x, lip_r)
+    """The predator's own V(t, x, r); x is the predator's position."""
+    # VelocityField(dim, k, evaluate, sup_bound, lip_x, lip_r)
     if cfg["type"] == "pursuit":
-        return phi_field(lambda t, xs, rs, p: rs[:, :1].copy(), 1, 2, ball, 0.0, 1.0)
+        return VelocityField(1, 2, lambda t, xs, rs: rs[:, :1].copy(), ball, 0.0, 1.0)
     if cfg["type"] == "spring":
         target, rate = np.asarray(cfg["target"]), cfg["rate"]
         sup = rate * (float(np.linalg.norm(target)) + cfg["domain_radius"])
-        return phi_field(lambda t, xs, rs, p: rate * (target - xs), 1, 2, sup, rate, 0.0)
+        return VelocityField(1, 2, lambda t, xs, rs: rate * (target - xs), sup, rate, 0.0)
     vec = np.asarray(cfg["vector"])
     drift = float(np.linalg.norm(vec))
-    return phi_field(lambda t, xs, rs, p: np.broadcast_to(vec, xs.shape).copy(), 1, 2, drift, 0.0, 0.0)
+    return VelocityField(1, 2, lambda t, xs, rs: np.broadcast_to(vec, xs.shape).copy(), drift, 0.0, 0.0)
 
 
 def _build_model(cfg: dict, species: list[ParticleMeasure]):
@@ -385,10 +388,10 @@ def _build_model(cfg: dict, species: list[ParticleMeasure]):
         return linear_local_field(cfg["alpha"], cfg["domain_radius"], cfg.get("dim", dim))
     if kind == "constant-drift":
         return constant_drift_field(np.asarray(cfg["vector"]))
-    if len(species) != 2 or dim != 1:
+    if len(species) != 2 or dim != 1 or len(species[1]) != 1:
         raise ScenarioParseError(
             "model.dirac-coupling: gallery form needs one 1D prey species "
-            "plus one predator species"
+            f"plus one predator species of one particle, got {[len(m) for m in species]} particles"
         )
     repulsion = odd_ramp_kernel(cfg["repulsion"]["scale"], cfg["repulsion"]["height"])
     attraction = odd_ramp_kernel(cfg["attraction"]["scale"], cfg["attraction"]["height"])
@@ -400,7 +403,7 @@ def _build_model(cfg: dict, species: list[ParticleMeasure]):
     prey = VelocityField(
         1, 2, lambda t, xs, rs: (rs[:, 0] + rs[:, 1])[:, None], sup_bound=ball, lip_x=0.0, lip_r=1.0
     )
-    return dirac_coupling_field([prey], [_build_phi(cfg["phi"], ball)], kernels)
+    return VelocityModel((prey, _build_phi(cfg["phi"], ball)), kernels)
 
 
 def scenario_from_config(raw: dict, audit: bool = True) -> Scenario:

@@ -222,12 +222,12 @@ def _drift_perturbed(model: VelocityModel, eps: float) -> VelocityModel:
     fields = tuple(
         replace(
             f,
-            evaluate=lambda t, xs, rs, *extra, _b=f.evaluate: _b(t, xs, rs, *extra) + vec,
+            evaluate=lambda t, xs, rs, _b=f.evaluate: _b(t, xs, rs) + vec,
             sup_bound=f.sup_bound + eps,
         )
         for f in model.fields
     )
-    return VelocityModel(fields, model.kernels, model.dirac_species)
+    return VelocityModel(fields, model.kernels)
 
 
 @criterion(5, "general stability under kernel/velocity perturbations")

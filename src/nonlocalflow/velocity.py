@@ -1,11 +1,13 @@
 """Velocity fields V^i(t, x, r) with certified Lipschitz metadata.
 
 The gallery covers the standard models: congestion-driven pedestrian flow,
-1D sedimentation, linear local fields, constant drifts, and the ODE/PDE
-coupling where single-particle species follow their own right-hand sides.
-Metadata (sup, Lip_x, Lip_r) is declared analytically per model and can be
-cross-checked by the sampling auditor; every stability constant downstream
-derives from these numbers.
+1D sedimentation, linear local fields and constant drifts.  Every species
+is moved by its own V^i(t, x, r) with r = (rho * eta^i)(x); a
+single-particle (Dirac) species, such as a predator, is an ordinary
+one-particle species under its own field.  Metadata (sup, Lip_x, Lip_r)
+is declared analytically per model and can be cross-checked by the
+sampling auditor; every stability constant downstream derives from these
+numbers.
 """
 
 from __future__ import annotations
@@ -35,18 +37,15 @@ class VelocityField:
     """One species' velocity law.
 
     ``evaluate(t, xs, rs)`` maps time, positions (M, d) and the convolution
-    vectors rs (M, k) to velocities (M, d).  Fields of single-particle
-    species additionally receive the stacked positions (k1, d) of all such
-    species (``needs_dirac_positions``), matching the coupled ODE block.
+    vectors rs (M, k) to velocities (M, d).
     """
 
     dim: int
     k: int
-    evaluate: Callable[..., np.ndarray]
+    evaluate: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     sup_bound: float
     lip_x: float
     lip_r: float
-    needs_dirac_positions: bool = False
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,6 @@ class VelocityModel:
 
     fields: tuple[VelocityField, ...]
     kernels: KernelMatrix
-    dirac_species: tuple[int, ...] = ()
 
     def __post_init__(self):
         fields = tuple(self.fields)
@@ -64,7 +62,6 @@ class VelocityModel:
         if any(f.dim != self.kernels.dim or f.k != self.kernels.k for f in fields):
             raise ValueError("field dims must match the kernel matrix")
         object.__setattr__(self, "fields", fields)
-        object.__setattr__(self, "dirac_species", tuple(self.dirac_species))
 
     @property
     def k(self) -> int:
@@ -98,19 +95,6 @@ def lipschitz_bound_b(model: VelocityModel, mass: float) -> float:
     return c
 
 
-def dirac_positions(model: VelocityModel, rho: MeasureVector) -> np.ndarray:
-    """Stacked positions of the single-particle species, shape (k1, d)."""
-    rows = []
-    for j in model.dirac_species:
-        mu = rho.species[j]
-        if len(mu) != 1:
-            raise ValueError(
-                f"Dirac species {j} must hold exactly one particle, found {len(mu)}"
-            )
-        rows.append(mu.positions[0])
-    return np.array(rows).reshape(len(rows), model.dim)
-
-
 def velocity_batch(
     model: VelocityModel,
     source: MeasureVector,
@@ -121,9 +105,7 @@ def velocity_batch(
     """V^i(t, x, (source * eta^i)(x)) at many points, shape (M, d)."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     conv = convolve_vector_batch(source, model.kernels.row(i), t, pts)
-    field = model.fields[i]
-    extra = (dirac_positions(model, source),) if field.needs_dirac_positions else ()
-    vel = np.asarray(field.evaluate(t, pts, conv, *extra), dtype=np.float64)
+    vel = np.asarray(model.fields[i].evaluate(t, pts, conv), dtype=np.float64)
     if vel.shape != pts.shape:
         raise ValueError(f"velocity field {i} returned shape {vel.shape}, expected {pts.shape}")
     return vel
@@ -255,44 +237,6 @@ def constant_drift_field(vec: Sequence[float], kernel: Kernel | None = None) -> 
     return VelocityModel((field,), diagonal_matrix(kernel, 1))
 
 
-def dirac_coupling_field(
-    density_fields: Sequence[VelocityField],
-    phi_fields: Sequence[VelocityField],
-    kernels: KernelMatrix,
-) -> VelocityModel:
-    """Couple density species with single-particle (Dirac) species.
-
-    Density species come first and feel their fields through the extended
-    convolution vector, whose Dirac components are exactly lambda(x - p_j).
-    The last ``len(phi_fields)`` species are single particles driven by the
-    ODE right-hand sides, which receive the stacked Dirac positions.
-    """
-    k0 = len(density_fields)
-    k1 = len(phi_fields)
-    if k0 + k1 != kernels.k:
-        raise ValueError("field count must match kernel matrix size")
-    fields = list(density_fields)
-    for f in phi_fields:
-        if not f.needs_dirac_positions:
-            raise ValueError("Dirac species fields must accept the position block")
-        fields.append(f)
-    return VelocityModel(tuple(fields), kernels, dirac_species=tuple(range(k0, k0 + k1)))
-
-
-def phi_field(
-    func: Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    dim: int,
-    k: int,
-    sup_bound: float,
-    lip_x: float,
-    lip_r: float,
-) -> VelocityField:
-    """ODE right-hand side Phi(t, xs, rs, p) for a single-particle species."""
-    return VelocityField(
-        dim, k, func, sup_bound, lip_x, lip_r, needs_dirac_positions=True
-    )
-
-
 # ---------------------------------------------------------------------------
 # sampling auditor
 # ---------------------------------------------------------------------------
@@ -311,7 +255,6 @@ def audit_velocity_field(
     samples: int = 1500,
     seed: int = 0,
     rel_tol: float = 1e-8,
-    dirac_block: np.ndarray | None = None,
 ) -> None:
     """Sample-check sup and Lipschitz declarations of one velocity field at
     t = 0.
@@ -327,9 +270,8 @@ def audit_velocity_field(
     ys = sample_box(lo, hi, samples, seed + 5)
     rs = _l1_ball_samples(field.k, r_radius, samples, seed + 9)
     qs = _l1_ball_samples(field.k, r_radius, samples, seed + 13)
-    extra = (dirac_block,) if field.needs_dirac_positions else ()
     scale = max(field.sup_bound, field.lip_x, field.lip_r, 1.0)
-    vx = field.evaluate(0.0, xs, rs, *extra)
+    vx = field.evaluate(0.0, xs, rs)
     speeds = np.linalg.norm(vx, axis=1)
     worst = int(np.argmax(speeds))
     if speeds[worst] > field.sup_bound + rel_tol * scale:
@@ -337,7 +279,7 @@ def audit_velocity_field(
             f"velocity sup audit failed: |V(0.0, {xs[worst]}, {rs[worst]})| = "
             f"{speeds[worst]} > declared {field.sup_bound}"
         )
-    vy = field.evaluate(0.0, ys, rs, *extra)
+    vy = field.evaluate(0.0, ys, rs)
     steep = steepest_slope(np.linalg.norm(vx - vy, axis=1), np.linalg.norm(xs - ys, axis=1))
     if steep is not None and steep[1] > field.lip_x + rel_tol * scale:
         worst, slope = steep
@@ -345,7 +287,7 @@ def audit_velocity_field(
             f"velocity Lip_x audit failed: slope {slope} between "
             f"x={xs[worst]} and y={ys[worst]} > declared {field.lip_x}"
         )
-    vq = field.evaluate(0.0, xs, qs, *extra)
+    vq = field.evaluate(0.0, xs, qs)
     steep = steepest_slope(np.linalg.norm(vx - vq, axis=1), np.abs(rs - qs).sum(axis=1))
     if steep is not None and steep[1] > field.lip_r + rel_tol * scale:
         worst, slope = steep
@@ -367,13 +309,5 @@ def audit_model(
         for kn in row:
             audit_kernel(kn, box_radius, samples, seed)
     r_radius = mass * model.kernels.sup_bound
-    block = None
-    if model.dirac_species:
-        block = sample_box(
-            -box_radius * np.ones(model.dim), box_radius * np.ones(model.dim),
-            len(model.dirac_species), seed + 21,
-        )
     for field in model.fields:
-        audit_velocity_field(
-            field, box_radius, r_radius, samples, seed, dirac_block=block
-        )
+        audit_velocity_field(field, box_radius, r_radius, samples, seed)

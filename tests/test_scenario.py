@@ -83,6 +83,11 @@ def _rename(path, new):
     return edit
 
 
+def _three_particle_predator(raw):
+    raw.update(load_raw("predator-prey-1d"))
+    raw["species"][1] = {**raw["species"][0], "particles": 3}
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -103,6 +108,17 @@ def _rename(path, new):
         (
             lambda raw: raw["species"].append({"type": "dirac", "point": [0.0, 0.0]}),
             "species[1]: dimension 2 differs from species[0]'s 1",
+        ),
+        (
+            lambda raw: raw.update(
+                load_raw("zero-field-1d"), density_tracking=True, checks=[{"type": "linfty-growth"}]
+            ),
+            "checks[0]: linfty-growth needs a grid-1d or grid-2d species",
+        ),
+        (
+            _three_particle_predator,
+            "model.dirac-coupling: gallery form needs one 1D prey species "
+            "plus one predator species of one particle, got [40, 3] particles",
         ),
     ],
 )

@@ -14,13 +14,11 @@ from nonlocalflow import (
     constant_direction,
     constant_drift_field,
     dirac,
-    dirac_coupling_field,
     kernel_library,
     linear_local_field,
     lipschitz_bound_b,
     odd_ramp_kernel,
     pedestrian_field,
-    phi_field,
     scale_kernel,
     sedimentation_field,
     toward_point,
@@ -129,7 +127,8 @@ def test_effective_field_lipschitz_within_bound():
     assert ratio.max() <= bound + 1e-8
 
 
-def _coupling_model(phi, prey_mass=1.0):
+def _coupling_model(predator, prey_mass=1.0):
+    """Prey species 0 and a one-particle predator species 1 under its own law."""
     repulsion = odd_ramp_kernel(0.5, 0.3)
     attraction = scale_kernel(odd_ramp_kernel(1.0, 0.4), -1.0)
     kernels = KernelMatrix(
@@ -141,22 +140,21 @@ def _coupling_model(phi, prey_mass=1.0):
         lambda t, xs, rs: (rs[:, 0] + rs[:, 1])[:, None],
         sup_bound=ball, lip_x=0.0, lip_r=1.0,
     )
-    return dirac_coupling_field([prey], [phi], kernels)
+    return VelocityModel((prey, predator), kernels)
 
 
-def test_dirac_species_must_be_single_particle():
-    phi = phi_field(lambda t, xs, rs, p: np.zeros_like(xs), 1, 2, 1.0, 0.0, 0.0)
-    model = _coupling_model(phi)
-    two = ParticleMeasure(1, np.array([[0.0], [1.0]]), np.array([1.0, 1.0]))
-    prey = ParticleMeasure(1, np.array([[0.0]]), np.array([1.0]))
-    with pytest.raises(ValueError, match="exactly one particle"):
-        velocity_at(_coupling_model(phi), MeasureVector((prey, two)), 1, [0.0])
+def test_a_predator_whose_lip_x_lies_fails_the_audit():
+    # V = 5 x for the predator, declared with Lip_x 0: the audit samples x
+    # like any other species' and names the pair that breaks the slope
+    liar = VelocityField(1, 2, lambda t, xs, rs: 5.0 * xs, sup_bound=10.0, lip_x=0.0, lip_r=0.0)
+    with pytest.raises(AuditError, match=r"velocity Lip_x audit failed: slope 5\.0.* between x=\["):
+        audit_model(_coupling_model(liar), box_radius=2.0, mass=2.0)
 
 
 def test_predator_ignoring_prey_follows_standalone_ode():
     drift = np.array([0.25])
-    phi = phi_field(lambda t, xs, rs, p: np.tile(drift, (len(xs), 1)), 1, 2, 0.25, 0.0, 0.0)
-    model = _coupling_model(phi)
+    predator = VelocityField(1, 2, lambda t, xs, rs: np.tile(drift, (len(xs), 1)), 0.25, 0.0, 0.0)
+    model = _coupling_model(predator)
     prey = ParticleMeasure(1, np.linspace(0, 1, 9).reshape(-1, 1), np.full(9, 1.0 / 9))
     state = MeasureVector((prey, dirac([2.0])))
     v = velocity_at(model, state, 1, [2.0])
@@ -164,8 +162,8 @@ def test_predator_ignoring_prey_follows_standalone_ode():
 
 
 def test_prey_outside_repulsion_support_unaffected():
-    phi = phi_field(lambda t, xs, rs, p: np.zeros_like(xs), 1, 2, 1.0, 0.0, 0.0)
-    model = _coupling_model(phi)
+    predator = VelocityField(1, 2, lambda t, xs, rs: np.zeros_like(xs), 1.0, 0.0, 0.0)
+    model = _coupling_model(predator)
     prey = ParticleMeasure(1, np.array([[0.0]]), np.array([1.0]))
     predator_far = dirac([5.0])  # repulsion support is |x - p| <= 1.0
     state = MeasureVector((prey, predator_far))
@@ -205,15 +203,15 @@ def test_velocity_audit_catches_false_lipschitz():
     ],
 )
 def test_velocity_audit_names_the_witness_of_each_lie(declared, message):
-    # V = x + 2 r_0 - p_0 with p_0 = 1 on |x| <= 2, |r|_1 <= 1: sup 5, Lip_x 1, Lip_r 2
+    # V = x + 2 r_0 - 1 on |x| <= 2, |r|_1 <= 1: sup 5, Lip_x 1, Lip_r 2
     honest = {"sup_bound": 5.0, "lip_x": 1.0, "lip_r": 2.0}
-    field = phi_field(
-        lambda t, xs, rs, p: xs + 2.0 * rs[:, :1] - p[0], 1, 2, **{**honest, **declared}
-    )
-    block = np.array([[1.0]])
-    audit_velocity_field(phi_field(field.evaluate, 1, 2, **honest), 2.0, 1.0, dirac_block=block)
+
+    def law(t, xs, rs):
+        return xs + 2.0 * rs[:, :1] - 1.0
+
+    audit_velocity_field(VelocityField(1, 2, law, **honest), 2.0, 1.0)
     with pytest.raises(AuditError, match=message):
-        audit_velocity_field(field, box_radius=2.0, r_radius=1.0, dirac_block=block)
+        audit_velocity_field(VelocityField(1, 2, law, **{**honest, **declared}), box_radius=2.0, r_radius=1.0)
 
 
 def test_velocity_batch_rejects_a_field_of_the_wrong_shape():
