@@ -6,9 +6,12 @@ numbers, so they are part of the type and never re-estimated.  Library
 kernels are radial and time-independent, which gives them a fast summation
 path through :mod:`nonlocalflow._accel`: in 1D an exact sum over each
 point's support window by cell-anchored prefix sums, in O((N + M) log N),
-and in 2D a blocked dense pass.  ``Kernel.evaluate(t, xs)`` maps
-offsets (M, d) to values (M,) and carries ``t`` so user kernels may vary
-in time.
+and in 2D a blocked dense pass.  There the bump, a polynomial in |x|^2,
+takes one lifted matrix product per block of at least 2^13 pairs whose
+points lie within 1.5 scales of its box centre; the tent and the cosine
+lobe, which need |x| itself, and smaller, wider or non-finite blocks build
+coordinate differences.  ``Kernel.evaluate(t, xs)`` maps offsets (M, d) to
+values (M,) and carries ``t`` so user kernels may vary in time.
 """
 
 from __future__ import annotations

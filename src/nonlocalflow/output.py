@@ -38,19 +38,40 @@ def _write_long_table(
 
     ``columns(j, i, mu)`` gives the extra columns of species ``i`` (the
     measure ``mu``) at snapshot ``j``, one array of ``len(mu)`` values each.
+    Particle indices are formatted once per species size, and an extra
+    column that repeats the species' previous snapshot bit for bit (the
+    weights, while no mass moves between particles) reuses its strings.
     """
     dim = record.states[0].dim
     head = ["frame"] * frame + ["t", "species", "particle"] + [f"x_{a + 1}" for a in range(dim)]
-    line = ",".join(["%.17g"] * (1 + dim + len(extra))) + "\n"
+    positions = ",%.17g" * dim
+    indices: dict[int, list[str]] = {}
+    # (species, column) -> (the column's bytes, its strings once it repeats)
+    previous: dict[tuple[int, int], tuple[bytes, list[str] | None]] = {}
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(head + extra) + "\n")
         for j, (t, state) in enumerate(zip(record.times, record.states)):
             lead = (f"{j}," if frame else "") + _fmt(t) + ","
             for i, mu in enumerate(state.species):
-                cells = [np.arange(len(mu)), mu.positions, *(columns(j, i, mu) if columns else ())]
-                template = f"{lead}{i},{line}"
-                fh.writelines(template % tuple(row) for row in np.column_stack(cells).tolist())
+                if len(mu) not in indices:
+                    indices[len(mu)] = [str(k) for k in range(len(mu))]
+                template = [f"{lead}{i},%s{positions}"]
+                cells = [indices[len(mu)], *mu.positions.T.tolist()]
+                for c, values in enumerate(columns(j, i, mu) if columns else ()):
+                    key = values.tobytes()
+                    seen = previous.get((i, c))
+                    if seen is None or seen[0] != key:
+                        previous[i, c] = (key, None)
+                        template.append(",%.17g")
+                        cells.append(values.tolist())
+                        continue
+                    if seen[1] is None:
+                        seen = previous[i, c] = (key, ["%.17g" % v for v in values.tolist()])
+                    template.append(",%s")
+                    cells.append(seen[1])
+                line = "".join(template) + "\n"
+                fh.writelines(line % row for row in zip(*cells))
 
 
 def write_trajectory(record: SolutionRecord, path: Path) -> None:

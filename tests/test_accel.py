@@ -156,6 +156,116 @@ def test_radial_sum_memory_does_not_grow_with_pairs():
     assert peak < 8 * 2**20
 
 
+def _bump_sum_and_coordinate_blocks(points, centers, weights, scale, height):
+    """The bump sum, with blocks of any size open to the lifted product, and
+    the number of blocks that took the coordinate pass, the only pass that
+    calls ``unit_profile``."""
+    with (
+        mock.patch.object(_accel, "_LIFT_MIN_ELEMENTS", 0),
+        mock.patch.object(_accel, "unit_profile", wraps=_accel.unit_profile) as coordinate,
+    ):
+        out = _accel.radial_sum(points, centers, weights, _accel.PROFILE_BUMP, scale, height)
+    return out, coordinate.call_count
+
+
+def test_lifted_bump_memory_does_not_grow_with_pairs():
+    # every 32-row block spans at most sqrt(2) scales from its box centre
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-0.5, 0.5, size=(2000, 2))
+    weights = np.full(2000, 1.0 / 2000)
+    tracemalloc.start()
+    try:
+        _, coordinate_blocks = _bump_sum_and_coordinate_blocks(pts, pts, weights, 0.5, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert coordinate_blocks == 0
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [("point", math.nan), ("centre", math.inf), ("centre", -math.inf), ("centre", 1e200), ("centre", 1e308)],
+)
+def test_lifted_bump_keeps_the_coordinate_pass_non_finite_results(where, value):
+    points = np.array([[0.0, 0.1], [0.4, -0.2], [-0.3, 0.3]])
+    centers = np.array([[0.1, 0.0], [0.5, 0.2], [-0.2, -0.1], [0.3, 0.3]])
+    weights = np.array([0.5, 0.25, 1.0, 0.75])
+    assert _bump_sum_and_coordinate_blocks(points, centers, weights, 0.5, 1.0)[1] == 0
+    {"point": points, "centre": centers}[where][-1, 0] = value
+    with np.errstate(over="ignore"):
+        out, coordinate_blocks = _bump_sum_and_coordinate_blocks(points, centers, weights, 0.5, 1.0)
+        with mock.patch.object(_accel, "_lifted_bump", return_value=False):
+            coordinate = _accel.radial_sum(points, centers, weights, _accel.PROFILE_BUMP, 0.5, 1.0)
+    np.testing.assert_array_equal(out, coordinate)
+    assert coordinate_blocks == 1
+    assert np.isnan(out[-1]) if where == "point" else np.isfinite(out).all()
+
+
+def test_lifted_bump_vanishes_one_scale_away():
+    # centres one scale from a point along an axis, in blocks whose box
+    # centre is off that point, so that the lifted operands round
+    rng = np.random.default_rng(7)
+    axes = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    vanished = 0
+    for _ in range(200):
+        scale = rng.uniform(0.1, 2.0)
+        points = rng.uniform(-1.0, 1.0, size=(2, 2)) * scale
+        centers = points[0] + scale * axes
+        out, coordinate_blocks = _bump_sum_and_coordinate_blocks(points, centers, np.ones(4), scale, 1.0)
+        assert coordinate_blocks == 0
+        if _radial_sum_loop(points[:1], centers, np.ones(4), _accel.PROFILE_BUMP, scale, 1.0)[0] == 0.0:
+            assert out[0] == 0.0
+            vanished += 1
+    assert vanished >= 50
+
+
+@st.composite
+def lifted_instances(draw):
+    """Bump sums whose points lie within the lifted extent of their box
+    centre, unless ``wide``: clouds translated by up to 1e6 scales, points
+    on centres and on each other, and centres one scale from a point along
+    an axis, exactly so for dyadic scales and offsets."""
+    wide = draw(st.booleans())
+    dim = draw(st.sampled_from([2, 3]))
+    scale = draw(st.one_of(st.sampled_from([0.25, 0.5, 1.0, 1.5]), st.floats(0.1, 2.0)))
+    shift = scale * np.array(draw(st.lists(st.integers(-10**6, 10**6), min_size=dim, max_size=dim)), dtype=float)
+    # within 0.75 scales per coordinate, so within 0.75 sqrt(3) < 1.5 of the box centre
+    reach = 3.0 if wide else 0.75
+    offset = st.one_of(st.integers(-4, 4).map(lambda k: k * reach / 4), st.floats(-reach, reach))
+    vec = st.lists(offset, min_size=dim, max_size=dim).map(lambda u: shift + scale * np.array(u))
+    points = draw(st.lists(vec, min_size=1, max_size=8))
+    if wide:
+        points += [shift - scale * np.full(dim, reach), shift + scale * np.full(dim, reach)]
+    points += draw(st.lists(st.sampled_from(points), max_size=3))
+    far = st.lists(st.floats(-3.0, 3.0), min_size=dim, max_size=dim).map(lambda u: shift + scale * np.array(u))
+    on_scale = st.builds(
+        lambda p, axis, sign: p + sign * scale * np.eye(dim)[axis],
+        st.sampled_from(points),
+        st.integers(0, dim - 1),
+        st.sampled_from([-1.0, 1.0]),
+    )
+    centers = draw(st.lists(st.one_of(far, on_scale, st.sampled_from(points)), min_size=1, max_size=12))
+    weights = np.array([draw(st.floats(0.0, 1.0)) for _ in centers])
+    height = draw(st.floats(0.1, 3.0))
+    return wide, np.array(points), np.array(centers), weights, scale, height
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=lifted_instances())
+def test_lifted_bump_matches_the_loop(instance):
+    wide, points, centers, weights, scale, height = instance
+    fast, coordinate_blocks = _bump_sum_and_coordinate_blocks(points, centers, weights, scale, height)
+    slow = _radial_sum_loop(points, centers, weights, _accel.PROFILE_BUMP, scale, height)
+    # one block: the lifted product, or the coordinate pass for a wide cloud
+    assert coordinate_blocks == int(wide)
+    tol = 1e-13 * (1.0 + height * float(weights.sum()))
+    assert np.allclose(fast, slow, rtol=0.0, atol=tol)
+    # a point with every centre at or beyond one scale gets exactly nothing
+    unweighted = _radial_sum_loop(points, centers, np.ones(len(centers)), _accel.PROFILE_BUMP, scale, 1.0)
+    assert (fast[unweighted == 0.0] == 0.0).all()
+
+
 @st.composite
 def windowed_instances(draw):
     """1D instances for the windowed sum: unsorted centres with duplicates
