@@ -55,7 +55,6 @@ from .solver import (
     polynomial_bump_test,
     solve,
     solve_direct,
-    solve_frozen,
     solve_picard,
     weak_form_residual,
     window_length,
@@ -77,7 +76,6 @@ from .velocity import (
 )
 from .wasserstein import (
     PairCapError,
-    SimplexBasis,
     TransportPlan,
     UnequalMassError,
     coupling_cost,

@@ -74,7 +74,7 @@ def _check_reports(scenario: Scenario, record: SolutionRecord, cfg: dict, k_over
         return [BoundReport.make("mass-conservation", drift, 0.0, 1.0, fp)]
     if kind == "stability-initial":
         # a direct solve is the base solve the stability pairs share
-        direct = record if record.diagnostics["mode"] == "direct" else None
+        direct = record if scenario.mode == "direct" else None
         return stability_battery(
             scenario, cfg["pairs"], cfg["eps"], scenario.seed, cfg["slack"], k_override, direct
         )

@@ -56,7 +56,7 @@ class SolutionRecord:
     """Time-indexed snapshots of one solve, plus diagnostics.
 
     A record is also a frozen convolution source: :meth:`at` interpolates
-    its states linearly in time.
+    its states linearly in time, so its times must strictly increase.
     """
 
     times: np.ndarray
@@ -68,6 +68,8 @@ class SolutionRecord:
         self.times = np.asarray(self.times, dtype=np.float64)
         if self.times.size != len(self.states) or self.times.size == 0:
             raise ValueError("one state per time required")
+        if not (self.times[1:] > self.times[:-1]).all():
+            raise ValueError("times must be strictly increasing")
 
     def at(self, t: float) -> MeasureVector:
         times = self.times
@@ -230,6 +232,8 @@ def integrate(
 ) -> SolutionRecord:
     """The RK4 loop: ``steps`` uniform steps from ``initial`` at ``t0`` to ``t1``.
 
+    With a ``frozen_r`` record as convolution source this solves the linear
+    problem behind the map r -> rho; with None, the self-consistent one.
     Returns the record of the snapshot times ``t0 + dt*j`` and the state at
     each; step j starts at its record time.  Raises
     :class:`NonFiniteStateError` naming the step and its time when a step

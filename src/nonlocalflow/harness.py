@@ -16,10 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .flow import SolutionRecord, _uniform_steps
+from .flow import SolutionRecord, _uniform_steps, integrate
 from .kernels import sample_box
 from .measures import MeasureVector
-from .solver import Scenario, solve_direct, solve_frozen
+from .solver import Scenario, solve_direct
 from .velocity import VelocityModel, _l1_ball_samples, lipschitz_bound_b, velocity_batch
 from .wasserstein import w1_series, w1_vector
 
@@ -184,8 +184,8 @@ def check_stability_general(
     mass = max(rho0.total_measure(), sigma0.total_measure())
     c = lipschitz_bound_b(model_a, mass)
     steps, _ = _uniform_steps(0.0, horizon, dt)
-    rec_a = solve_frozen(model_a, rho0, source_a, 0.0, horizon, steps, courant)
-    rec_b = solve_frozen(model_b, sigma0, source_b, 0.0, horizon, steps, courant)
+    rec_a = integrate(model_a, source_a, rho0, 0.0, horizon, steps, courant)
+    rec_b = integrate(model_b, source_b, sigma0, 0.0, horizon, steps, courant)
     sup_rs = float(w1_series((source_a.at(t), source_b.at(t)) for t in rec_a.times).max())
     lo, hi = _ensemble_box([rho0, sigma0], inflate=model_a.sup_bound * horizon + 1.0)
     r_radius = mass * max(model_a.kernels.sup_bound, model_b.kernels.sup_bound)

@@ -2,9 +2,9 @@
 
 ``solve_direct`` integrates the coupled particle ODE self-consistently with
 RK4.  ``solve_picard`` freezes the convolution source, solves the resulting
-linear transport problem, and iterates the map r -> rho to its fixed point;
-the horizon is covered by chaining time windows short enough that the map
-contracts with factor C*T*exp(C*T) <= sigma.
+linear transport problem with ``flow.integrate``, and iterates the map
+r -> rho to its fixed point; the horizon is covered by chaining time windows
+short enough that the map contracts with factor C*T*exp(C*T) <= sigma.
 """
 
 from __future__ import annotations
@@ -98,39 +98,16 @@ class PicardConvergenceError(RuntimeError):
 
 
 def solve_direct(scenario: Scenario) -> SolutionRecord:
-    """Self-consistent Lagrangian integration over the full horizon."""
-    steps, _ = _uniform_steps(0.0, scenario.horizon, scenario.step.dt)
-    return solve_frozen(
-        scenario.model, scenario.initial, None, 0.0, scenario.horizon, steps,
-        scenario.step.courant, scenario.density_values(), scenario.h_fd,
+    """Self-consistent Lagrangian integration over the full horizon; the
+    record carries the transported densities when the scenario tracks them."""
+    steps, dt = _uniform_steps(0.0, scenario.horizon, scenario.step.dt)
+    record = integrate(
+        scenario.model, None, scenario.initial, 0.0, scenario.horizon, steps, scenario.step.courant
     )
-
-
-def solve_frozen(
-    model: VelocityModel,
-    initial: MeasureVector,
-    frozen_r: SolutionRecord | None,
-    t0: float,
-    t1: float,
-    steps: int,
-    courant: float = 0.1,
-    density_values: Sequence[np.ndarray] | None = None,
-    h_fd: float = 1e-4,
-) -> SolutionRecord:
-    """Transport of ``initial`` over [t0, t1] in ``steps`` RK4 steps.
-
-    The convolution source is ``frozen_r`` (the linear problem behind the
-    map r -> rho), a record whose times must strictly increase, or the
-    solution itself when ``frozen_r`` is None.  Given ``density_values``
-    (rho_0 at each particle), the record carries the transported densities.
-    """
-    if frozen_r is not None and (np.diff(frozen_r.times) <= 0).any():
-        raise ValueError("times must be strictly increasing")
-    record = integrate(model, frozen_r, initial, t0, t1, steps, courant)
-    record.diagnostics["mode"] = "direct" if frozen_r is None else "frozen"
-    if density_values is not None:
-        dt = (t1 - t0) / steps
-        record.densities = transported_densities(model, frozen_r, record, dt, density_values, h_fd)
+    if scenario.initial_densities is not None:
+        record.densities = transported_densities(
+            scenario.model, None, record, dt, scenario.density_values(), scenario.h_fd
+        )
     return record
 
 
@@ -159,7 +136,8 @@ def window_length(scenario: Scenario) -> float:
         else:
             hi = mid
         mid = 0.5 * (lo + hi)
-    return min(mid, scenario.horizon)
+    # lo is the bracket end known to satisfy the bound; mid may overshoot it
+    return min(lo, scenario.horizon)
 
 
 def picard_window(
@@ -185,7 +163,7 @@ def picard_window(
     masses = rho0.masses()
     distances: list[float] = []
     for _ in range(scenario.picard.max_iter):
-        rec = solve_frozen(scenario.model, rho0, r_prev, t0, t1, steps, scenario.step.courant)
+        rec = integrate(scenario.model, r_prev, rho0, t0, t1, steps, scenario.step.courant)
         dist = float(max(
             sum(
                 coupling_cost(a.weights, a.positions, b.positions) / mass
@@ -206,14 +184,20 @@ def solve_picard(scenario: Scenario) -> SolutionRecord:
     Windows are snapped onto the uniform step grid, so picard and direct
     solves share snapshot times.  Tracked densities are one post-pass over
     the converged snapshots, which are also the frozen source.  Raises
-    :class:`EmptySpeciesError` for a species of zero mass.
+    :class:`EmptySpeciesError` for a species of zero mass, and ValueError
+    when ``picard.sigma`` allows a window shorter than one step.
     """
     for i, mass in enumerate(scenario.initial.masses()):
         if mass <= 0:
             raise EmptySpeciesError(f"empty species {i}")
     window = window_length(scenario)
     total_steps, dtu = _uniform_steps(0.0, scenario.horizon, scenario.step.dt)
-    window_steps = max(1, int(math.floor(window / dtu + 1e-12)))
+    window_steps = int(math.floor(window / dtu + 1e-12))
+    if window_steps < 1:
+        raise ValueError(
+            f"picard.sigma = {scenario.picard.sigma} allows windows of at most {window!r}, "
+            f"shorter than one step {dtu!r} of dt = {scenario.step.dt}; lower dt or raise picard.sigma"
+        )
     times_all = [0.0]
     states_all = [scenario.initial]
     per_window_distances: list[list[float]] = []
@@ -234,7 +218,6 @@ def solve_picard(scenario: Scenario) -> SolutionRecord:
         times_all,
         states_all,
         diagnostics={
-            "mode": "picard",
             "window_edges": window_edges,
             "picard_distances": per_window_distances,
         },

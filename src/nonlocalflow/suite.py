@@ -42,7 +42,7 @@ from .solver import (
     window_length,
 )
 from .velocity import VelocityModel, linear_local_field, sedimentation_field
-from .wasserstein import kantorovich_potential, w1_1d, w1_exact, w1_vector
+from .wasserstein import kantorovich_potential, w1_1d, w1_exact, w1_series
 
 
 @dataclass
@@ -323,7 +323,7 @@ def criterion_7_method_agreement() -> list[BoundReport]:
         picard = solve_picard(replace(scenario, mode="picard"))
         # np.allclose's test |a - b| <= 1e-8 + 1e-5 |b|, as the excess over its tolerance
         excess = np.abs(direct.times - picard.times) - (1e-8 + 1e-5 * np.abs(picard.times))
-        gap = max(w1_vector(a, b) for a, b in zip(direct.states, picard.states))
+        gap = float(w1_series(zip(direct.states, picard.states)).max())
         reports += [
             _within("snapshot-time excess over np.allclose", float(excess.max()), 0.0, scenario=name),
             _within("sup_t W1(direct, picard)", gap, 1e-6, scenario=name),

@@ -53,35 +53,17 @@ def w1_1d(mu: ParticleMeasure, nu: ParticleMeasure) -> float:
 
 
 @dataclass(frozen=True)
-class SimplexBasis:
-    """Optimal spanning basis of one simplex solve and the marginals it solved.
-
-    Holds all N + M - 1 basic cells, zero-flow cells included, with their
-    flows as the simplex left them.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-    flows: np.ndarray
-    supply: np.ndarray
-    demand: np.ndarray
-
-    def fits(self, supply: np.ndarray, demand: np.ndarray) -> bool:
-        """True iff both weight vectors are bitwise equal to the basis's."""
-        return self.supply.tobytes() == supply.tobytes() and (
-            self.demand.tobytes() == demand.tobytes()
-        )
-
-
-@dataclass(frozen=True)
 class TransportPlan:
     """Sparse coupling between two ensembles with its transport cost.
 
+    The cells (``source_index``, ``target_index``) are the N + M - 1 basic
+    cells of the simplex solve, zero-flow cells included, and ``mass`` holds
+    their flows as the simplex left them.  That spanning basis is primal
+    feasible for any pair of measures with the weights ``supply`` and
+    ``demand`` it solved, so ``w1_exact`` can start a later solve from it.
     ``target_support`` holds the target points y_j and ``target_dual`` the
     simplex's optimal duals v_j on them, which define the plan's
-    :func:`kantorovich_potential`.  ``basis`` is the simplex basis the plan
-    came from, if any; ``w1_exact`` can start a later solve with the same
-    weights from it.
+    :func:`kantorovich_potential`.
     """
 
     source_index: np.ndarray
@@ -90,7 +72,14 @@ class TransportPlan:
     cost: float
     target_support: np.ndarray
     target_dual: np.ndarray
-    basis: SimplexBasis | None = None
+    supply: np.ndarray
+    demand: np.ndarray
+
+    def fits(self, supply: np.ndarray, demand: np.ndarray) -> bool:
+        """True iff both weight vectors are bitwise equal to the plan's."""
+        return self.supply.tobytes() == supply.tobytes() and (
+            self.demand.tobytes() == demand.tobytes()
+        )
 
     def marginal_residual(self, mu: ParticleMeasure, nu: ParticleMeasure) -> float:
         row = np.zeros(len(mu))
@@ -114,10 +103,11 @@ def w1_exact(
     primal transportation simplex; dual feasibility and complementary
     slackness are verified to ``CERT_TOL`` before returning.
 
-    ``warm`` is an earlier plan.  Its basis is primal-feasible for any pair
-    of measures with the same weights (push-forwards never change weights),
-    so the simplex starts from it when both weight vectors are bitwise equal
-    to the ones it solved, and from the northwest corner otherwise.  The
+    ``warm`` is an earlier plan.  Its cells are a basis that is
+    primal-feasible for any pair of measures with the same weights
+    (push-forwards never change weights), so the simplex starts from it when
+    both weight vectors are bitwise equal to the ones it solved
+    (:meth:`TransportPlan.fits`), and from the northwest corner otherwise.  The
     certificate is checked either way.  Raises :class:`PairCapError` above
     :data:`DEFAULT_PAIR_CAP` pairs, read at call time.
     """
@@ -128,7 +118,9 @@ def w1_exact(
     if n == 0 or m == 0:
         if n == m == 0:
             empty = np.zeros(0)
-            return 0.0, TransportPlan(np.zeros(0, int), np.zeros(0, int), empty, 0.0, nu.positions, empty)
+            return 0.0, TransportPlan(
+                np.zeros(0, int), np.zeros(0, int), empty, 0.0, nu.positions, empty, empty, empty
+            )
         raise UnequalMassError("W1 undefined for unequal masses (one side empty)")
     if n * m > DEFAULT_PAIR_CAP:
         raise PairCapError(
@@ -137,15 +129,14 @@ def w1_exact(
     diff = mu.positions[:, None, :] - nu.positions[None, :, :]
     cost = np.sqrt(np.einsum("nmd,nmd->nm", diff, diff))
     start = None
-    if warm is not None and warm.basis is not None and warm.basis.fits(mu.weights, nu.weights):
-        start = (warm.basis.rows, warm.basis.cols, warm.basis.flows)
-    src, tgt, mass, u, v = _accel.transport_simplex(
+    if warm is not None and warm.fits(mu.weights, nu.weights):
+        start = (warm.source_index, warm.target_index, warm.mass)
+    src, tgt, flows, u, v = _accel.transport_simplex(
         cost, mu.weights, nu.weights, start=start
     )
-    basis = SimplexBasis(src, tgt, mass, mu.weights, nu.weights)
-    if (mass < -MARGINAL_TOL).any():
+    if (flows < -MARGINAL_TOL).any():
         raise RuntimeError("simplex produced a negative flow")
-    mass = np.maximum(mass, 0.0)
+    mass = np.maximum(flows, 0.0)
     total = float(np.sum(mass * cost[src, tgt]))
 
     scale = max(1.0, float(np.abs(cost).max()))
@@ -159,8 +150,7 @@ def w1_exact(
             f"optimality certificate failed: dual violation {dual_violation}, "
             f"slackness {slackness}"
         )
-    keep = mass > 0
-    plan = TransportPlan(src[keep], tgt[keep], mass[keep], total, nu.positions, v, basis)
+    plan = TransportPlan(src, tgt, flows, total, nu.positions, v, mu.weights, nu.weights)
     res = plan.marginal_residual(mu, nu)
     if res > MARGINAL_TOL * max(1.0, float(mu.weights.max())):
         raise RuntimeError(f"plan marginals off by {res}")
@@ -191,8 +181,8 @@ def kantorovich_potential(plan: TransportPlan, points: np.ndarray) -> np.ndarray
 def w1_series(pairs: Iterable[tuple[MeasureVector, MeasureVector]]) -> np.ndarray:
     """Vector W1 (the sum over species) for each pair of a series.
 
-    In 2D and up each species' simplex starts from the optimal basis of the
-    same species in the previous pair; ``w1_exact`` falls back to a cold
+    In 2D and up each species' simplex starts from the plan of the same
+    species in the previous pair; ``w1_exact`` falls back to a cold
     start wherever the weights differ.  The warm state lives only inside
     one call.  1D pairs use the closed form.
     """

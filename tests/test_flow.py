@@ -26,7 +26,7 @@ from nonlocalflow import (
 )
 from nonlocalflow import flow
 from nonlocalflow.flow import integrate
-from nonlocalflow.solver import Scenario, solve_frozen, solve_picard
+from nonlocalflow.solver import Scenario, solve_picard
 from nonlocalflow.scenario import _cosine_bump_1d, load_scenario
 from dataclasses import replace
 
@@ -263,7 +263,7 @@ def test_step_j_starts_at_the_record_time():
     direct = solve_direct(Scenario("clock", model, init, horizon=1.0, step=StepControl(0.1)))
     assert calls[::4] == list(direct.times[:-1])
     calls.clear()
-    frozen = solve_frozen(model, init, direct, 0.3, 1.0, 7)
+    frozen = integrate(model, direct, init, 0.3, 1.0, 7)
     assert calls[::4] == list(frozen.times[:-1])
     assert frozen.times[0] == 0.3 and frozen.times[-1] == 1.0
 

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -27,14 +28,16 @@ from nonlocalflow import (
     sedimentation_field,
     solve,
     solve_direct,
-    solve_frozen,
     solve_picard,
     w1_series,
     w1_vector,
     weak_form_residual,
     window_length,
 )
-from nonlocalflow.scenario import _cosine_bump_1d, load_config, load_scenario, scenario_from_config
+from nonlocalflow import solver
+from nonlocalflow.cli import main
+from nonlocalflow.flow import integrate
+from nonlocalflow.scenario import _cosine_bump_1d, load_config, load_raw, load_scenario, scenario_from_config
 
 
 def bump_particles(n=30, mass=1.0, support=(-1.0, 1.0)):
@@ -117,11 +120,11 @@ def test_record_needs_one_state_per_time():
 
 
 @pytest.mark.parametrize("times", [[0.0, 0.5, 0.5], [0.0, 0.6, 0.3]])
-def test_solve_frozen_rejects_a_source_whose_times_do_not_increase(times):
+def test_record_rejects_times_that_do_not_increase(times):
+    # every record is a frozen source, which interpolates between its times
     scn = sedimentation_scenario(n=10)
-    source = SolutionRecord(times, [scn.initial] * len(times))
     with pytest.raises(ValueError, match="strictly increasing"):
-        solve_frozen(scn.model, scn.initial, source, 0.0, 0.3, 3)
+        SolutionRecord(times, [scn.initial] * len(times))
 
 
 @pytest.mark.parametrize("t1", [0.0, -0.1])
@@ -163,6 +166,45 @@ def test_window_length_on_a_long_horizon_matches_the_root(c):
                   step=StepControl(0.01))
     oracle = brentq(lambda t: c * t * math.exp(c * t) - 0.5, 0.0, 0.5 / c, xtol=1e-13)
     assert window_length(scn) == pytest.approx(oracle, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "name", ["sedimentation-1d", "pedestrian-2d", "predator-prey-1d", "sedimentation-smooth-1d"]
+)
+def test_window_length_keeps_the_contraction_factor_at_or_under_sigma(name):
+    scn = load_scenario(name, {"mode": "picard"}, audit=False)
+    c, tw = scn.lipschitz_b(), window_length(scn)
+    assert tw < scn.horizon
+    assert c * tw * math.exp(c * tw) <= scn.picard.sigma
+
+
+def test_window_length_factor_never_exceeds_sigma():
+    # the bisection's midpoint can overshoot the root; the window it returns
+    # must not
+    rng = np.random.default_rng(20)
+    scn = replace(sedimentation_scenario(), horizon=1e6)
+    for c, sigma in zip(10.0 ** rng.uniform(-3, 3, 300), rng.uniform(0.01, 0.99, 300)):
+        probe = replace(scn, model=linear_local_field(-c, 4.0, 1), picard=PicardParams(sigma=sigma))
+        tw = window_length(probe)
+        assert c * tw * math.exp(c * tw) <= sigma, (c, sigma, tw)
+
+
+def test_picard_rejects_a_window_shorter_than_one_step(tmp_path, capsys, monkeypatch):
+    # sigma = 0.02 at C = 1 allows windows of about 0.0196 < dt = 0.05; a
+    # one-step window would contract with factor 0.0526 > sigma
+    raw = load_raw("sedimentation-1d")
+    raw["picard"] = {"sigma": 0.02}
+    path = tmp_path / "tight-sigma.json"
+    path.write_text(json.dumps(raw))
+    solved = []
+    monkeypatch.setattr(solver, "picard_window", lambda *a, **k: solved.append(a))
+    argv = ["run", str(path), "--mode", "picard", "--dt", "0.05", "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    assert solved == []
+    window = window_length(load_scenario(str(path), {"mode": "picard", "dt": 0.05}, audit=False))
+    message = capsys.readouterr().err
+    for part in ("picard.sigma = 0.02", "dt = 0.05", repr(window), repr(0.05)):
+        assert part in message
 
 
 def test_picard_zero_velocity_single_iteration():
@@ -219,8 +261,8 @@ def test_picard_distance_is_the_identity_coupling_and_exact_w1(name):
     _, dists = picard_window(scn, 0.0, t1, scn.initial, steps=steps)
     masses = scn.initial.masses()
     frozen = SolutionRecord([0.0, t1], [scn.initial, scn.initial])
-    first = solve_frozen(scn.model, scn.initial, frozen, 0.0, t1, steps, scn.step.courant)
-    second = solve_frozen(scn.model, scn.initial, first, 0.0, t1, steps, scn.step.courant)
+    first = integrate(scn.model, frozen, scn.initial, 0.0, t1, steps, scn.step.courant)
+    second = integrate(scn.model, first, scn.initial, 0.0, t1, steps, scn.step.courant)
     for dist, rec, prev in ((dists[0], first, frozen), (dists[1], second, first)):
         targets = [prev.at(t) for t in rec.times[1:]]
         coupling = max(
@@ -332,9 +374,10 @@ def test_solve_picard_rejects_empty_species():
 
 
 def test_solve_dispatch():
+    # only a Picard solve chains windows, and only its record names their edges
     scn = sedimentation_scenario(horizon=0.05, dt=0.005)
-    assert solve(scn).diagnostics["mode"] == "direct"
-    assert solve(replace(scn, mode="picard")).diagnostics["mode"] == "picard"
+    assert "window_edges" not in solve(scn).diagnostics
+    assert "window_edges" in solve(replace(scn, mode="picard")).diagnostics
 
 
 def test_weak_residual_zero_function():

@@ -302,6 +302,26 @@ def test_plan_marginals_and_certificate():
         )
 
 
+def test_plan_is_its_own_simplex_basis():
+    # the plan keeps every basic cell and the weights it solved; with equal
+    # weights the optimum is a matching, so n - 1 of its cells carry no flow,
+    # and a weight one ulp away no longer fits its basis
+    rng = np.random.default_rng(7)
+    n = 8
+    mu = ParticleMeasure(2, rng.normal(size=(n, 2)), np.full(n, 0.3 / n))
+    nu = ParticleMeasure(2, rng.normal(size=(n, 2)), np.full(n, 0.3 / n))
+    _, plan = w1_exact(mu, nu)
+    assert len(plan.source_index) == len(plan.target_index) == len(plan.mass) == 2 * n - 1
+    assert len(set(zip(plan.source_index.tolist(), plan.target_index.tolist()))) == 2 * n - 1
+    assert (plan.mass > 1e-12).sum() == n
+    assert plan.mass.sum() == pytest.approx(0.3, rel=1e-12, abs=0.0)
+    assert plan.fits(mu.weights, nu.weights)
+    for side in (0, 1):
+        weights = [mu.weights.copy(), nu.weights.copy()]
+        weights[side][-1] = np.nextafter(weights[side][-1], np.inf)
+        assert not plan.fits(*weights)
+
+
 def test_metric_axioms():
     rng = np.random.default_rng(5)
     for _ in range(25):
