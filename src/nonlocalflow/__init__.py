@@ -1,7 +1,6 @@
 """Particle methods for convolution-coupled continuity equations on measures,
 with an exact Wasserstein-1 toolkit and a bound-certification harness."""
 
-from ._accel import BACKEND
 from .flow import (
     NonFiniteStateError,
     SolutionRecord,
@@ -27,7 +26,6 @@ from .kernels import (
     audit_kernel,
     convolve_batch,
     convolve_vector_batch,
-    diagonal_matrix,
     kernel_library,
     odd_ramp_kernel,
     scale_kernel,
@@ -39,10 +37,8 @@ from .measures import (
     GridDensity,
     MeasureVector,
     ParticleMeasure,
-    concat,
     dirac,
     particles_from_density,
-    push_forward,
     total_mass,
     uniform_density_1d,
 )

@@ -59,12 +59,9 @@ class RunConfig:
         for kind in self.emit:
             if kind not in KNOWN_EMITS:
                 raise ScenarioParseError(f"unknown emit flag {kind!r}")
-        k_override = self.overrides.get("k_override")
-        if k_override is not None and not math.isfinite(k_override):
-            raise ScenarioParseError(f"--k-override must be finite, got {k_override!r}")
 
 
-def _check_reports(scenario: Scenario, record: SolutionRecord, cfg: dict, k_override: float | None) -> list[BoundReport]:
+def _check_reports(scenario: Scenario, record: SolutionRecord, cfg: dict) -> list[BoundReport]:
     """The reports of one check of a scenario file."""
     kind = cfg["type"]
     fp = scenario.fingerprint()
@@ -75,9 +72,7 @@ def _check_reports(scenario: Scenario, record: SolutionRecord, cfg: dict, k_over
     if kind == "stability-initial":
         # a direct solve is the base solve the stability pairs share
         direct = record if scenario.mode == "direct" else None
-        return stability_battery(
-            scenario, cfg["pairs"], cfg["eps"], scenario.seed, cfg["slack"], k_override, direct
-        )
+        return stability_battery(scenario, cfg["pairs"], cfg["eps"], cfg["slack"], direct)
     if kind == "linfty-growth":
         return [check_linfty_growth(scenario, record, cfg["slack"])]
     if kind == "lemma-stability":
@@ -89,13 +84,13 @@ def _check_reports(scenario: Scenario, record: SolutionRecord, cfg: dict, k_over
     return [BoundReport.make("flow-map-lipschitz", ratio, bound, 1.0 + cfg["tolerance"], fp)]
 
 
-def run_checks(scenario: Scenario, record: SolutionRecord, checks: list[dict], k_override: float | None = None) -> list[BoundReport]:
+def run_checks(scenario: Scenario, record: SolutionRecord, checks: list[dict]) -> list[BoundReport]:
     """Every check's reports; a check whose exact W1 exceeds the pair cap
     becomes one failing report that carries the cap message."""
     reports: list[BoundReport] = []
     for cfg in validate_checks(checks):
         try:
-            reports.extend(_check_reports(scenario, record, cfg, k_override))
+            reports.extend(_check_reports(scenario, record, cfg))
         except PairCapError as exc:
             fp = {**scenario.fingerprint(), "error": str(exc)}
             reports.append(BoundReport.make(cfg["type"], math.nan, math.nan, cfg.get("slack", 1.0), fp))
@@ -107,23 +102,20 @@ def run(config: RunConfig) -> int:
     cfg = load_config(config.scenario, config.overrides)
     if "densities" in config.emit and not cfg["density_tracking"]:
         raise ScenarioParseError("density_tracking: --emit densities needs density_tracking true")
-    stability = any(check["type"] == "stability-initial" for check in cfg["checks"])
-    if "k_override" in config.overrides and not (stability and "reports" in config.emit):
-        raise ScenarioParseError(
-            "--k-override: acts only on a stability-initial check with --emit reports"
-        )
     scenario = scenario_from_config(cfg)
-    record = solve(scenario)
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioParseError(f"--out: {exc}") from None
+    record = solve(scenario)
     if "trajectories" in config.emit:
         write_trajectory(record, out / "trajectory.csv")
     if record.densities is not None and {"densities", "plotdata"} & set(config.emit):
         emit_plotdata(record, "density-profile", out)
     reports: list[BoundReport] = []
     if "reports" in config.emit:
-        k_override = config.overrides.get("k_override")
-        reports = run_checks(scenario, record, scenario.config["checks"], k_override)
+        reports = run_checks(scenario, record, cfg["checks"])
         write_reports(reports, out / "reports.csv")
     if "plotdata" in config.emit:
         emit_plotdata(record, "particle-cloud", out)

@@ -239,29 +239,25 @@ def stability_battery(
     scenario: Scenario,
     pairs: int,
     eps: float = 0.05,
-    seed0: int = 0,
     slack: float = 1.05,
-    K: float | None = None,
     base: SolutionRecord | None = None,
 ) -> list[BoundReport]:
-    """Seeded perturbation pairs through check_stability_initial.
+    """``pairs`` perturbation pairs through check_stability_initial at the
+    certified rate K = 2C, perturbed with seeds ``scenario.seed``,
+    ``scenario.seed + 1``, ...
 
     The unperturbed datum is solved once (or ``base``, a direct solve of the
-    scenario, is used) and shared by every pair.  A given ``K`` is passed on
-    and recorded in each fingerprint as ``k_override``.  Runs the pairs one
-    after another.
+    scenario, is used) and shared by every pair; each report's fingerprint
+    names its ``pair_seed``.  Runs the pairs one after another.
     """
     if base is None:
         base = solve_direct(replace(scenario, initial_densities=None))
-    extra = {} if K is None else {"k_override": K}
 
     def one(seed: int) -> BoundReport:
         sigma0 = perturbed_initial(scenario.initial, eps, seed)
-        return check_stability_initial(
-            scenario, base, sigma0, slack, fingerprint={"pair_seed": seed, **extra}, K=K
-        )
+        return check_stability_initial(scenario, base, sigma0, slack, fingerprint={"pair_seed": seed})
 
-    seeds = [seed0 + i for i in range(pairs)]
+    seeds = [scenario.seed + i for i in range(pairs)]
     # One worker: the pairs' solves hold the GIL between small numpy calls,
     # so a second thread only contends for it.  perfbench/spans.py traces
     # the pairs by rebinding this module's ThreadPoolExecutor.

@@ -220,16 +220,6 @@ def zero_kernel(dim: int) -> Kernel:
     return _kernel_from_terms(dim, [RadialTerm(_accel.PROFILE_CONSTANT, 1.0, 0.0)], 0.0, 0.0)
 
 
-def diagonal_matrix(kernel: Kernel, k: int = 1, off: Kernel | None = None) -> KernelMatrix:
-    """Kernel matrix with ``kernel`` on the diagonal and ``off`` (default zero) elsewhere."""
-    if off is None:
-        off = zero_kernel(kernel.dim)
-    rows = tuple(
-        tuple(kernel if i == j else off for j in range(k)) for i in range(k)
-    )
-    return KernelMatrix(rows)
-
-
 def _halton(n: int, dim: int, seed: int = 0) -> np.ndarray:
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     out = np.empty((n, dim))

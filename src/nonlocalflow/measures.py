@@ -10,7 +10,7 @@ conserved bit-exactly along any flow.  Densities enter through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -69,17 +69,6 @@ def dirac(point: Sequence[float] | float, weight: float = 1.0) -> ParticleMeasur
     return ParticleMeasure(pos.size, pos.reshape(1, -1), np.array([weight]))
 
 
-def concat(mu: ParticleMeasure, nu: ParticleMeasure) -> ParticleMeasure:
-    """Ensemble concatenation; the sum measure mu + nu."""
-    if mu.dim != nu.dim:
-        raise ValueError("dimension mismatch")
-    return ParticleMeasure(
-        mu.dim,
-        np.vstack([mu.positions, nu.positions]),
-        np.concatenate([mu.weights, nu.weights]),
-    )
-
-
 @dataclass(frozen=True)
 class MeasureVector:
     """State of the k-species system at one time."""
@@ -121,19 +110,6 @@ class MeasureVector:
 
 def total_mass(mu: ParticleMeasure) -> float:
     return float(np.sum(mu.weights))
-
-
-def push_forward(mu: ParticleMeasure, transport: Callable[[np.ndarray], np.ndarray]) -> ParticleMeasure:
-    """Push-forward of ``mu`` under a point map; weights are untouched.
-
-    The map acts on the (N, d) array of positions and returns an (N, d) array.
-    """
-    if len(mu) == 0:
-        return mu
-    moved = np.asarray(transport(mu.positions), dtype=np.float64)
-    if moved.shape != mu.positions.shape:
-        raise ValueError(f"point map must return shape {mu.positions.shape}, got {moved.shape}")
-    return mu.with_positions(moved)
 
 
 @dataclass(frozen=True)

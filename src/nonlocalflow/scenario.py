@@ -8,9 +8,10 @@ the table before anything is built.  An unknown field is rejected with its
 path and the nearest known name.  A value of the wrong type, a non-finite
 number and a value out of range are rejected with their path, and so is a
 break of a rule between fields (at least one species, one dimension for
-all species, ``linfty-growth`` only with density tracking and a grid
-species).  Every absent optional field gets its default, so the builders
-read only validated values.
+all species and the model, one species for a one-species model,
+``linfty-growth`` only with density tracking and a grid species).  Every
+absent optional field gets its default, so the builders read only
+validated values.
 """
 
 from __future__ import annotations
@@ -51,9 +52,8 @@ from .velocity import (
 )
 
 SCHEMA_VERSION = 1
-# the overrides ``run`` accepts, with their types; ``k_override`` goes to the
-# checks, not to the file
-OVERRIDES = {"n": int, "dt": float, "horizon": float, "mode": str, "seed": int, "k_override": float}
+# the overrides ``run`` accepts, with their types
+OVERRIDES = {"n": int, "dt": float, "horizon": float, "mode": str, "seed": int}
 
 
 class ScenarioParseError(ValueError):
@@ -184,6 +184,8 @@ SCENARIO = Field("object", fields={
     "species": Field("list", fields=SPECIES),
     "checks": Field("list", [], fields=CHECKS),
 })
+# the gallery models that move exactly one species
+ONE_SPECIES_MODELS = ("sedimentation", "pedestrian", "linear-local", "constant-drift")
 # run --n sets, per species type, this field to this function of n
 N_OVERRIDE = {
     "grid-1d": ("particles", lambda n: n),
@@ -283,6 +285,11 @@ def _check_rules(cfg: dict) -> None:
     for i, dim in enumerate(dims):
         if dim != dims[0]:
             raise ScenarioParseError(f"species[{i}]: dimension {dim} differs from species[0]'s {dims[0]}")
+    model = cfg["model"]
+    if model["type"] in ONE_SPECIES_MODELS and len(dims) != 1:
+        raise ScenarioParseError(f"species: a {model['type']} model moves exactly one species, got {len(dims)}")
+    if model.get("dim", dims[0]) != dims[0]:
+        raise ScenarioParseError(f"model: dim {model['dim']} differs from the species' dimension {dims[0]}")
     grids = any(sp["type"] in ("grid-1d", "grid-2d") for sp in cfg["species"])
     for i, check in enumerate(cfg["checks"]):
         if check["type"] == "linfty-growth" and not cfg["density_tracking"]:
@@ -385,7 +392,7 @@ def _build_model(cfg: dict, species: list[ParticleMeasure]):
         )
         return pedestrian_field(speed, direction, _kernel(cfg["kernel"], dim))
     if kind == "linear-local":
-        return linear_local_field(cfg["alpha"], cfg["domain_radius"], cfg.get("dim", dim))
+        return linear_local_field(cfg["alpha"], cfg["domain_radius"], dim)
     if kind == "constant-drift":
         return constant_drift_field(np.asarray(cfg["vector"]))
     if len(species) != 2 or dim != 1 or len(species[1]) != 1:
@@ -412,12 +419,15 @@ def scenario_from_config(raw: dict, audit: bool = True) -> Scenario:
     built = [_build_species(sp, i) for i, sp in enumerate(cfg["species"])]
     initial = MeasureVector(tuple(mu for mu, _ in built))
     model = _build_model(cfg["model"], list(initial.species))
-    scenario = Scenario(
-        name=cfg["name"], model=model, initial=initial, horizon=cfg["horizon"],
-        step=StepControl(cfg["dt"], cfg["courant"]), mode=cfg["mode"],
-        picard=PicardParams(**cfg["picard"]), h_fd=cfg["h_fd"], seed=cfg["seed"], config=cfg,
-        initial_densities=tuple(dens for _, dens in built) if cfg["density_tracking"] else None,
-    )
+    try:
+        scenario = Scenario(
+            name=cfg["name"], model=model, initial=initial, horizon=cfg["horizon"],
+            step=StepControl(cfg["dt"], cfg["courant"]), mode=cfg["mode"],
+            picard=PicardParams(**cfg["picard"]), h_fd=cfg["h_fd"], seed=cfg["seed"],
+            initial_densities=tuple(dens for _, dens in built) if cfg["density_tracking"] else None,
+        )
+    except ValueError as exc:  # the table checked the rest: a model that cannot move the species
+        raise ScenarioParseError(f"scenario: {exc}") from None
     if audit:
         radius = cfg.get("audit_radius")
         if radius is None:
@@ -460,6 +470,8 @@ def load_config(path_or_name: str, overrides: dict | None = None) -> dict:
     cfg.update({k: v for k, v in overrides.items() if k in SCENARIO.fields})  # dt, horizon, mode, seed
     if "n" in overrides:
         n = overrides["n"]
+        if not any(sp["type"] in N_OVERRIDE for sp in cfg["species"]):
+            raise ScenarioParseError("--n: acts only on a grid-1d or grid-2d species")
         for i, sp in enumerate(cfg["species"]):
             if sp["type"] in N_OVERRIDE:
                 if n < 1:
@@ -473,11 +485,3 @@ def load_scenario(path_or_name: str, overrides: dict | None = None, audit: bool 
     """Parse, build, and audit a scenario file (or bundled scenario name)."""
     return scenario_from_config(load_config(path_or_name, overrides), audit=audit)
 
-
-def save_scenario(scenario: Scenario, path: str | Path) -> Path:
-    """Write the scenario's config back to disk; load(save(s)) is identical."""
-    if scenario.config is None:
-        raise ValueError("scenario carries no config (not file-loaded)")
-    path = Path(path)
-    path.write_text(json.dumps(scenario.config, indent=2, sort_keys=True) + "\n")
-    return path

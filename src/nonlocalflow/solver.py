@@ -57,14 +57,17 @@ class Scenario:
     initial_densities: tuple[GridDensity | None, ...] | None = None
     h_fd: float = 1e-4
     seed: int = 0
-    # the normalized config this scenario was built from, when file-loaded
-    config: dict | None = None
 
     def __post_init__(self):
         require_positive("horizon", self.horizon)
         require_positive("h_fd", self.h_fd)
         if self.mode not in ("direct", "picard"):
             raise ValueError("mode must be 'direct' or 'picard'")
+        if (self.model.k, self.model.dim) != (self.initial.k, self.initial.dim):
+            raise ValueError(
+                f"model moves {self.model.k} species in dimension {self.model.dim}, "
+                f"initial data has {self.initial.k} in dimension {self.initial.dim}"
+            )
 
     def fingerprint(self) -> dict:
         """What a report or an error names to replay this scenario."""

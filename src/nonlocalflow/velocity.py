@@ -23,7 +23,6 @@ from .kernels import (
     KernelMatrix,
     audit_kernel,
     convolve_vector_batch,
-    diagonal_matrix,
     kernel_library,
     require_positive,
     sample_box,
@@ -182,7 +181,7 @@ def pedestrian_field(speed: SpeedLaw, direction: DirectionField, kernel: Kernel)
         lip_x=speed.sup_bound * direction.lip,
         lip_r=speed.lip * direction.sup_bound,
     )
-    return VelocityModel((field,), diagonal_matrix(kernel, 1))
+    return VelocityModel((field,), KernelMatrix(((kernel,),)))
 
 
 def sedimentation_field(kernel: Kernel, mass: float = 1.0) -> VelocityModel:
@@ -201,7 +200,7 @@ def sedimentation_field(kernel: Kernel, mass: float = 1.0) -> VelocityModel:
         lip_x=0.0,
         lip_r=1.0,
     )
-    return VelocityModel((field,), diagonal_matrix(kernel, 1))
+    return VelocityModel((field,), KernelMatrix(((kernel,),)))
 
 
 def linear_local_field(alpha: float, domain_radius: float, dim: int = 1) -> VelocityModel:
@@ -218,7 +217,7 @@ def linear_local_field(alpha: float, domain_radius: float, dim: int = 1) -> Velo
         lip_x=abs(alpha),
         lip_r=0.0,
     )
-    return VelocityModel((field,), diagonal_matrix(kernel_library("constant", dim), 1))
+    return VelocityModel((field,), KernelMatrix(((kernel_library("constant", dim),),)))
 
 
 def constant_drift_field(vec: Sequence[float], kernel: Kernel | None = None) -> VelocityModel:
@@ -234,7 +233,7 @@ def constant_drift_field(vec: Sequence[float], kernel: Kernel | None = None) -> 
         lip_x=0.0,
         lip_r=0.0,
     )
-    return VelocityModel((field,), diagonal_matrix(kernel, 1))
+    return VelocityModel((field,), KernelMatrix(((kernel,),)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from nonlocalflow.scenario import (
     bundled_scenarios,
     load_raw,
     load_scenario,
-    save_scenario,
     scenario_from_config,
 )
 
@@ -61,21 +60,6 @@ def test_bad_override_rejected():
         RunConfig("sedimentation-1d", Path("/tmp/x"), {"bogus": 1})
 
 
-def test_round_trip_identical_scenario(tmp_path):
-    a = load_scenario("sedimentation-1d", audit=False)
-    saved = save_scenario(a, tmp_path / "copy.json")
-    b = load_scenario(str(saved), audit=False)
-    assert a.name == b.name
-    assert a.horizon == b.horizon
-    assert a.step == b.step
-    assert a.mode == b.mode
-    assert a.picard == b.picard
-    assert a.seed == b.seed
-    assert a.config == b.config
-    assert np.array_equal(a.initial.species[0].positions, b.initial.species[0].positions)
-    assert np.array_equal(a.initial.species[0].weights, b.initial.species[0].weights)
-
-
 def test_run_zero_field_outputs(tmp_path):
     status = run(RunConfig("zero-field-1d", tmp_path))
     assert status == 0
@@ -98,33 +82,6 @@ def test_run_determinism_byte_identical(tmp_path):
     for rel in ("trajectory.csv", "reports.csv", "plot/particle-cloud.svg",
                 "plot/w1-curve.csv"):
         assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
-
-
-EXPANDING_SCENARIO = {
-    "schema": 1,
-    "name": "expanding-1d",
-    "horizon": 0.5,
-    "dt": 0.01,
-    "model": {"type": "linear-local", "alpha": 1.0, "domain_radius": 8.0, "dim": 1},
-    "audit_radius": 8.0,
-    "species": [
-        {"type": "grid-1d", "profile": "uniform", "support": [-1.0, 1.0],
-         "resolution": 32, "particles": 12, "scheme": "quantile-1d", "mass": 1.0}
-    ],
-    "checks": [{"type": "stability-initial", "pairs": 2, "eps": 0.05, "slack": 1.05}],
-}
-
-
-def test_broken_k_override_fails_stability(tmp_path):
-    # distances grow like e^t here, so the e^{0*t} bound must be violated
-    path = tmp_path / "expanding.json"
-    path.write_text(json.dumps(EXPANDING_SCENARIO))
-    good = run(RunConfig(str(path), tmp_path / "good"))
-    assert good == 0
-    status = run(RunConfig(str(path), tmp_path / "broken", {"k_override": 0.0}))
-    assert status != 0
-    lines = (tmp_path / "broken" / "reports.csv").read_text().splitlines()
-    assert any("false" in line for line in lines[1:])
 
 
 def test_emit_plotdata_kinds(tmp_path):
@@ -185,16 +142,13 @@ def test_cli_main_verbs(tmp_path):
     [
         (["sedimentation-1d", "--emit", "densities"],
          "density_tracking: --emit densities needs density_tracking true"),
-        (["zero-field-1d", "--k-override", "0"],
-         "--k-override: acts only on a stability-initial check with --emit reports"),
-        (["sedimentation-1d", "--k-override", "0", "--emit", "trajectories"],
-         "--k-override: acts only on a stability-initial check with --emit reports"),
+        (["zero-field-1d"], "--n: acts only on a grid-1d or grid-2d species"),
         (["sedimentation-1d", "--emit", ""],
          "--emit: needs at least one of trajectories,densities,reports,plotdata"),
         (["sedimentation-1d", "--emit", ","],
          "--emit: needs at least one of trajectories,densities,reports,plotdata"),
     ],
-    ids=["densities-untracked", "k-override-without-check", "k-override-without-reports", "emit-empty", "emit-commas-only"],
+    ids=["densities-untracked", "n-without-grid", "emit-empty", "emit-commas-only"],
 )
 def test_run_rejects_an_emit_or_override_with_nothing_to_act_on(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.setattr(cli, "solve", lambda scenario: pytest.fail("solved a rejected run"))
@@ -202,6 +156,15 @@ def test_run_rejects_an_emit_or_override_with_nothing_to_act_on(tmp_path, capsys
     assert main(["run", *argv, "--n", "20", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_run_onto_an_existing_file_exits_2_before_solving(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "solve", lambda scenario: pytest.fail("solved a run with no out directory"))
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["run", "zero-field-1d", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --out: ")
+    assert out.read_text() == ""
 
 
 def test_audit_rejects_nan_kernel_scale(tmp_path, capsys):
@@ -270,9 +233,6 @@ def test_non_finite_scenario_fields_rejected_with_field(tmp_path, capsys, field,
         (["sedimentation-1d", "--n", "0"], "species[0]: "),
         (["pedestrian-2d", "--n", "0"], "species[0]: --n must be at least 1, got 0"),
         (["pedestrian-2d", "--n", "-5"], "species[0]: --n must be at least 1, got -5"),
-        (["sedimentation-1d", "--k-override", "nan"], "--k-override must be finite, got nan"),
-        (["sedimentation-1d", "--k-override", "inf"], "--k-override must be finite, got inf"),
-        (["sedimentation-1d", "--k-override=-inf"], "--k-override must be finite, got -inf"),
     ],
 )
 def test_bad_run_overrides_exit_2_with_field(tmp_path, capsys, argv, message):

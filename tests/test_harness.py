@@ -25,7 +25,7 @@ from nonlocalflow import (
 from nonlocalflow import harness, solver, w1_series, w1_vector, wasserstein
 from nonlocalflow.harness import perturbed_initial
 from nonlocalflow.cli import run_checks
-from nonlocalflow.scenario import _cosine_bump_1d, load_scenario
+from nonlocalflow.scenario import _cosine_bump_1d, load_scenario, scenario_from_config
 from nonlocalflow.solver import solve
 
 
@@ -185,6 +185,30 @@ def test_default_k_given_explicitly_is_the_default_report():
     sigma0 = perturbed_initial(scn.initial, 0.05, seed=2)
     default = check_stability_initial(scn, base, sigma0)
     assert check_stability_initial(scn, base, sigma0, K=2.0 * scn.lipschitz_b()) == default
+
+
+# V = x: distances grow like e^t, the certified rate is K = 2C = 2
+EXPANDING_SCENARIO = {
+    "schema": 1,
+    "name": "expanding-1d",
+    "horizon": 0.5,
+    "dt": 0.01,
+    "model": {"type": "linear-local", "alpha": 1.0, "domain_radius": 8.0, "dim": 1},
+    "audit_radius": 8.0,
+    "species": [
+        {"type": "grid-1d", "profile": "uniform", "support": [-1.0, 1.0],
+         "resolution": 32, "particles": 12, "scheme": "quantile-1d", "mass": 1.0}
+    ],
+}
+
+
+def test_stability_check_fails_at_k_zero_on_an_expanding_field():
+    scn = scenario_from_config(EXPANDING_SCENARIO)
+    base = solve_direct(scn)
+    sigma0 = perturbed_initial(scn.initial, 0.05, seed=0)
+    assert check_stability_initial(scn, base, sigma0).passed
+    # the e^{0 t} bound must be violated by distances that grow like e^t
+    assert not check_stability_initial(scn, base, sigma0, K=0.0).passed
 
 
 def test_general_stability_identical_problems():

@@ -13,7 +13,6 @@ from nonlocalflow import (
     ParticleMeasure,
     add_kernels,
     audit_kernel,
-    concat,
     convolve_batch,
     convolve_vector_batch,
     dirac,
@@ -137,9 +136,10 @@ def test_convolve_linearity():
     mu = ParticleMeasure(1, rng.normal(size=(9, 1)), rng.uniform(0.1, 1, 9))
     nu = ParticleMeasure(1, rng.normal(size=(6, 1)), rng.uniform(0.1, 1, 6))
     alpha, beta = 0.6, 2.25
-    combined = concat(
-        ParticleMeasure(1, mu.positions, alpha * mu.weights),
-        ParticleMeasure(1, nu.positions, beta * nu.weights),
+    combined = ParticleMeasure(
+        1,
+        np.vstack([mu.positions, nu.positions]),
+        np.concatenate([alpha * mu.weights, beta * nu.weights]),
     )
     for x in rng.normal(size=4):
         lhs = conv_at(combined, k, x)

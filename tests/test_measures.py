@@ -6,10 +6,8 @@ from nonlocalflow import (
     GridDensity,
     MeasureVector,
     ParticleMeasure,
-    concat,
     dirac,
     particles_from_density,
-    push_forward,
     total_mass,
     uniform_density_1d,
     w1_1d,
@@ -38,58 +36,6 @@ def test_invalid_weights_rejected():
         ParticleMeasure(1, np.array([[0.0]]), np.array([np.inf]))
     with pytest.raises(ValueError):
         ParticleMeasure(1, np.array([[0.0], [1.0]]), np.array([1.0]))
-
-
-def test_push_forward_identity_and_translation():
-    mu = ParticleMeasure(2, np.array([[0.0, 1.0], [2.0, -1.0]]), np.array([0.5, 1.5]))
-    same = push_forward(mu, lambda x: x)
-    assert np.array_equal(same.positions, mu.positions)
-    assert same.weights is mu.weights
-
-    shifted = push_forward(mu, lambda x: x + np.array([1.0, 2.0]))
-    assert np.allclose(shifted.positions, mu.positions + np.array([1.0, 2.0]))
-    assert total_mass(shifted) == total_mass(mu)
-
-
-def test_push_forward_doubling_w1_against_matching_enumeration():
-    mu = ParticleMeasure(1, np.array([[-1.0], [1.0]]), np.array([0.5, 0.5]))
-    nu = push_forward(mu, lambda x: 2.0 * x)
-    assert np.allclose(nu.positions.ravel(), [-2.0, 2.0])
-    # two admissible matchings of the half-masses
-    aligned = 0.5 * abs(-1.0 - -2.0) + 0.5 * abs(1.0 - 2.0)
-    crossed = 0.5 * abs(-1.0 - 2.0) + 0.5 * abs(1.0 - -2.0)
-    assert w1_1d(mu, nu) == pytest.approx(min(aligned, crossed), abs=1e-12)
-    assert w1_1d(mu, nu) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_push_forward_composes_exactly():
-    rng = np.random.default_rng(3)
-    mu = ParticleMeasure(2, rng.normal(size=(17, 2)), rng.uniform(0.1, 1.0, 17))
-
-    def t1(x):
-        return x * 1.5 + 0.25
-
-    def t2(x):
-        return x - 3.0
-
-    once = push_forward(push_forward(mu, t1), t2)
-    composed = push_forward(mu, lambda x: t2(t1(x)))
-    assert np.array_equal(once.positions, composed.positions)
-    assert once.weights is mu.weights
-
-
-def test_push_forward_mass_bit_exact():
-    rng = np.random.default_rng(4)
-    mu = ParticleMeasure(1, rng.normal(size=(101, 1)), rng.uniform(0.01, 2.0, 101))
-    moved = push_forward(mu, lambda x: np.sin(x) * 10.0)
-    assert total_mass(moved) == total_mass(mu)
-
-
-@pytest.mark.parametrize("transport", [lambda x: x[:, :1], lambda x: x.sum(axis=1), lambda x: x.T])
-def test_push_forward_rejects_a_map_of_the_wrong_shape(transport):
-    mu = ParticleMeasure(2, np.arange(6.0).reshape(3, 2), np.ones(3))
-    with pytest.raises(ValueError, match=r"point map must return shape \(3, 2\)"):
-        push_forward(mu, transport)
 
 
 def test_quantile_discretization_uniform():
@@ -151,11 +97,3 @@ def test_grid_density_interpolation():
     assert np.allclose(inside, 1.0)
     outside = dens.value_at(np.array([[3.0], [-1.0]]))
     assert np.allclose(outside, 0.0)
-
-
-def test_concat_is_measure_sum():
-    a = dirac([0.0], weight=0.5)
-    b = dirac([1.0], weight=0.7)
-    both = concat(a, b)
-    assert total_mass(both) == pytest.approx(1.2)
-    assert len(both) == 2

@@ -83,6 +83,17 @@ def _rename(path, new):
     return edit
 
 
+def _twice(name):
+    """An edit that makes the file bundled ``name`` with its species listed twice."""
+
+    def edit(raw):
+        raw.clear()
+        raw.update(load_raw(name))
+        raw["species"].append(raw["species"][0])
+
+    return edit
+
+
 def _three_particle_predator(raw):
     raw.update(load_raw("predator-prey-1d"))
     raw["species"][1] = {**raw["species"][0], "particles": 3}
@@ -114,6 +125,23 @@ def _three_particle_predator(raw):
                 load_raw("zero-field-1d"), density_tracking=True, checks=[{"type": "linfty-growth"}]
             ),
             "checks[0]: linfty-growth needs a grid-1d or grid-2d species",
+        ),
+        (_twice("sedimentation-1d"), "species: a sedimentation model moves exactly one species, got 2"),
+        (_twice("pedestrian-2d"), "species: a pedestrian model moves exactly one species, got 2"),
+        (
+            _twice("linear-local-compressive-1d"),
+            "species: a linear-local model moves exactly one species, got 2",
+        ),
+        (_twice("zero-field-1d"), "species: a constant-drift model moves exactly one species, got 2"),
+        (
+            lambda raw: raw.update(load_raw("linear-local-compressive-1d"), model={
+                "type": "linear-local", "alpha": -1.0, "domain_radius": 4.0, "dim": 2
+            }),
+            "model: dim 2 differs from the species' dimension 1",
+        ),
+        (
+            _set(["model"], {"type": "constant-drift", "vector": [1.0, 0.0]}),
+            "scenario: model moves 1 species in dimension 2, initial data has 1 in dimension 1",
         ),
         (
             _three_particle_predator,

@@ -111,6 +111,21 @@ def test_scenario_lipschitz_b():
     assert scn.lipschitz_b() == pytest.approx(1.0)  # lip_r=1, lip(eta)=1, mass=1
 
 
+@pytest.mark.parametrize(
+    "initial, message",
+    [
+        (MeasureVector((dirac([0.0]), dirac([1.0]))),
+         "model moves 1 species in dimension 1, initial data has 2 in dimension 1"),
+        (MeasureVector((dirac([0.0, 1.0]),)),
+         "model moves 1 species in dimension 1, initial data has 1 in dimension 2"),
+    ],
+    ids=["species-count", "dimension"],
+)
+def test_scenario_rejects_initial_data_its_model_cannot_move(initial, message):
+    with pytest.raises(ValueError, match=message):
+        replace(sedimentation_scenario(), initial=initial)
+
+
 def test_record_needs_one_state_per_time():
     rho = MeasureVector((dirac([0.0]),))
     with pytest.raises(ValueError, match="one state per time"):

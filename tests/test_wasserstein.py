@@ -13,7 +13,6 @@ from nonlocalflow import (
     PairCapError,
     ParticleMeasure,
     UnequalMassError,
-    concat,
     coupling_cost,
     dirac,
     kantorovich_potential,
