@@ -79,7 +79,7 @@ def _check_reports(scenario: Scenario, record: SolutionRecord, cfg: dict) -> lis
         sigma0 = perturbed_initial(scenario.initial, cfg["eps"], scenario.seed)
         return [check_lemma_stability(scenario.model, scenario.initial, sigma0, fingerprint=fp)]
     # flow-lipschitz: the flow of the field with the run's record as frozen source
-    ratio = flow_map_lipschitz_probe(scenario.model, record, seed=scenario.seed, courant=scenario.step.courant)
+    ratio = flow_map_lipschitz_probe(scenario.model, record, seed=scenario.seed)
     bound = math.exp(scenario.lipschitz_b() * scenario.horizon)
     return [BoundReport.make("flow-map-lipschitz", ratio, bound, 1.0 + cfg["tolerance"], fp)]
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -34,14 +34,19 @@ class NonFiniteStateError(ValueError):
     """A step left a non-finite position or divergence integral."""
 
 
+# the central-difference step of the divergence in transported densities
+H_FD = 1e-4
+
+
 @dataclass(frozen=True)
 class StepControl:
+    """The RK4 step ``dt``; a field of Lipschitz bound C needs dt * C <= ``courant``."""
+
     dt: float
-    courant: float = 0.1
+    courant: ClassVar[float] = 0.1
 
     def __post_init__(self):
         require_positive("dt", self.dt)
-        require_positive("courant", self.courant)
 
     def check(self, lipschitz: float) -> None:
         if self.dt * lipschitz > self.courant * (1.0 + 1e-12):
@@ -114,7 +119,6 @@ def rk4_step(
     rho: MeasureVector,
     t: float,
     dt: float,
-    courant: float = 0.1,
 ) -> MeasureVector:
     """Advance every particle of every species by one classical RK4 step
     from time ``t``.
@@ -124,7 +128,7 @@ def rk4_step(
     check uses its mass, on which Lip(b_r) depends.
     """
     source_mass = (rho if frozen_r is None else frozen_r.states[0]).total_measure()
-    StepControl(dt, courant).check(lipschitz_bound_b(model, source_mass))
+    StepControl(dt).check(lipschitz_bound_b(model, source_mass))
     points = rho.positions()
 
     def stage(t_stage: float, pts: list[np.ndarray]) -> list[np.ndarray]:
@@ -154,7 +158,6 @@ def divergence_at(
     i: int,
     t: float,
     points: np.ndarray,
-    h_fd: float,
 ) -> np.ndarray:
     """Central-difference divergence of the effective field at given points."""
     pts = np.atleast_2d(points)
@@ -164,9 +167,9 @@ def divergence_at(
     stacked = np.empty((2 * d * n, d))
     for a in range(d):
         plus = pts.copy()
-        plus[:, a] += h_fd
+        plus[:, a] += H_FD
         minus = pts.copy()
-        minus[:, a] -= h_fd
+        minus[:, a] -= H_FD
         stacked[2 * a * n : (2 * a + 1) * n] = plus
         stacked[(2 * a + 1) * n : (2 * a + 2) * n] = minus
     vel = velocity_batch(model, source, i, t, stacked)
@@ -174,7 +177,7 @@ def divergence_at(
     for a in range(d):
         vp = vel[2 * a * n : (2 * a + 1) * n, a]
         vm = vel[(2 * a + 1) * n : (2 * a + 2) * n, a]
-        div += (vp - vm) / (2.0 * h_fd)
+        div += (vp - vm) / (2.0 * H_FD)
     return div
 
 
@@ -188,7 +191,6 @@ def transported_densities(
     record: SolutionRecord,
     dt: float,
     density_values: Sequence[np.ndarray],
-    h_fd: float,
 ) -> list[tuple[np.ndarray, ...]]:
     """rho_0 * exp(-integral of div V) along the characteristics of ``record``.
 
@@ -207,7 +209,7 @@ def transported_densities(
         tm = record.times[j] + 0.5 * dt
         mid = [0.5 * (a + b) for a, b in zip(state.positions(), nxt.positions())]
         source = _stage_source(frozen_r, state, mid, tm)
-        acc = [a + dt * divergence_at(model, source, i, tm, mid[i], h_fd) for i, a in enumerate(acc)]
+        acc = [a + dt * divergence_at(model, source, i, tm, mid[i]) for i, a in enumerate(acc)]
         if not all(np.isfinite(a).all() for a in acc):
             raise _non_finite(j, record.times[j + 1])
         densities.append(tuple(d0 * np.exp(-a) for d0, a in zip(initial, acc)))
@@ -228,7 +230,6 @@ def integrate(
     t0: float,
     t1: float,
     steps: int,
-    courant: float = 0.1,
 ) -> SolutionRecord:
     """The RK4 loop: ``steps`` uniform steps from ``initial`` at ``t0`` to ``t1``.
 
@@ -243,7 +244,7 @@ def integrate(
     times = [t0]
     states = [initial]
     for j in range(steps):
-        rho = rk4_step(model, frozen_r, states[-1], times[-1], dt, courant)
+        rho = rk4_step(model, frozen_r, states[-1], times[-1], dt)
         times.append(t0 + dt * (j + 1))
         if not all(np.isfinite(p).all() for p in rho.positions()):
             raise _non_finite(j, times[-1])
@@ -258,7 +259,6 @@ def flow_map_lipschitz_probe(
     pairs: int = 64,
     separation: float = 1e-3,
     seed: int = 0,
-    courant: float = 0.1,
 ) -> float:
     """Max over probe pairs of |X_T(x) - X_T(y)| / |x - y|.
 
@@ -282,8 +282,7 @@ def flow_map_lipschitz_probe(
     probes = [ParticleMeasure(start.dim, np.zeros((0, start.dim)), np.zeros(0))] * start.k
     probes[species] = ParticleMeasure(start.dim, np.vstack([probes_a, probes_b]), np.ones(2 * pairs))
     times = record.times
-    moved = integrate(
-        model, record, MeasureVector(tuple(probes)), times[0], times[-1], times.size - 1, courant
-    ).final().species[species].positions
+    moved = integrate(model, record, MeasureVector(tuple(probes)), times[0], times[-1], times.size - 1)
+    moved = moved.final().species[species].positions
     gap_t = np.linalg.norm(moved[:pairs] - moved[pairs:], axis=1)
     return float(np.max(gap_t / gap0))

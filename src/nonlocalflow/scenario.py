@@ -8,8 +8,8 @@ the table before anything is built.  An unknown field is rejected with its
 path and the nearest known name.  A value of the wrong type, a non-finite
 number and a value out of range are rejected with their path, and so is a
 break of a rule between fields (at least one species, one dimension for
-all species and the model, one species for a one-species model,
-``linfty-growth`` only with density tracking and a grid species).  Every
+all species and the pedestrian direction, one species for a one-species
+model, ``linfty-growth`` only with density tracking and a grid species).  Every
 absent optional field gets its default, so the builders read only
 validated values.
 """
@@ -125,7 +125,6 @@ MODELS = {
     "linear-local": {
         "alpha": Field("number"),
         "domain_radius": _positive(),
-        "dim": Field("integer", OPTIONAL, "at least 1"),  # absent: the species' dimension
     },
     "constant-drift": {"vector": _VECTOR},
     "dirac-coupling": {
@@ -146,7 +145,6 @@ SPECIES = {
         "resolution": _count(64),
         "profile": Field("string", "uniform", choices=("uniform", "cosine-bump")),
         "particles": _count(),
-        "scheme": Field("string", "quantile-1d", choices=("quantile-1d", "cell-midpoint")),
         "mass": _positive(1.0),
     },
     "grid-2d": {
@@ -173,10 +171,8 @@ SCENARIO = Field("object", fields={
     "name": Field("string"),
     "horizon": _positive(),
     "dt": _positive(),
-    "courant": _positive(0.1),
     "mode": Field("string", "direct", choices=("direct", "picard")),
     "density_tracking": Field("boolean", False),
-    "h_fd": _positive(1e-4),
     "seed": Field("integer", 0, "at least 0"),
     "audit_radius": _positive(OPTIONAL),  # absent: from the data
     "picard": Field("object", {}, fields=_PICARD, noun="picard."),
@@ -288,8 +284,13 @@ def _check_rules(cfg: dict) -> None:
     model = cfg["model"]
     if model["type"] in ONE_SPECIES_MODELS and len(dims) != 1:
         raise ScenarioParseError(f"species: a {model['type']} model moves exactly one species, got {len(dims)}")
-    if model.get("dim", dims[0]) != dims[0]:
-        raise ScenarioParseError(f"model: dim {model['dim']} differs from the species' dimension {dims[0]}")
+    if model["type"] == "pedestrian":
+        way = model["direction"]
+        key = "vector" if way["type"] == "constant" else "target"
+        if len(way[key]) != dims[0]:
+            raise ScenarioParseError(
+                f"model.direction: {key} has length {len(way[key])}, the species' dimension is {dims[0]}"
+            )
     grids = any(sp["type"] in ("grid-1d", "grid-2d") for sp in cfg["species"])
     for i, check in enumerate(cfg["checks"]):
         if check["type"] == "linfty-growth" and not cfg["density_tracking"]:
@@ -347,7 +348,7 @@ def _build_species(cfg: dict, idx: int) -> tuple[ParticleMeasure, GridDensity | 
     if kind == "grid-1d":
         dens = _PROFILES_1D[cfg["profile"]](*cfg["support"], cfg["resolution"])
         dens = _scaled_to_mass(dens, cfg["mass"])
-        return particles_from_density(dens, cfg["particles"], cfg["scheme"]), dens
+        return particles_from_density(dens, cfg["particles"], "quantile-1d"), dens
     if kind == "grid-2d":
         dens = _cosine_bump_2d(cfg["center"], cfg["radius"], cfg["resolution"])
         dens = _scaled_to_mass(dens, cfg["mass"])
@@ -422,8 +423,8 @@ def scenario_from_config(raw: dict, audit: bool = True) -> Scenario:
     try:
         scenario = Scenario(
             name=cfg["name"], model=model, initial=initial, horizon=cfg["horizon"],
-            step=StepControl(cfg["dt"], cfg["courant"]), mode=cfg["mode"],
-            picard=PicardParams(**cfg["picard"]), h_fd=cfg["h_fd"], seed=cfg["seed"],
+            step=StepControl(cfg["dt"]), mode=cfg["mode"],
+            picard=PicardParams(**cfg["picard"]), seed=cfg["seed"],
             initial_densities=tuple(dens for _, dens in built) if cfg["density_tracking"] else None,
         )
     except ValueError as exc:  # the table checked the rest: a model that cannot move the species

@@ -55,12 +55,10 @@ class Scenario:
     picard: PicardParams = field(default_factory=PicardParams)
     # rho_0 per species; densities are tracked exactly when these are given
     initial_densities: tuple[GridDensity | None, ...] | None = None
-    h_fd: float = 1e-4
     seed: int = 0
 
     def __post_init__(self):
         require_positive("horizon", self.horizon)
-        require_positive("h_fd", self.h_fd)
         if self.mode not in ("direct", "picard"):
             raise ValueError("mode must be 'direct' or 'picard'")
         if (self.model.k, self.model.dim) != (self.initial.k, self.initial.dim):
@@ -104,13 +102,9 @@ def solve_direct(scenario: Scenario) -> SolutionRecord:
     """Self-consistent Lagrangian integration over the full horizon; the
     record carries the transported densities when the scenario tracks them."""
     steps, dt = _uniform_steps(0.0, scenario.horizon, scenario.step.dt)
-    record = integrate(
-        scenario.model, None, scenario.initial, 0.0, scenario.horizon, steps, scenario.step.courant
-    )
+    record = integrate(scenario.model, None, scenario.initial, 0.0, scenario.horizon, steps)
     if scenario.initial_densities is not None:
-        record.densities = transported_densities(
-            scenario.model, None, record, dt, scenario.density_values(), scenario.h_fd
-        )
+        record.densities = transported_densities(scenario.model, None, record, dt, scenario.density_values())
     return record
 
 
@@ -166,7 +160,7 @@ def picard_window(
     masses = rho0.masses()
     distances: list[float] = []
     for _ in range(scenario.picard.max_iter):
-        rec = integrate(scenario.model, r_prev, rho0, t0, t1, steps, scenario.step.courant)
+        rec = integrate(scenario.model, r_prev, rho0, t0, t1, steps)
         dist = float(max(
             sum(
                 coupling_cost(a.weights, a.positions, b.positions) / mass
@@ -226,9 +220,7 @@ def solve_picard(scenario: Scenario) -> SolutionRecord:
         },
     )
     if scenario.initial_densities is not None:
-        record.densities = transported_densities(
-            scenario.model, record, record, dtu, scenario.density_values(), scenario.h_fd
-        )
+        record.densities = transported_densities(scenario.model, record, record, dtu, scenario.density_values())
     return record
 
 

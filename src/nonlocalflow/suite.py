@@ -206,10 +206,10 @@ def criterion_3_duality() -> list[BoundReport]:
     return [_within("max |potential - exact|", worst, 1e-9, pairs=len(pairs))]
 
 
-@criterion(4, "initial-data stability exp(Kt) bound (100 seeded pairs)")
+@criterion(4, "initial-data stability exp(Kt) bound (150 seeded pairs)")
 def criterion_4_initial_stability() -> list[BoundReport]:
     reports = []
-    for name in ("sedimentation-1d", "pedestrian-2d"):
+    for name in ("sedimentation-1d", "pedestrian-2d", "linear-local-expansive-1d"):
         scenario = load_scenario(name, audit=False)
         reports += stability_battery(scenario, pairs=50, eps=0.05)
     return reports
@@ -259,7 +259,6 @@ def criterion_5_general_stability() -> list[BoundReport]:
                     scenario.horizon,
                     scenario.step.dt,
                     seed=scenario.seed,
-                    courant=scenario.step.courant,
                     fingerprint={"perturbation": tag, "eps": eps},
                 )
             )

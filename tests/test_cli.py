@@ -205,13 +205,12 @@ NAN = float("nan")
 @pytest.mark.parametrize(
     "field, fields",
     [
-        # a NaN courant with an oversized dt once switched off the step guard
-        ("courant", {"courant": NAN, "dt": 0.25}),
+        ("audit_radius", {"audit_radius": NAN}),
         ("dt", {"dt": NAN}),
         ("dt", {"dt": float("inf")}),
         ("horizon", {"horizon": NAN}),
-        ("h_fd", {"h_fd": NAN}),
-        ("h_fd", {"h_fd": -1.0}),
+        ("audit_radius", {"audit_radius": -1.0}),
+        ("audit_radius", {"audit_radius": float("inf")}),
         ("picard.tol", {"picard": {"tol": NAN}}),
     ],
 )

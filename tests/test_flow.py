@@ -87,6 +87,12 @@ def test_step_control_violation():
         rk4_step(model, None, MeasureVector((dirac([0.5]),)), 0.0, 0.1)  # 0.4 > courant 0.1
 
 
+def test_the_step_guard_is_fixed():
+    assert StepControl(0.01).courant == 0.1
+    with pytest.raises(TypeError):
+        StepControl(0.01, 0.5)
+
+
 def test_mass_conserved_bit_exactly_along_flow():
     k = kernel_library("tent")
     model = sedimentation_field(k)
@@ -99,10 +105,10 @@ def test_mass_conserved_bit_exactly_along_flow():
     assert rho.species[0].weights is mu.weights
 
 
-def _transported(model, mu, dens, dt, steps, h_fd=1e-4):
+def _transported(model, mu, dens, dt, steps):
     """Initial and final transported density of ``steps`` RK4 steps from ``mu``."""
     record = integrate(model, None, MeasureVector((mu,)), 0.0, dt * steps, steps)
-    densities = transported_densities(model, None, record, dt, (dens.value_at(mu.positions),), h_fd)
+    densities = transported_densities(model, None, record, dt, (dens.value_at(mu.positions),))
     return densities[0][0], densities[-1][0]
 
 
@@ -115,11 +121,11 @@ def test_divergence_free_transport_keeps_density():
 
 def test_linear_field_density_factor():
     # V = alpha x transports density by the factor exp(-alpha t)
-    alpha, t_end, dt, h_fd = 1.0, 0.5, 1e-3, 1e-4
+    alpha, t_end, dt = 1.0, 0.5, 1e-3
     model = linear_local_field(alpha, 5.0, 1)
     mu, dens = unit_bump()
     steps = int(round(t_end / dt))
-    _, final = _transported(model, mu, dens, dt, steps, h_fd)
+    _, final = _transported(model, mu, dens, dt, steps)
     factor = final / dens.value_at(mu.positions)
     assert np.allclose(factor, np.exp(-alpha * t_end), atol=1e-6)
 
@@ -144,8 +150,8 @@ def test_non_finite_divergence_stops_a_tracked_solve(monkeypatch):
     # midpoint clock of step index 2 is 0.125
     divergence = flow.divergence_at
 
-    def broken(model, source, i, t, points, h_fd):
-        return np.full(len(points), np.nan) if t > 0.1 else divergence(model, source, i, t, points, h_fd)
+    def broken(model, source, i, t, points):
+        return np.full(len(points), np.nan) if t > 0.1 else divergence(model, source, i, t, points)
 
     monkeypatch.setattr(flow, "divergence_at", broken)
     mu, dens = unit_bump()
@@ -287,7 +293,7 @@ def test_sedimentation_probe_rides_the_run_record_in_both_modes():
     # frozen flow along either record differs from it at O(dt^2) only
     scn = load_scenario("sedimentation-1d")
     for record in (solve_direct(scn), solve_picard(scn)):
-        ratio = flow_map_lipschitz_probe(scn.model, record, seed=scn.seed, courant=scn.step.courant)
+        ratio = flow_map_lipschitz_probe(scn.model, record, seed=scn.seed)
         assert ratio == pytest.approx(1.2523751235051772, rel=1e-7)
 
 
@@ -296,5 +302,5 @@ def test_probe_runs_on_a_dirac_species():
     record = solve_direct(scn)
     bound = np.exp(scn.lipschitz_b() * scn.horizon)
     for species in (0, 1):
-        ratio = flow_map_lipschitz_probe(scn.model, record, species=species, courant=scn.step.courant)
+        ratio = flow_map_lipschitz_probe(scn.model, record, species=species)
         assert np.isfinite(ratio) and 0.0 < ratio <= bound * 1.01

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from nonlocalflow import (
     MeasureVector,
     Scenario,
     StepControl,
+    VelocityModel,
     check_lemma_stability,
     check_linfty_growth,
     check_stability_general,
@@ -25,7 +27,7 @@ from nonlocalflow import (
 from nonlocalflow import harness, solver, w1_series, w1_vector, wasserstein
 from nonlocalflow.harness import perturbed_initial
 from nonlocalflow.cli import run_checks
-from nonlocalflow.scenario import _cosine_bump_1d, load_scenario, scenario_from_config
+from nonlocalflow.scenario import _cosine_bump_1d, load_scenario
 from nonlocalflow.solver import solve
 
 
@@ -187,23 +189,9 @@ def test_default_k_given_explicitly_is_the_default_report():
     assert check_stability_initial(scn, base, sigma0, K=2.0 * scn.lipschitz_b()) == default
 
 
-# V = x: distances grow like e^t, the certified rate is K = 2C = 2
-EXPANDING_SCENARIO = {
-    "schema": 1,
-    "name": "expanding-1d",
-    "horizon": 0.5,
-    "dt": 0.01,
-    "model": {"type": "linear-local", "alpha": 1.0, "domain_radius": 8.0, "dim": 1},
-    "audit_radius": 8.0,
-    "species": [
-        {"type": "grid-1d", "profile": "uniform", "support": [-1.0, 1.0],
-         "resolution": 32, "particles": 12, "scheme": "quantile-1d", "mass": 1.0}
-    ],
-}
-
-
 def test_stability_check_fails_at_k_zero_on_an_expanding_field():
-    scn = scenario_from_config(EXPANDING_SCENARIO)
+    # V = x: distances grow like e^t, the certified rate is K = 2C = 2
+    scn = load_scenario("linear-local-expansive-1d")
     base = solve_direct(scn)
     sigma0 = perturbed_initial(scn.initial, 0.05, seed=0)
     assert check_stability_initial(scn, base, sigma0).passed
@@ -286,3 +274,81 @@ def test_linfty_compressive_saturates():
     rep = check_linfty_growth(scn, solve_direct(scn))
     assert rep.passed
     assert rep.lhs == pytest.approx(1.0, abs=0.01)
+
+
+# Negative controls: each check on a problem that attains its constant, with
+# that constant understated by 10%.  The audit would reject the understated
+# metadata, so these models are built directly and never audited.
+
+
+def _understated(model, **metadata):
+    """``model`` with its one field declaring ``metadata`` instead."""
+    (field,) = model.fields
+    return VelocityModel((replace(field, **metadata),), model.kernels)
+
+
+def _expansive(lip_x=1.0):
+    """linear-local-expansive-1d (V = x, so C = 1) declaring ``lip_x``."""
+    scn = load_scenario("linear-local-expansive-1d", audit=False)
+    return replace(scn, model=_understated(scn.model, lip_x=lip_x))
+
+
+def test_expansive_initial_check_passes_at_2c_and_fails_at_k_0_9():
+    scn = load_scenario("linear-local-expansive-1d")
+    base = solve_direct(scn)
+    sigma0 = perturbed_initial(scn.initial, 0.05, seed=0)
+    certified = check_stability_initial(scn, base, sigma0)
+    assert certified.passed
+    # W1 of the pair grows exactly as e^t
+    assert abs(certified.fingerprint["k_observed"] - 1.0) <= 1e-6
+    assert certified.fingerprint["horizon_ratio"] == pytest.approx(math.exp(-1.0), rel=1e-6)
+    control = check_stability_initial(scn, base, sigma0, K=0.9)
+    assert control.lhs == pytest.approx(math.exp(0.1), rel=1e-6)
+    assert control.fingerprint["horizon_ratio"] == control.lhs
+    assert not control.passed
+
+
+@pytest.mark.parametrize("lip_x, passed", [(1.0, True), (0.9, False)])
+def test_general_check_control_on_an_expansive_field(lip_x, passed):
+    scn = _expansive(lip_x)
+    source = solve_direct(scn)
+    sigma0 = perturbed_initial(scn.initial, 0.05, seed=0)
+    rep = check_stability_general(
+        scn.model, source, scn.model, source, scn.initial, sigma0, scn.horizon, scn.step.dt
+    )
+    # lhs / rhs = e^{(1 - lip_x) t}: about 1 when honest, e^{0.1} at the horizon when not
+    assert rep.lhs == pytest.approx(math.exp(1.0 - lip_x), rel=1e-6)
+    assert rep.passed is passed
+
+
+@pytest.mark.parametrize("lip_x, passed", [(1.0, True), (0.9, False)])
+def test_flow_lipschitz_control_on_an_expansive_field(lip_x, passed):
+    scn = _expansive(lip_x)
+    (rep,) = run_checks(scn, solve(scn), [{"type": "flow-lipschitz"}])
+    # the flow stretches every pair by e^T; the bound is e^{lip_x T}
+    assert rep.lhs == pytest.approx(math.e, rel=1e-6)
+    assert rep.rhs == pytest.approx(math.exp(lip_x))
+    assert rep.passed is passed
+
+
+@pytest.mark.parametrize("lip_x, passed", [(1.0, True), (0.9, False)])
+def test_linfty_control_on_the_compressive_field(lip_x, passed):
+    scn = load_scenario("linear-local-compressive-1d", audit=False)
+    scn = replace(scn, model=_understated(scn.model, lip_x=lip_x))
+    (rep,) = run_checks(scn, solve(scn), [{"type": "linfty-growth"}])
+    # the peak density grows as e^t; the bound is e^{lip_x t}
+    assert rep.lhs == pytest.approx(math.exp(1.0 - lip_x), abs=0.01)
+    assert rep.passed is passed
+
+
+@pytest.mark.parametrize("lip_r, passed", [(1.0, True), (0.9, False)])
+def test_lemma_control_between_two_nearby_diracs(lip_r, passed):
+    # sedimentation V = eta * rho with the tent of slope 1: between Diracs at
+    # 0 and 0.25 the velocity gap is 0.25 wherever both sit on one flank
+    model = _understated(sedimentation_field(kernel_library("tent")), lip_r=lip_r)
+    r = MeasureVector((dirac([0.0]),))
+    s = MeasureVector((dirac([0.25]),))
+    rep = check_lemma_stability(model, r, s)
+    assert rep.lhs == pytest.approx(0.25, rel=1e-12)
+    assert rep.rhs == pytest.approx(0.25 * lip_r)
+    assert rep.passed is passed

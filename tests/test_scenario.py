@@ -137,7 +137,7 @@ def _three_particle_predator(raw):
             lambda raw: raw.update(load_raw("linear-local-compressive-1d"), model={
                 "type": "linear-local", "alpha": -1.0, "domain_radius": 4.0, "dim": 2
             }),
-            "model: dim 2 differs from the species' dimension 1",
+            "unknown field model.dim",
         ),
         (
             _set(["model"], {"type": "constant-drift", "vector": [1.0, 0.0]}),
@@ -161,10 +161,55 @@ def test_bad_scenario_files_exit_2_before_solving(tmp_path, capsys, edit, messag
     assert not out.exists()
 
 
+def _write_and_check_both_verbs(tmp_path, capsys, raw, message):
+    """``raw`` as a file: ``audit`` and ``run`` each exit 2 with ``message``
+    and solve nothing."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["audit", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        ("sedimentation-1d", _set(["courant"], 0.1), "unknown field courant"),
+        ("sedimentation-1d", _set(["h_fd"], 1e-4), "unknown field h_fd"),
+        ("sedimentation-1d", _set(["species", 0, "scheme"], "quantile-1d"), "unknown field species[0].scheme"),
+        ("linear-local-compressive-1d", _set(["model", "dim"], 1), "unknown field model.dim"),
+    ],
+    ids=["courant", "h_fd", "scheme", "dim"],
+)
+def test_retired_settings_are_unknown_fields(tmp_path, capsys, name, edit, message):
+    # the RK4 step guard, the finite-difference step, the grid-1d scheme and
+    # the linear-local dimension are fixed; a file cannot set them
+    raw = load_raw(name)
+    edit(raw)
+    _write_and_check_both_verbs(tmp_path, capsys, raw, message)
+
+
+@pytest.mark.parametrize(
+    "direction, message",
+    [
+        ({"type": "constant", "vector": [1.0]}, "model.direction: vector has length 1"),
+        ({"type": "toward-point", "target": [2.0, 0.0, 1.0]}, "model.direction: target has length 3"),
+    ],
+    ids=["constant", "toward-point"],
+)
+def test_pedestrian_direction_of_another_dimension_exits_2(tmp_path, capsys, direction, message):
+    raw = load_raw("pedestrian-2d")
+    raw["model"]["direction"] = direction
+    _write_and_check_both_verbs(tmp_path, capsys, raw, f"{message}, the species' dimension is 2")
+
+
 def test_defaults_are_filled_in():
     raw = load_raw("two-particle-sedimentation-1d")
     cfg = validate(raw)
     assert cfg["picard"] == {"tol": 1e-9, "max_iter": 60, "sigma": 0.5}
-    assert cfg["density_tracking"] is False and cfg["h_fd"] == 1e-4
+    assert cfg["density_tracking"] is False
     assert "audit_radius" not in cfg  # optional, computed from the data
     assert all(isinstance(x, float) and not math.isnan(x) for x in cfg["species"][0]["weights"])

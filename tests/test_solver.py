@@ -276,8 +276,8 @@ def test_picard_distance_is_the_identity_coupling_and_exact_w1(name):
     _, dists = picard_window(scn, 0.0, t1, scn.initial, steps=steps)
     masses = scn.initial.masses()
     frozen = SolutionRecord([0.0, t1], [scn.initial, scn.initial])
-    first = integrate(scn.model, frozen, scn.initial, 0.0, t1, steps, scn.step.courant)
-    second = integrate(scn.model, first, scn.initial, 0.0, t1, steps, scn.step.courant)
+    first = integrate(scn.model, frozen, scn.initial, 0.0, t1, steps)
+    second = integrate(scn.model, first, scn.initial, 0.0, t1, steps)
     for dist, rec, prev in ((dists[0], first, frozen), (dists[1], second, first)):
         targets = [prev.at(t) for t in rec.times[1:]]
         coupling = max(
