@@ -349,16 +349,8 @@ def radial_sum(
 
 
 def w1_cdf_merge(xu: np.ndarray, wu: np.ndarray, xv: np.ndarray, wv: np.ndarray) -> float:
-    """1D transport cost between sorted weighted point sets of equal mass.
-
-    Inputs must be sorted ascending by position; weights positive.
-    """
-    xu = np.ascontiguousarray(xu, dtype=np.float64)
-    wu = np.ascontiguousarray(wu, dtype=np.float64)
-    xv = np.ascontiguousarray(xv, dtype=np.float64)
-    wv = np.ascontiguousarray(wv, dtype=np.float64)
-    if xu.size == 0 and xv.size == 0:
-        return 0.0
+    """1D transport cost between weighted point sets of equal mass, in any
+    order; weights positive."""
     # W1 = integral of |F_mu - F_nu| over the merged breakpoint grid.
     xs = np.concatenate([xu, xv])
     order = np.argsort(xs, kind="stable")

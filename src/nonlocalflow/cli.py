@@ -1,8 +1,9 @@
 """The ``nonlocalflow`` command line: argument parsing, the verbs, ``run``
 and the checks a scenario file requests.
 
-Scenario files are read by :mod:`nonlocalflow.scenario`; result files are
-written by :mod:`nonlocalflow.output`.
+Scenario files are read by :mod:`nonlocalflow.scenario`, the checks are
+measured by :mod:`nonlocalflow.harness` and result files are written by
+:mod:`nonlocalflow.output`.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .flow import flow_map_lipschitz_probe
 from .harness import (
     BoundReport,
-    check_lemma_stability,
+    check_flow_lipschitz,
+    check_lemma_perturbed,
     check_linfty_growth,
-    perturbed_initial,
+    check_mass_conservation,
     stability_battery,
 )
 from .kernels import AuditError
@@ -61,40 +62,28 @@ class RunConfig:
                 raise ScenarioParseError(f"unknown emit flag {kind!r}")
 
 
+# check type of a scenario file -> the harness check of one run
+_CHECKS = {
+    "mass-conservation": check_mass_conservation,
+    "linfty-growth": check_linfty_growth,
+    "lemma-stability": check_lemma_perturbed,
+    "flow-lipschitz": check_flow_lipschitz,
+}
+
+
 def _check_reports(scenario: Scenario, record: SolutionRecord, cfg: dict) -> list[BoundReport]:
     """The reports of one check of a scenario file."""
-    kind = cfg["type"]
-    fp = scenario.fingerprint()
-    if kind == "mass-conservation":
-        masses = record.masses()
-        drift = float(np.abs(masses - masses[0]).max())
-        return [BoundReport.make("mass-conservation", drift, 0.0, 1.0, fp)]
-    if kind == "stability-initial":
+    if cfg["type"] == "stability-initial":
         # a direct solve is the base solve the stability pairs share
         direct = record if scenario.mode == "direct" else None
-        return stability_battery(scenario, cfg["pairs"], cfg["eps"], cfg["slack"], direct)
-    if kind == "linfty-growth":
-        return [check_linfty_growth(scenario, record, cfg["slack"])]
-    if kind == "lemma-stability":
-        sigma0 = perturbed_initial(scenario.initial, cfg["eps"], scenario.seed)
-        return [check_lemma_stability(scenario.model, scenario.initial, sigma0, fingerprint=fp)]
-    # flow-lipschitz: the flow of the field with the run's record as frozen source
-    ratio = flow_map_lipschitz_probe(scenario.model, record, seed=scenario.seed)
-    bound = math.exp(scenario.lipschitz_b() * scenario.horizon)
-    return [BoundReport.make("flow-map-lipschitz", ratio, bound, 1.0 + cfg["tolerance"], fp)]
+        return stability_battery(scenario, cfg["pairs"], direct)
+    return [_CHECKS[cfg["type"]](scenario, record)]
 
 
 def run_checks(scenario: Scenario, record: SolutionRecord, checks: list[dict]) -> list[BoundReport]:
     """Every check's reports; a check whose exact W1 exceeds the pair cap
-    becomes one failing report that carries the cap message."""
-    reports: list[BoundReport] = []
-    for cfg in validate_checks(checks):
-        try:
-            reports.extend(_check_reports(scenario, record, cfg))
-        except PairCapError as exc:
-            fp = {**scenario.fingerprint(), "error": str(exc)}
-            reports.append(BoundReport.make(cfg["type"], math.nan, math.nan, cfg.get("slack", 1.0), fp))
-    return reports
+    is one failing report that carries the cap message."""
+    return [rep for cfg in validate_checks(checks) for rep in _check_reports(scenario, record, cfg)]
 
 
 def run(config: RunConfig) -> int:

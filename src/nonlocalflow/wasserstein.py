@@ -45,11 +45,7 @@ def w1_1d(mu: ParticleMeasure, nu: ParticleMeasure) -> float:
     if mu.dim != 1 or nu.dim != 1:
         raise ValueError("w1_1d requires dim = 1")
     _check_masses(mu, nu)
-    xu = mu.positions[:, 0]
-    xv = nu.positions[:, 0]
-    ou = np.argsort(xu, kind="stable")
-    ov = np.argsort(xv, kind="stable")
-    return _accel.w1_cdf_merge(xu[ou], mu.weights[ou], xv[ov], nu.weights[ov])
+    return _accel.w1_cdf_merge(mu.positions[:, 0], mu.weights, nu.positions[:, 0], nu.weights)
 
 
 @dataclass(frozen=True)
@@ -184,7 +180,8 @@ def w1_series(pairs: Iterable[tuple[MeasureVector, MeasureVector]]) -> np.ndarra
     In 2D and up each species' simplex starts from the plan of the same
     species in the previous pair; ``w1_exact`` falls back to a cold
     start wherever the weights differ.  The warm state lives only inside
-    one call.  1D pairs use the closed form.
+    one call.  1D pairs use the closed form.  A species whose two masses
+    differ raises :class:`UnequalMassError` naming it.
     """
     plans: dict[int, TransportPlan] = {}
     out = []
@@ -193,14 +190,14 @@ def w1_series(pairs: Iterable[tuple[MeasureVector, MeasureVector]]) -> np.ndarra
             raise ValueError("species count / dimension mismatch")
         total = 0.0
         for i, (a, b) in enumerate(zip(rho.species, sigma.species)):
-            ma, mb = float(a.weights.sum()), float(b.weights.sum())
-            if abs(ma - mb) > MASS_RTOL * max(ma, mb, 1.0):
-                raise UnequalMassError(f"species {i} mass mismatch ({ma} vs {mb})")
-            if rho.dim == 1:
-                total += w1_1d(a, b)
-            else:
-                cost, plans[i] = w1_exact(a, b, warm=plans.get(i))
-                total += cost
+            try:
+                if rho.dim == 1:
+                    total += w1_1d(a, b)
+                else:
+                    cost, plans[i] = w1_exact(a, b, warm=plans.get(i))
+                    total += cost
+            except UnequalMassError as exc:
+                raise UnequalMassError(f"species {i}: {exc}") from None
         out.append(total)
     return np.array(out, dtype=np.float64)
 

@@ -104,7 +104,7 @@ def test_stability_zero_velocity_distance_constant():
 
 def test_stability_battery_passes():
     scn = bump_scenario()
-    reports = stability_battery(scn, pairs=5, eps=0.05)
+    reports = stability_battery(scn, pairs=5)
     assert len(reports) == 5
     assert all(r.passed for r in reports)
     assert len({json_key(r) for r in reports}) == 5
@@ -179,6 +179,15 @@ def test_run_checks_reuses_the_run_record_for_linfty(monkeypatch, mode, own_dire
     assert len(calls) == own_direct_solves
     monkeypatch.undo()
     assert report.lhs == check_linfty_growth(scn, record).lhs
+
+
+def test_run_checks_measures_the_lemma_on_the_perturbed_datum():
+    scn = load_scenario("sedimentation-1d")
+    (rep,) = run_checks(scn, solve(scn), [{"type": "lemma-stability"}])
+    assert rep.name == "lemma-velocity-stability"
+    assert rep.passed
+    sigma0 = perturbed_initial(scn.initial, 0.05, scn.seed)
+    assert rep.rhs == scn.model.lip_r * scn.model.kernels.lip_x * w1_vector(scn.initial, sigma0)
 
 
 def test_default_k_given_explicitly_is_the_default_report():

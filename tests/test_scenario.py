@@ -108,9 +108,6 @@ def _three_particle_predator(raw):
         (_set(["density_tracking"], "no"), "scenario: density_tracking must be true or false"),
         (_set(["seed"], 1.7), "scenario: seed must be an integer"),
         (_set(["species", 0, "resolution"], 0), "species[0]: resolution must be an integer and at least 1"),
-        (_set(["checks", 1, "eps"], NAN), "checks[1]: eps must be finite and positive"),
-        (_set(["checks", 1, "slack"], NAN), "checks[1]: slack must be finite and positive"),
-        (_set(["checks", 2, "tolerance"], NAN), "checks[2]: tolerance must be finite and at least 0"),
         (_set(["species", 0, "mass"], NAN), "species[0]: mass must be finite and positive"),
         (_set(["species", 0, "support"], [1.0, -1.0]), "species[0]: support must be"),
         (_set(["model", "type"], "sediment"), "model: type must be one of"),
@@ -181,15 +178,38 @@ def _write_and_check_both_verbs(tmp_path, capsys, raw, message):
         ("sedimentation-1d", _set(["h_fd"], 1e-4), "unknown field h_fd"),
         ("sedimentation-1d", _set(["species", 0, "scheme"], "quantile-1d"), "unknown field species[0].scheme"),
         ("linear-local-compressive-1d", _set(["model", "dim"], 1), "unknown field model.dim"),
+        ("pedestrian-2d", _set(["species", 0, "profile"], "cosine-bump"), "unknown field species[0].profile"),
+        ("sedimentation-1d", _set(["checks", 1, "eps"], 0.05), "unknown field checks[1].eps"),
+        ("sedimentation-1d", _set(["checks", 1, "slack"], 1.05), "unknown field checks[1].slack"),
+        ("linear-local-compressive-1d", _set(["checks", 1, "slack"], 1.05), "unknown field checks[1].slack"),
+        (
+            "sedimentation-1d",
+            _set(["checks"], [{"type": "lemma-stability", "eps": 0.05}]),
+            "unknown field checks[0].eps",
+        ),
+        ("sedimentation-1d", _set(["checks", 2, "tolerance"], 0.01), "unknown field checks[2].tolerance"),
     ],
-    ids=["courant", "h_fd", "scheme", "dim"],
+    ids=[
+        "courant", "h_fd", "scheme", "dim", "grid-2d-profile", "stability-initial.eps",
+        "stability-initial.slack", "linfty-growth.slack", "lemma-stability.eps", "flow-lipschitz.tolerance",
+    ],
 )
 def test_retired_settings_are_unknown_fields(tmp_path, capsys, name, edit, message):
-    # the RK4 step guard, the finite-difference step, the grid-1d scheme and
-    # the linear-local dimension are fixed; a file cannot set them
+    # the RK4 step guard, the finite-difference step, the grid-1d scheme, the
+    # linear-local dimension, the grid-2d profile and each check's gate and
+    # perturbation size are fixed; a file cannot set them
     raw = load_raw(name)
     edit(raw)
     _write_and_check_both_verbs(tmp_path, capsys, raw, message)
+
+
+def test_a_file_cannot_loosen_a_gate(tmp_path, capsys):
+    # every report of this file would pass vacuously if its values were read
+    raw = load_raw("sedimentation-1d")
+    raw["checks"][1]["slack"] = 1e300
+    raw["checks"][2]["tolerance"] = 1e300
+    raw["checks"].append({"type": "lemma-stability", "eps": 1e300})
+    _write_and_check_both_verbs(tmp_path, capsys, raw, "unknown field checks[1].slack")
 
 
 @pytest.mark.parametrize(

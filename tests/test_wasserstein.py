@@ -389,6 +389,11 @@ def test_mass_mismatch_rejected():
         w1_1d(dirac([0.0], weight=1.0), dirac([1.0], weight=2.0))
     with pytest.raises(UnequalMassError):
         w1_exact(dirac([0.0], weight=1.0), dirac([1.0], weight=1.1))
+    for dim in (1, 2):
+        one = MeasureVector((dirac([0.0] * dim, weight=1.0),))
+        two = MeasureVector((dirac([1.0] * dim, weight=2.0),))
+        with pytest.raises(UnequalMassError, match="unequal masses"):
+            w1_series([(one, one), (one, two)])
 
 
 def test_pair_cap(monkeypatch):
