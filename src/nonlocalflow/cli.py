@@ -36,7 +36,6 @@ from .scenario import (
     load_config,
     load_scenario,
     scenario_from_config,
-    validate_checks,
 )
 from .solver import Scenario, SolutionRecord, solve
 from .wasserstein import PairCapError, w1_1d, w1_exact
@@ -81,9 +80,10 @@ def _check_reports(scenario: Scenario, record: SolutionRecord, cfg: dict) -> lis
 
 
 def run_checks(scenario: Scenario, record: SolutionRecord, checks: list[dict]) -> list[BoundReport]:
-    """Every check's reports; a check whose exact W1 exceeds the pair cap
-    is one failing report that carries the cap message."""
-    return [rep for cfg in validate_checks(checks) for rep in _check_reports(scenario, record, cfg)]
+    """Every check's reports, for the validated ``checks`` of a scenario's
+    config; a check whose exact W1 exceeds the pair cap is one failing
+    report that carries the cap message."""
+    return [rep for cfg in checks for rep in _check_reports(scenario, record, cfg)]
 
 
 def run(config: RunConfig) -> int:

@@ -30,6 +30,10 @@ FLOW_LIPSCHITZ_SLACK = 1.01
 # the scale of the normal jitter that perturbs the datum of a stability pair
 # or of the lemma
 PERTURBATION = 0.05
+# quasi-random sample counts: the lemma's points (seed 0) for its velocity
+# gap, and the general check's points for sup|V - U| and sup|eta - nu|
+LEMMA_SAMPLES = 400
+GENERAL_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -58,8 +62,8 @@ def check_mass_conservation(scenario: Scenario, record: SolutionRecord) -> Bound
 
 
 def check_flow_lipschitz(scenario: Scenario, record: SolutionRecord) -> BoundReport:
-    """The largest stretch of the flow with ``record`` as frozen source
-    against exp(C T)."""
+    """The largest stretch of any species' flow with ``record`` as frozen
+    source against exp(C T)."""
     ratio = flow_map_lipschitz_probe(scenario.model, record, seed=scenario.seed)
     bound = math.exp(scenario.lipschitz_b() * scenario.horizon)
     return BoundReport.make("flow-map-lipschitz", ratio, bound, FLOW_LIPSCHITZ_SLACK, scenario.fingerprint())
@@ -74,25 +78,23 @@ def check_lemma_stability(
     model: VelocityModel,
     r: MeasureVector,
     s: MeasureVector,
-    samples: int = 400,
-    seed: int = 0,
     fingerprint: dict | None = None,
 ) -> BoundReport:
     """Velocity gap under a change of convolution source vs Lip_r * Lip(eta) * W1,
-    sampled at t = 0.
+    sampled at :data:`LEMMA_SAMPLES` points at t = 0.
 
     The bound is exact, so slack is 1.0; sampling can only under-estimate
     the left-hand side.
     """
     lo, hi = _ensemble_box([r, s], inflate=1.0)
-    xs = sample_box(lo, hi, samples, seed)
+    xs = sample_box(lo, hi, LEMMA_SAMPLES, 0)
     lhs = 0.0
     for i in range(model.k):
         vr = velocity_batch(model, r, i, 0.0, xs)
         vs = velocity_batch(model, s, i, 0.0, xs)
         lhs = max(lhs, float(np.linalg.norm(vr - vs, axis=1).max()))
     rhs = model.lip_r * model.kernels.lip_x * w1_vector(r, s)
-    fp = {"samples": samples, "seed": seed, **(fingerprint or {})}
+    fp = {"samples": LEMMA_SAMPLES, "seed": 0, **(fingerprint or {})}
     return BoundReport.make("lemma-velocity-stability", lhs, rhs, 1.0, fp)
 
 
@@ -155,12 +157,11 @@ def _sup_velocity_gap(
     lo: np.ndarray,
     hi: np.ndarray,
     r_radius: float,
-    samples: int,
     seed: int,
 ) -> float:
     """sup over sampled (x, r) at t = 0 of |V(0, x, r) - U(0, x, r)|."""
-    xs = sample_box(lo, hi, samples, seed)
-    rs = _l1_ball_samples(a.k, r_radius, samples, seed + 7)
+    xs = sample_box(lo, hi, GENERAL_SAMPLES, seed)
+    rs = _l1_ball_samples(a.k, r_radius, GENERAL_SAMPLES, seed + 7)
     worst = 0.0
     for fa, fb in zip(a.fields, b.fields):
         va = fa.evaluate(0.0, xs, rs)
@@ -174,13 +175,12 @@ def _sup_kernel_gap(
     b: VelocityModel,
     lo: np.ndarray,
     hi: np.ndarray,
-    samples: int,
     seed: int,
 ) -> float:
     """sup over sampled x at t = 0 of |eta(0, x) - nu(0, x)|, entry by entry."""
     span = hi - lo
     radius = 0.5 * float(np.linalg.norm(span))
-    xs = sample_box(-radius * np.ones(a.dim), radius * np.ones(a.dim), samples, seed)
+    xs = sample_box(-radius * np.ones(a.dim), radius * np.ones(a.dim), GENERAL_SAMPLES, seed)
     xs = np.vstack([xs, np.zeros((1, a.dim))])
     worst = 0.0
     for i in range(a.k):
@@ -200,7 +200,6 @@ def check_stability_general(
     sigma0: MeasureVector,
     horizon: float,
     dt: float,
-    samples: int = 10_000,
     seed: int = 0,
     fingerprint: dict | None = None,
 ) -> BoundReport:
@@ -212,7 +211,8 @@ def check_stability_general(
     rhs(t) = e^{Ct} W1(rho_0, sigma_0)
              + C t e^{Ct} [sup_t W1(r_t, s_t) + sup|eta - nu| + sup|V - U|].
     C = Lip_x(V) + Lip_r(V) Lip_x(eta) max(masses); reported as the max over
-    snapshots of lhs/rhs against 1.0.
+    snapshots of lhs/rhs against 1.0.  The sups are sampled at
+    :data:`GENERAL_SAMPLES` points drawn with ``seed``.
     """
     mass = max(rho0.total_measure(), sigma0.total_measure())
     c = lipschitz_bound_b(model_a, mass)
@@ -222,8 +222,8 @@ def check_stability_general(
     sup_rs = float(w1_series((source_a.at(t), source_b.at(t)) for t in rec_a.times).max())
     lo, hi = _ensemble_box([rho0, sigma0], inflate=model_a.sup_bound * horizon + 1.0)
     r_radius = mass * max(model_a.kernels.sup_bound, model_b.kernels.sup_bound)
-    gap_v = _sup_velocity_gap(model_a, model_b, lo, hi, r_radius, samples, seed)
-    gap_k = _sup_kernel_gap(model_a, model_b, lo, hi, samples, seed + 3)
+    gap_v = _sup_velocity_gap(model_a, model_b, lo, hi, r_radius, seed)
+    gap_k = _sup_kernel_gap(model_a, model_b, lo, hi, seed + 3)
     d0 = w1_vector(rho0, sigma0)
     worst = 0.0
     lhs = w1_series(zip(rec_a.states[1:], rec_b.states[1:]))

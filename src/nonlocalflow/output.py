@@ -101,11 +101,15 @@ def write_reports(reports: list[BoundReport], path: Path) -> None:
     _write_csv(path, ["check", "lhs", "rhs", "slack", "pass", "fingerprint"], rows)
 
 
-def _svg_document(body: str, width: int = 480, height: int = 320) -> str:
+# every SVG's size in pixels, and the blank border around its plotted points
+SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN = 480, 320, 40
+
+
+def _svg_document(body: str) -> str:
     return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">\n'
-        f'<rect width="{width}" height="{height}" fill="white"/>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
+        f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">\n'
+        f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>\n'
         f"{body}</svg>\n"
     )
 
@@ -136,10 +140,10 @@ def _unit(values, all_values) -> np.ndarray:
     return (np.asarray(values, dtype=float) / scale - lo / scale) / (span if span > 0 else 1.0)
 
 
-def _rescale(xs, ys, all_x, all_y, width=480, height=320, margin=40):
+def _rescale(xs, ys, all_x, all_y):
     return (
-        margin + _unit(xs, all_x) * (width - 2 * margin),
-        height - margin - _unit(ys, all_y) * (height - 2 * margin),
+        SVG_MARGIN + _unit(xs, all_x) * (SVG_WIDTH - 2 * SVG_MARGIN),
+        SVG_HEIGHT - SVG_MARGIN - _unit(ys, all_y) * (SVG_HEIGHT - 2 * SVG_MARGIN),
     )
 
 

@@ -307,11 +307,6 @@ def validate(raw) -> dict:
     return cfg
 
 
-def validate_checks(checks) -> list[dict]:
-    """A scenario's ``checks`` list checked against :data:`CHECKS`, defaults filled in."""
-    return _walk(checks, SCENARIO.fields["checks"], "", "checks")
-
-
 # ---------------------------------------------------------------------------
 # builders: validated config -> library objects
 # ---------------------------------------------------------------------------
@@ -482,7 +477,7 @@ def load_config(path_or_name: str, overrides: dict | None = None) -> dict:
     return validate(cfg)
 
 
-def load_scenario(path_or_name: str, overrides: dict | None = None, audit: bool = True) -> Scenario:
+def load_scenario(path_or_name: str, audit: bool = True) -> Scenario:
     """Parse, build, and audit a scenario file (or bundled scenario name)."""
-    return scenario_from_config(load_config(path_or_name, overrides), audit=audit)
+    return scenario_from_config(load_config(path_or_name), audit=audit)
 

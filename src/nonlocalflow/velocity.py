@@ -18,6 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kernels import (
+    AUDIT_REL_TOL,
+    AUDIT_SAMPLES,
     AuditError,
     Kernel,
     KernelMatrix,
@@ -220,11 +222,9 @@ def linear_local_field(alpha: float, domain_radius: float, dim: int = 1) -> Velo
     return VelocityModel((field,), KernelMatrix(((kernel_library("constant", dim),),)))
 
 
-def constant_drift_field(vec: Sequence[float], kernel: Kernel | None = None) -> VelocityModel:
+def constant_drift_field(vec: Sequence[float]) -> VelocityModel:
+    """V = vec, paired with a constant kernel (r is ignored)."""
     v = np.asarray(vec, dtype=np.float64)
-    if kernel is None:
-        kernel = kernel_library("constant", v.size)
-
     field = VelocityField(
         v.size,
         1,
@@ -233,7 +233,7 @@ def constant_drift_field(vec: Sequence[float], kernel: Kernel | None = None) -> 
         lip_x=0.0,
         lip_r=0.0,
     )
-    return VelocityModel((field,), KernelMatrix(((kernel,),)))
+    return VelocityModel((field,), KernelMatrix(((kernel_library("constant", v.size),),)))
 
 
 # ---------------------------------------------------------------------------
@@ -247,16 +247,9 @@ def _l1_ball_samples(k: int, radius: float, n: int, seed: int) -> np.ndarray:
     return radius * u / norms[:, None]
 
 
-def audit_velocity_field(
-    field: VelocityField,
-    box_radius: float,
-    r_radius: float,
-    samples: int = 1500,
-    seed: int = 0,
-    rel_tol: float = 1e-8,
-) -> None:
+def audit_velocity_field(field: VelocityField, box_radius: float, r_radius: float) -> None:
     """Sample-check sup and Lipschitz declarations of one velocity field at
-    t = 0.
+    t = 0 on :data:`~nonlocalflow.kernels.AUDIT_SAMPLES` samples.
 
     r is sampled from the norm-1 ball of radius M = mass * sup(eta); x from
     the declared box.  Raises :class:`AuditError` with the witness on
@@ -265,22 +258,22 @@ def audit_velocity_field(
     """
     lo = -box_radius * np.ones(field.dim)
     hi = box_radius * np.ones(field.dim)
-    xs = sample_box(lo, hi, samples, seed)
-    ys = sample_box(lo, hi, samples, seed + 5)
-    rs = _l1_ball_samples(field.k, r_radius, samples, seed + 9)
-    qs = _l1_ball_samples(field.k, r_radius, samples, seed + 13)
-    scale = max(field.sup_bound, field.lip_x, field.lip_r, 1.0)
+    xs = sample_box(lo, hi, AUDIT_SAMPLES, 0)
+    ys = sample_box(lo, hi, AUDIT_SAMPLES, 5)
+    rs = _l1_ball_samples(field.k, r_radius, AUDIT_SAMPLES, 9)
+    qs = _l1_ball_samples(field.k, r_radius, AUDIT_SAMPLES, 13)
+    tol = AUDIT_REL_TOL * max(field.sup_bound, field.lip_x, field.lip_r, 1.0)
     vx = field.evaluate(0.0, xs, rs)
     speeds = np.linalg.norm(vx, axis=1)
     worst = int(np.argmax(speeds))
-    if speeds[worst] > field.sup_bound + rel_tol * scale:
+    if speeds[worst] > field.sup_bound + tol:
         raise AuditError(
             f"velocity sup audit failed: |V(0.0, {xs[worst]}, {rs[worst]})| = "
             f"{speeds[worst]} > declared {field.sup_bound}"
         )
     vy = field.evaluate(0.0, ys, rs)
     steep = steepest_slope(np.linalg.norm(vx - vy, axis=1), np.linalg.norm(xs - ys, axis=1))
-    if steep is not None and steep[1] > field.lip_x + rel_tol * scale:
+    if steep is not None and steep[1] > field.lip_x + tol:
         worst, slope = steep
         raise AuditError(
             f"velocity Lip_x audit failed: slope {slope} between "
@@ -288,7 +281,7 @@ def audit_velocity_field(
         )
     vq = field.evaluate(0.0, xs, qs)
     steep = steepest_slope(np.linalg.norm(vx - vq, axis=1), np.abs(rs - qs).sum(axis=1))
-    if steep is not None and steep[1] > field.lip_r + rel_tol * scale:
+    if steep is not None and steep[1] > field.lip_r + tol:
         worst, slope = steep
         raise AuditError(
             f"velocity Lip_r audit failed: slope {slope} between "
@@ -296,17 +289,11 @@ def audit_velocity_field(
         )
 
 
-def audit_model(
-    model: VelocityModel,
-    box_radius: float,
-    mass: float,
-    samples: int = 1500,
-    seed: int = 0,
-) -> None:
+def audit_model(model: VelocityModel, box_radius: float, mass: float) -> None:
     """Audit every kernel entry and velocity field of a model at t = 0."""
     for row in model.kernels.entries:
         for kn in row:
-            audit_kernel(kn, box_radius, samples, seed)
+            audit_kernel(kn, box_radius)
     r_radius = mass * model.kernels.sup_bound
     for field in model.fields:
-        audit_velocity_field(field, box_radius, r_radius, samples, seed)
+        audit_velocity_field(field, box_radius, r_radius)

@@ -11,6 +11,7 @@ from nonlocalflow.output import emit_plotdata
 from nonlocalflow.scenario import (
     ScenarioParseError,
     bundled_scenarios,
+    load_config,
     load_raw,
     load_scenario,
     scenario_from_config,
@@ -49,7 +50,7 @@ def test_unknown_scenario_name():
 
 
 def test_overrides_change_discretization():
-    scn = load_scenario("sedimentation-1d", overrides={"n": 17, "dt": 0.01, "horizon": 0.2})
+    scn = scenario_from_config(load_config("sedimentation-1d", {"n": 17, "dt": 0.01, "horizon": 0.2}))
     assert len(scn.initial.species[0]) == 17
     assert scn.step.dt == 0.01
     assert scn.horizon == 0.2
@@ -104,7 +105,7 @@ def test_emit_plotdata_kinds(tmp_path):
 
 
 def test_emit_picard_decay_monotone(tmp_path):
-    scn = load_scenario("sedimentation-1d", overrides={"mode": "picard"}, audit=False)
+    scn = scenario_from_config(load_config("sedimentation-1d", {"mode": "picard"}), audit=False)
     from nonlocalflow import solve_picard
 
     rec = solve_picard(scn)

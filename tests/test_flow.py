@@ -301,6 +301,5 @@ def test_probe_runs_on_a_dirac_species():
     scn = load_scenario("predator-prey-1d")
     record = solve_direct(scn)
     bound = np.exp(scn.lipschitz_b() * scn.horizon)
-    for species in (0, 1):
-        ratio = flow_map_lipschitz_probe(scn.model, record, species=species)
-        assert np.isfinite(ratio) and 0.0 < ratio <= bound * 1.01
+    ratio = flow_map_lipschitz_probe(scn.model, record)
+    assert np.isfinite(ratio) and 0.0 < ratio <= bound * 1.01

@@ -7,9 +7,11 @@ import pytest
 from nonlocalflow import (
     BoundReport,
     GridDensity,
+    KernelMatrix,
     MeasureVector,
     Scenario,
     StepControl,
+    VelocityField,
     VelocityModel,
     check_lemma_stability,
     check_linfty_growth,
@@ -23,11 +25,12 @@ from nonlocalflow import (
     sedimentation_field,
     solve_direct,
     stability_battery,
+    zero_kernel,
 )
 from nonlocalflow import harness, solver, w1_series, w1_vector, wasserstein
 from nonlocalflow.harness import perturbed_initial
 from nonlocalflow.cli import run_checks
-from nonlocalflow.scenario import _cosine_bump_1d, load_scenario
+from nonlocalflow.scenario import _cosine_bump_1d, load_config, load_scenario, scenario_from_config
 from nonlocalflow.solver import solve
 
 
@@ -80,7 +83,7 @@ def test_lemma_random_trials():
     scn = bump_scenario()
     for seed in range(20):
         other = perturbed_initial(scn.initial, 0.05, seed=seed)
-        rep = check_lemma_stability(scn.model, scn.initial, other, seed=seed)
+        rep = check_lemma_stability(scn.model, scn.initial, other)
         assert rep.passed, rep
 
 
@@ -144,7 +147,7 @@ def test_battery_shares_one_base_solve(monkeypatch):
 
 def test_stability_pair_over_the_pair_cap_solves_nothing(monkeypatch):
     # --n 16 puts 12 particles in the disk: d0 needs 144 pairs, over a cap of 100
-    scn = load_scenario("pedestrian-2d", {"n": 16}, audit=False)
+    scn = scenario_from_config(load_config("pedestrian-2d", {"n": 16}), audit=False)
     base = solve_direct(scn)
     monkeypatch.setattr(wasserstein, "DEFAULT_PAIR_CAP", 100)
     calls = count_solves(monkeypatch)
@@ -155,7 +158,7 @@ def test_stability_pair_over_the_pair_cap_solves_nothing(monkeypatch):
 
 @pytest.mark.parametrize("mode, solves", [("direct", 3), ("picard", 4)])
 def test_run_checks_reuses_a_direct_record(monkeypatch, mode, solves):
-    scn = load_scenario("sedimentation-1d", {"n": 20, "mode": mode}, audit=False)
+    scn = scenario_from_config(load_config("sedimentation-1d", {"n": 20, "mode": mode}), audit=False)
     record = solve(scn)
     calls = count_solves(monkeypatch)
     reports = run_checks(scn, record, [{"type": "stability-initial", "pairs": 3}])
@@ -169,7 +172,7 @@ def test_run_checks_reuses_a_direct_record(monkeypatch, mode, solves):
 
 @pytest.mark.parametrize("mode, own_direct_solves", [("direct", 1), ("picard", 0)])
 def test_run_checks_reuses_the_run_record_for_linfty(monkeypatch, mode, own_direct_solves):
-    scn = load_scenario("linear-local-compressive-1d", {"mode": mode}, audit=False)
+    scn = scenario_from_config(load_config("linear-local-compressive-1d", {"mode": mode}), audit=False)
     calls = count_solves(monkeypatch)
     real = solver.solve_direct
     monkeypatch.setattr(solver, "solve_direct", lambda s: calls.append(s) or real(s))
@@ -335,6 +338,22 @@ def test_flow_lipschitz_control_on_an_expansive_field(lip_x, passed):
     scn = _expansive(lip_x)
     (rep,) = run_checks(scn, solve(scn), [{"type": "flow-lipschitz"}])
     # the flow stretches every pair by e^T; the bound is e^{lip_x T}
+    assert rep.lhs == pytest.approx(math.e, rel=1e-6)
+    assert rep.rhs == pytest.approx(math.exp(lip_x))
+    assert rep.passed is passed
+
+
+@pytest.mark.parametrize("lip_x, passed", [(1.0, True), (0.9, False)])
+def test_flow_lipschitz_control_on_the_second_species(lip_x, passed):
+    # species 0 rests and species 1 follows V = x, declaring lip_x: only
+    # species 1's flow stretches, so a probe of species 0 alone reads 1
+    rest = VelocityField(1, 2, lambda t, xs, rs: np.zeros_like(xs), 0.0, 0.0, 0.0)
+    expand = VelocityField(1, 2, lambda t, xs, rs: xs.copy(), 2.0, lip_x, 0.0)
+    zero = zero_kernel(1)
+    model = VelocityModel((rest, expand), KernelMatrix(((zero, zero), (zero, zero))))
+    initial = MeasureVector((dirac([0.0]), dirac([0.5])))
+    scn = Scenario("rest-and-expand", model, initial, horizon=1.0, step=StepControl(0.01))
+    (rep,) = run_checks(scn, solve(scn), [{"type": "flow-lipschitz"}])
     assert rep.lhs == pytest.approx(math.e, rel=1e-6)
     assert rep.rhs == pytest.approx(math.exp(lip_x))
     assert rep.passed is passed

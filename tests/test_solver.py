@@ -187,7 +187,7 @@ def test_window_length_on_a_long_horizon_matches_the_root(c):
     "name", ["sedimentation-1d", "pedestrian-2d", "predator-prey-1d", "sedimentation-smooth-1d"]
 )
 def test_window_length_keeps_the_contraction_factor_at_or_under_sigma(name):
-    scn = load_scenario(name, {"mode": "picard"}, audit=False)
+    scn = scenario_from_config(load_config(name, {"mode": "picard"}), audit=False)
     c, tw = scn.lipschitz_b(), window_length(scn)
     assert tw < scn.horizon
     assert c * tw * math.exp(c * tw) <= scn.picard.sigma
@@ -216,7 +216,7 @@ def test_picard_rejects_a_window_shorter_than_one_step(tmp_path, capsys, monkeyp
     argv = ["run", str(path), "--mode", "picard", "--dt", "0.05", "--out", str(tmp_path / "out")]
     assert main(argv) == 3
     assert solved == []
-    window = window_length(load_scenario(str(path), {"mode": "picard", "dt": 0.05}, audit=False))
+    window = window_length(scenario_from_config(load_config(str(path), {"mode": "picard", "dt": 0.05}), audit=False))
     message = capsys.readouterr().err
     for part in ("picard.sigma = 0.02", "dt = 0.05", repr(window), repr(0.05)):
         assert part in message
@@ -270,7 +270,7 @@ def test_picard_max_iter_error_carries_distances():
 def test_picard_distance_is_the_identity_coupling_and_exact_w1(name):
     # two successive iterates push the same particles of rho_0, and pairing
     # each particle with itself is their optimal coupling
-    scn = load_scenario(name, {"mode": "picard"}, audit=False)
+    scn = scenario_from_config(load_config(name, {"mode": "picard"}), audit=False)
     steps = 5
     t1 = steps * scn.step.dt
     _, dists = picard_window(scn, 0.0, t1, scn.initial, steps=steps)
@@ -381,7 +381,7 @@ def test_solve_picard_tracked_densities_match_direct(name):
 
 
 def test_solve_picard_rejects_empty_species():
-    scn = load_scenario("predator-prey-1d", {"mode": "picard"}, audit=False)
+    scn = scenario_from_config(load_config("predator-prey-1d", {"mode": "picard"}), audit=False)
     empty = ParticleMeasure(1, np.zeros((0, 1)), np.zeros(0))
     scn = replace(scn, initial=MeasureVector((empty, scn.initial.species[1])))
     with pytest.raises(EmptySpeciesError, match="^empty species 0$"):
