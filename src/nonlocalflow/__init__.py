@@ -32,7 +32,6 @@ from .kernels import (
     zero_kernel,
 )
 from .measures import (
-    EmptySpeciesError,
     GridAxis,
     GridDensity,
     MeasureVector,

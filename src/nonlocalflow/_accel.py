@@ -72,8 +72,8 @@ _U = 2.0**-53
 
 
 def block_rows(n: int) -> int:
-    """Rows per block of a pairwise pass against ``n`` centres."""
-    return max(1, _BLOCK_ELEMENTS // max(n, 1))
+    """Rows per block of a pairwise pass against ``n >= 1`` centres."""
+    return max(1, _BLOCK_ELEMENTS // n)
 
 
 def unit_profile(sq: np.ndarray, code: int, scale: float) -> np.ndarray:
@@ -303,14 +303,13 @@ def radial_sum(
 ) -> np.ndarray:
     """Sum of one radial profile over weighted centers, at many points.
 
-    ``out[m] = sum_n weights[n] * profile(|points[m] - centers[n]|)``
+    ``out[m] = sum_n weights[n] * profile(|points[m] - centers[n]|)``,
+    for at least one centre.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     centers = np.ascontiguousarray(centers, dtype=np.float64)
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     m, n = points.shape[0], centers.shape[0]
-    if n == 0 or m == 0:
-        return np.zeros(m)
     if code == PROFILE_CONSTANT:
         return np.full(m, height * float(weights.sum()))
     if points.shape[1] == 1 and code in _MOMENTS:

@@ -142,6 +142,8 @@ def _read_measure_csv(path: str) -> ParticleMeasure:
                 raise ScenarioParseError(f"{where}: {exc}") from None
             if not (np.isfinite(pos[-1]).all() and math.isfinite(w[-1]) and w[-1] > 0):
                 raise ScenarioParseError(f"{where}: positions must be finite and the weight finite and positive")
+    if not w:
+        raise ScenarioParseError(f"{path}, line 1: header has no particle rows below it")
     return ParticleMeasure(len(dims), np.asarray(pos), np.asarray(w))
 
 

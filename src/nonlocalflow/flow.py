@@ -136,10 +136,7 @@ def rk4_step(
 
     def stage(t_stage: float, pts: list[np.ndarray]) -> list[np.ndarray]:
         source = _stage_source(frozen_r, rho, pts, t_stage)
-        return [
-            velocity_batch(model, source, i, t_stage, p) if p.size else p
-            for i, p in enumerate(pts)
-        ]
+        return [velocity_batch(model, source, i, t_stage, p) for i, p in enumerate(pts)]
 
     def shifted(vels: list[np.ndarray], factor: float) -> list[np.ndarray]:
         return [p + factor * v for p, v in zip(points, vels)]
@@ -165,8 +162,6 @@ def divergence_at(
     """Central-difference divergence of the effective field at given points."""
     pts = np.atleast_2d(points)
     n, d = pts.shape
-    if n == 0:
-        return np.zeros(0)
     stacked = np.empty((2 * d * n, d))
     for a in range(d):
         plus = pts.copy()

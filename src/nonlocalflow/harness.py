@@ -70,7 +70,7 @@ def check_flow_lipschitz(scenario: Scenario, record: SolutionRecord) -> BoundRep
 
 
 def _ensemble_box(vectors: Sequence[MeasureVector], inflate: float) -> tuple[np.ndarray, np.ndarray]:
-    pts = np.vstack([m.positions for v in vectors for m in v.species if len(m)])
+    pts = np.vstack([m.positions for v in vectors for m in v.species])
     return pts.min(axis=0) - inflate, pts.max(axis=0) + inflate
 
 
@@ -256,7 +256,7 @@ def check_linfty_growth(scenario: Scenario, record: SolutionRecord) -> BoundRepo
     )
     worst = 0.0
     for t, dens in zip(record.times, record.densities):
-        lhs_t = max(float(v.max()) if v.size else 0.0 for v in dens)
+        lhs_t = max(float(v.max()) for v in dens)
         rhs_t = sup0 * np.exp(c * t)
         worst = max(worst, lhs_t / rhs_t)
     return BoundReport.make("linfty-growth", worst, 1.0, STABILITY_SLACK, scenario.fingerprint())

@@ -17,10 +17,6 @@ import numpy as np
 FloatArray = np.ndarray
 
 
-class EmptySpeciesError(ValueError):
-    """A species with zero mass where positive mass is required."""
-
-
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=np.float64, copy=True)
     a.setflags(write=False)
@@ -29,7 +25,7 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ParticleMeasure:
-    """Finite ensemble of strictly positive point masses in R^d."""
+    """Nonempty finite ensemble of strictly positive point masses in R^d."""
 
     dim: int
     positions: FloatArray  # (N, dim)
@@ -39,13 +35,14 @@ class ParticleMeasure:
         pos = np.asarray(self.positions, dtype=np.float64)
         if pos.ndim == 1:
             pos = pos.reshape(-1, 1) if self.dim == 1 else pos.reshape(1, -1)
-        if pos.ndim != 2 or (pos.size and pos.shape[1] != self.dim):
+        if pos.ndim != 2 or pos.shape[1] != self.dim:
             raise ValueError(f"positions must have shape (N, {self.dim})")
-        pos = pos.reshape(-1, self.dim)
+        if pos.shape[0] == 0:
+            raise ValueError("a particle measure needs at least one particle")
         w = np.asarray(self.weights, dtype=np.float64).reshape(-1)
         if w.shape[0] != pos.shape[0]:
             raise ValueError("positions and weights must have equal length")
-        if w.size and (not np.isfinite(w).all() or (w <= 0).any()):
+        if not np.isfinite(w).all() or (w <= 0).any():
             raise ValueError("weights must be strictly positive and finite")
         if not np.isfinite(pos).all():
             raise ValueError("positions must be finite")
@@ -158,7 +155,7 @@ class GridDensity:
         return float(self.values.sum() * self.cell_volume)
 
     def max_value(self) -> float:
-        return float(self.values.max()) if self.values.size else 0.0
+        return float(self.values.max())
 
     def value_at(self, points: np.ndarray) -> np.ndarray:
         """Multilinear interpolation; zero outside the grid."""
@@ -192,23 +189,19 @@ def uniform_density_1d(a: float, b: float, count: int = 64) -> GridDensity:
     return GridDensity(1, (axis,), np.ones(count))
 
 
-def particles_from_density(
-    f: GridDensity, n: int, scheme: str = "quantile-1d"
-) -> ParticleMeasure:
+def particles_from_density(f: GridDensity, n: int) -> ParticleMeasure:
     """Discretize a density into particles.
 
-    ``quantile-1d`` (dim 1 only): n particles at the (m - 1/2)/n quantiles of
-    the piecewise-constant density, each carrying mass/n.
-    ``cell-midpoint``: resample onto an n-per-axis grid over the support box;
-    one particle per nonempty cell at the cell center, weights normalized so
-    the total equals the discrete integral of f exactly.
+    In 1D: n particles at the (m - 1/2)/n quantiles of the piecewise-constant
+    density, each carrying mass/n.  In 2D and up: resample onto an
+    n-per-axis grid over the support box; one particle per nonempty cell at
+    the cell center, weights normalized so the total equals the discrete
+    integral of f exactly.
     """
     mass = f.integral()
     if mass <= 0 or n < 1:
         raise ValueError("density must have positive integral and n >= 1")
-    if scheme == "quantile-1d":
-        if f.dim != 1:
-            raise ValueError("quantile-1d requires dim = 1")
+    if f.dim == 1:
         ax = f.axes[0]
         h = ax.spacing
         cell_mass = f.values * h
@@ -222,18 +215,16 @@ def particles_from_density(
         x = ax.origin - 0.5 * h + h * (cells + offset)
         weights = np.full(n, mass / n)
         return ParticleMeasure(1, x.reshape(-1, 1), weights)
-    if scheme == "cell-midpoint":
-        lows = np.array([ax.origin - 0.5 * ax.spacing for ax in f.axes])
-        highs = np.array([ax.origin + ax.spacing * (ax.count - 0.5) for ax in f.axes])
-        spacings = (highs - lows) / n
-        grids = [lows[a] + spacings[a] * (np.arange(n) + 0.5) for a in range(f.dim)]
-        mesh = np.meshgrid(*grids, indexing="ij")
-        centers = np.stack([m.ravel() for m in mesh], axis=1)
-        vals = f.value_at(centers)
-        keep = vals > 0
-        if not keep.any():
-            raise ValueError("resampled density is identically zero")
-        weights = vals[keep] * float(np.prod(spacings))
-        weights *= mass / weights.sum()
-        return ParticleMeasure(f.dim, centers[keep], weights)
-    raise ValueError(f"unknown discretization scheme {scheme!r}")
+    lows = np.array([ax.origin - 0.5 * ax.spacing for ax in f.axes])
+    highs = np.array([ax.origin + ax.spacing * (ax.count - 0.5) for ax in f.axes])
+    spacings = (highs - lows) / n
+    grids = [lows[a] + spacings[a] * (np.arange(n) + 0.5) for a in range(f.dim)]
+    mesh = np.meshgrid(*grids, indexing="ij")
+    centers = np.stack([m.ravel() for m in mesh], axis=1)
+    vals = f.value_at(centers)
+    keep = vals > 0
+    if not keep.any():
+        raise ValueError("resampled density is identically zero")
+    weights = vals[keep] * float(np.prod(spacings))
+    weights *= mass / weights.sum()
+    return ParticleMeasure(f.dim, centers[keep], weights)

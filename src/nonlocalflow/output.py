@@ -150,7 +150,7 @@ def _rescale(xs, ys, all_x, all_y):
 def _svg_scatter(groups: list[np.ndarray], path: Path) -> None:
     # 1D clouds are drawn on the line y = 0
     groups = [g if g.shape[1] > 1 else np.column_stack([g[:, 0], np.zeros(len(g))]) for g in groups]
-    pts = np.vstack([g for g in groups if len(g)])
+    pts = np.vstack(groups)
     body = ["<g>\n"]
     for idx, g in enumerate(groups):
         px, py = _rescale(g[:, 0], g[:, 1], pts[:, 0], pts[:, 1])
@@ -191,9 +191,8 @@ def emit_plotdata(record: SolutionRecord, kind: str, out_dir: Path) -> list[Path
         _write_long_table(csv_path, record, ["density"], lambda j, i, mu: (record.densities[j][i],))
         series = []
         for i, mu in enumerate(record.states[-1].species):
-            if len(mu):
-                order = np.argsort(mu.positions[:, 0], kind="stable")
-                series.append((mu.positions[order, 0], record.densities[-1][i][order]))
+            order = np.argsort(mu.positions[:, 0], kind="stable")
+            series.append((mu.positions[order, 0], record.densities[-1][i][order]))
         _svg_curves(series, svg_path)
     else:
         raise ValueError(f"unknown plot kind {kind!r}")

@@ -72,7 +72,6 @@ RANGES = {
     "positive": lambda x: x > 0,
     "at least 0": lambda x: x >= 0,
     "at least 1": lambda x: x >= 1,
-    "in (0, 1)": lambda x: (x > 0) & (x < 1),
     "of length 2": lambda v: v.size == 2,
     "of length 2, increasing": lambda v: v.size == 2 and v[0] < v[1],
 }
@@ -165,7 +164,7 @@ CHECKS = {
     "lemma-stability": {},
     "flow-lipschitz": {},
 }
-_PICARD = {"tol": _positive(1e-9), "max_iter": _count(60), "sigma": Field("number", 0.5, "in (0, 1)")}
+_PICARD = {"tol": _positive(1e-9), "max_iter": _count(60)}
 SCENARIO = Field("object", fields={
     "schema": Field("integer", choices=(SCHEMA_VERSION,)),
     "name": Field("string"),
@@ -343,11 +342,11 @@ def _build_species(cfg: dict, idx: int) -> tuple[ParticleMeasure, GridDensity | 
     if kind == "grid-1d":
         dens = _PROFILES_1D[cfg["profile"]](*cfg["support"], cfg["resolution"])
         dens = _scaled_to_mass(dens, cfg["mass"])
-        return particles_from_density(dens, cfg["particles"], "quantile-1d"), dens
+        return particles_from_density(dens, cfg["particles"]), dens
     if kind == "grid-2d":
         dens = _cosine_bump_2d(cfg["center"], cfg["radius"], cfg["resolution"])
         dens = _scaled_to_mass(dens, cfg["mass"])
-        return particles_from_density(dens, cfg["particles_per_axis"], "cell-midpoint"), dens
+        return particles_from_density(dens, cfg["particles_per_axis"]), dens
     if kind == "dirac":
         return dirac(cfg["point"], cfg["weight"]), None
     pos, w = np.asarray(cfg["positions"]), np.asarray(cfg["weights"])
@@ -427,7 +426,7 @@ def scenario_from_config(raw: dict, audit: bool = True) -> Scenario:
     if audit:
         radius = cfg.get("audit_radius")
         if radius is None:
-            span = max(float(np.abs(m.positions).max()) for m in initial.species if len(m))
+            span = max(float(np.abs(m.positions).max()) for m in initial.species)
             radius = span + model.sup_bound * scenario.horizon + 1.0
         audit_model(model, radius, initial.total_measure())
     return scenario

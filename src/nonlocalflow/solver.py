@@ -4,7 +4,7 @@
 RK4.  ``solve_picard`` freezes the convolution source, solves the resulting
 linear transport problem with ``flow.integrate``, and iterates the map
 r -> rho to its fixed point; the horizon is covered by chaining time windows
-short enough that the map contracts with factor C*T*exp(C*T) <= sigma.
+short enough that the map contracts with factor C*T*exp(C*T) <= PICARD_SIGMA.
 """
 
 from __future__ import annotations
@@ -25,21 +25,23 @@ from .flow import (
     transported_densities,
 )
 from .kernels import require_positive
-from .measures import EmptySpeciesError, GridDensity, MeasureVector
+from .measures import GridDensity, MeasureVector
 from .velocity import VelocityModel, lipschitz_bound_b, velocity_batch
 from .wasserstein import coupling_cost
+
+# the contraction factor C*T*exp(C*T) that a Picard window may reach
+PICARD_SIGMA = 0.5
 
 
 @dataclass(frozen=True)
 class PicardParams:
     tol: float = 1e-9
     max_iter: int = 60
-    sigma: float = 0.5
 
     def __post_init__(self):
         require_positive("picard.tol", self.tol)
-        if self.max_iter < 1 or not (0.0 < self.sigma < 1.0):
-            raise ValueError("need picard.max_iter >= 1 and picard.sigma in (0, 1)")
+        if self.max_iter < 1:
+            raise ValueError("need picard.max_iter >= 1")
 
 
 @dataclass(frozen=True)
@@ -109,22 +111,21 @@ def solve_direct(scenario: Scenario) -> SolutionRecord:
 
 
 def window_length(scenario: Scenario) -> float:
-    """Largest window with C * T * exp(C * T) <= sigma, capped by the horizon.
+    """Largest window with C * T * exp(C * T) <= PICARD_SIGMA, capped by the horizon.
 
     The horizon itself when it qualifies (tested on C * T first, so exp
-    cannot overflow); otherwise the root lies below sigma / C, because
+    cannot overflow); otherwise the root lies below PICARD_SIGMA / C, because
     exp(C * T) >= 1, and is found by bisection to 1e-12.  The full horizon is
     covered by chaining such windows.
     """
     c = scenario.lipschitz_b()
-    sigma = scenario.picard.sigma
 
     def f(tw: float) -> float:
-        return c * tw * math.exp(c * tw) - sigma
+        return c * tw * math.exp(c * tw) - PICARD_SIGMA
 
-    if c * scenario.horizon <= sigma and f(scenario.horizon) <= 0:
+    if c * scenario.horizon <= PICARD_SIGMA and f(scenario.horizon) <= 0:
         return scenario.horizon
-    lo, hi = 0.0, sigma / c
+    lo, hi = 0.0, PICARD_SIGMA / c
     mid = 0.5 * hi
     # a bracket of adjacent floats wider than 1e-12 stops too: mid is an end
     while hi - lo > 1e-12 and lo < mid < hi:
@@ -181,19 +182,16 @@ def solve_picard(scenario: Scenario) -> SolutionRecord:
     Windows are snapped onto the uniform step grid, so picard and direct
     solves share snapshot times.  Tracked densities are one post-pass over
     the converged snapshots, which are also the frozen source.  Raises
-    :class:`EmptySpeciesError` for a species of zero mass, and ValueError
-    when ``picard.sigma`` allows a window shorter than one step.
+    ValueError when the longest contracting window is shorter than one step.
     """
-    for i, mass in enumerate(scenario.initial.masses()):
-        if mass <= 0:
-            raise EmptySpeciesError(f"empty species {i}")
     window = window_length(scenario)
     total_steps, dtu = _uniform_steps(0.0, scenario.horizon, scenario.step.dt)
     window_steps = int(math.floor(window / dtu + 1e-12))
+    # a window of zero steps would never advance the loop below
     if window_steps < 1:
         raise ValueError(
-            f"picard.sigma = {scenario.picard.sigma} allows windows of at most {window!r}, "
-            f"shorter than one step {dtu!r} of dt = {scenario.step.dt}; lower dt or raise picard.sigma"
+            f"a contracting Picard window is at most {window!r} long, "
+            f"shorter than one step {dtu!r} of dt = {scenario.step.dt}; lower dt"
         )
     times_all = [0.0]
     states_all = [scenario.initial]
@@ -302,9 +300,6 @@ def weak_form_residual(
         integrand = np.empty(times.size)
         for j, (tj, state) in enumerate(zip(times, record.states)):
             mu = state.species[i]
-            if len(mu) == 0:
-                integrand[j] = 0.0
-                continue
             vel = velocity_batch(model, state, i, float(tj), mu.positions)
             advect = np.sum(vel * phi.grad(float(tj), mu.positions), axis=1)
             integrand[j] = float(

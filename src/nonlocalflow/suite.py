@@ -268,7 +268,6 @@ def criterion_6_contraction() -> list[BoundReport]:
         initial=MeasureVector((dirac([0.0]),)),
         horizon=10.0,
         step=StepControl(0.01),
-        picard=PicardParams(sigma=0.5),
     )
     got = window_length(probe)
     oracle = brentq(lambda tw: 2.0 * tw * math.exp(2.0 * tw) - 0.5, 1e-9, 5.0, xtol=1e-13)

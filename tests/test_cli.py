@@ -283,9 +283,10 @@ def test_cli_w1_verb(tmp_path, capsys):
         ("x_1,weight\n0.0,-1\n", "line 2: positions must be finite and the weight finite and positive"),
         ("weight\n1\n", "line 1: need columns x_1..x_d,weight"),
         ("x_1,x_2,weight\n0.0,0.0,1.0\n", "line 1: dimension 2 differs from dimension 1 of {good}"),
+        ("x_1,weight\n", "line 1: header has no particle rows below it"),
     ],
     ids=["empty", "short-row", "long-row", "non-numeric", "nan-cell", "negative-weight",
-         "no-position-column", "dimension-mismatch"],
+         "no-position-column", "dimension-mismatch", "no-particle-rows"],
 )
 def test_cli_w1_rejects_a_malformed_measure_csv(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.csv"

@@ -243,7 +243,7 @@ def _convolve_loop(points, centers, weights, kernel_at):
 def opaque_instances(draw):
     scale = draw(st.floats(0.1, 2.0))
     height = draw(st.floats(0.1, 3.0))
-    centers = draw(st.lists(st.floats(-4.0, 4.0), max_size=8))
+    centers = draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=8))
     weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(centers), max_size=len(centers)))
     # offsets just inside, at and just outside s and 2s put points on both
     # sides of each kink of the ramp
@@ -253,8 +253,7 @@ def opaque_instances(draw):
         st.sampled_from([1.0 - 1e-9, 1.0, 1.0 + 1e-9]),
     )
     offset = st.one_of(kink, st.floats(-3.0 * scale, 3.0 * scale))
-    base = st.sampled_from(centers) if centers else st.floats(-4.0, 4.0)
-    points = draw(st.lists(st.builds(lambda b, o: b + o, base, offset), max_size=8))
+    points = draw(st.lists(st.builds(lambda b, o: b + o, st.sampled_from(centers), offset), max_size=8))
     return scale, height, np.array(points), np.array(centers), np.array(weights)
 
 
@@ -281,8 +280,6 @@ def test_opaque_convolve_batch_matches_double_loop(form, instance):
     tol = 1e-13 * (1.0 + kernel.sup_bound * float(weights.sum()))
     assert fast.shape == (len(points),)
     assert np.allclose(fast, slow, rtol=0.0, atol=tol)
-    if not len(centers):
-        assert np.array_equal(fast, np.zeros(len(points)))
 
 
 @settings(max_examples=60, deadline=None)

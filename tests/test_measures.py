@@ -4,7 +4,6 @@ import pytest
 from nonlocalflow import (
     GridAxis,
     GridDensity,
-    MeasureVector,
     ParticleMeasure,
     dirac,
     particles_from_density,
@@ -20,11 +19,15 @@ def uniform_unit_density(count=64):
 
 
 def test_total_mass_examples():
-    empty = ParticleMeasure(1, np.zeros((0, 1)), np.zeros(0))
-    assert total_mass(empty) == 0.0
     assert total_mass(dirac([1.0])) == 1.0
     mu = ParticleMeasure(1, np.array([[0.0], [1.0]]), np.array([0.25, 0.75]))
     assert total_mass(mu) == 1.0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_measure_without_particles_is_rejected(dim):
+    with pytest.raises(ValueError, match="^a particle measure needs at least one particle$"):
+        ParticleMeasure(dim, np.zeros((0, dim)), np.zeros(0))
 
 
 def test_invalid_weights_rejected():
@@ -39,14 +42,14 @@ def test_invalid_weights_rejected():
 
 
 def test_quantile_discretization_uniform():
-    mu = particles_from_density(uniform_unit_density(), 2, "quantile-1d")
+    mu = particles_from_density(uniform_unit_density(), 2)
     assert np.allclose(mu.positions.ravel(), [0.25, 0.75])
     assert np.allclose(mu.weights, [0.5, 0.5])
 
 
 def test_quantile_single_particle_at_median():
     dens = uniform_unit_density()
-    mu = particles_from_density(dens, 1, "quantile-1d")
+    mu = particles_from_density(dens, 1)
     assert mu.positions[0, 0] == pytest.approx(0.5, abs=1e-12)
     assert mu.weights[0] == pytest.approx(dens.integral())
 
@@ -54,10 +57,10 @@ def test_quantile_single_particle_at_median():
 def test_quantile_w1_error_against_dense_oracle():
     dens = uniform_unit_density()
     # a much finer quantile discretization stands in for the exact uniform law
-    dense = particles_from_density(dens, 4096, "quantile-1d")
+    dense = particles_from_density(dens, 4096)
     previous = np.inf
     for n in (4, 8, 16, 32):
-        coarse = particles_from_density(dens, n, "quantile-1d")
+        coarse = particles_from_density(dens, n)
         err = w1_1d(coarse, dense)
         assert err <= 1.0 / (2 * n)
         assert err < previous
@@ -67,7 +70,7 @@ def test_quantile_w1_error_against_dense_oracle():
 def test_discretization_mass_exact():
     dens = uniform_unit_density()
     for n in (3, 7, 20):
-        mu = particles_from_density(dens, n, "quantile-1d")
+        mu = particles_from_density(dens, n)
         assert total_mass(mu) == pytest.approx(dens.integral(), abs=1e-15)
 
 
@@ -76,19 +79,10 @@ def test_cell_midpoint_2d():
     gx, gy = np.meshgrid(axes[0].nodes(), axes[1].nodes(), indexing="ij")
     vals = np.maximum(0.0, 1.0 - gx**2 - gy**2)
     dens = GridDensity(2, axes, vals)
-    mu = particles_from_density(dens, 6, "cell-midpoint")
+    mu = particles_from_density(dens, 6)
     assert mu.dim == 2
     assert total_mass(mu) == pytest.approx(dens.integral(), rel=1e-14)
     assert (mu.weights > 0).all()
-
-
-def test_quantile_requires_1d():
-    axes = (GridAxis(0.0, 0.5, 4), GridAxis(0.0, 0.5, 4))
-    dens = GridDensity(2, axes, np.ones((4, 4)))
-    with pytest.raises(ValueError):
-        particles_from_density(dens, 5, "quantile-1d")
-    with pytest.raises(ValueError):
-        particles_from_density(uniform_unit_density(), 5, "no-such-scheme")
 
 
 def test_grid_density_interpolation():

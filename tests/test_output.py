@@ -17,7 +17,7 @@ positive = st.one_of(
 @st.composite
 def records(draw):
     dim = draw(st.integers(1, 3))
-    counts = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2))
+    counts = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
     snapshots = draw(st.integers(1, 3))
     # a record's times strictly increase; 0.0 and -0.0 are one time
     times = sorted(draw(st.lists(finite, min_size=snapshots, max_size=snapshots, unique=True)))

@@ -188,16 +188,19 @@ def _write_and_check_both_verbs(tmp_path, capsys, raw, message):
             "unknown field checks[0].eps",
         ),
         ("sedimentation-1d", _set(["checks", 2, "tolerance"], 0.01), "unknown field checks[2].tolerance"),
+        ("sedimentation-1d", _set(["picard"], {"sigma": 0.5}), "unknown field picard.sigma"),
     ],
     ids=[
         "courant", "h_fd", "scheme", "dim", "grid-2d-profile", "stability-initial.eps",
         "stability-initial.slack", "linfty-growth.slack", "lemma-stability.eps", "flow-lipschitz.tolerance",
+        "picard.sigma",
     ],
 )
 def test_retired_settings_are_unknown_fields(tmp_path, capsys, name, edit, message):
     # the RK4 step guard, the finite-difference step, the grid-1d scheme, the
-    # linear-local dimension, the grid-2d profile and each check's gate and
-    # perturbation size are fixed; a file cannot set them
+    # linear-local dimension, the grid-2d profile, each check's gate and
+    # perturbation size and the Picard contraction factor are fixed; a file
+    # cannot set them
     raw = load_raw(name)
     edit(raw)
     _write_and_check_both_verbs(tmp_path, capsys, raw, message)
@@ -229,7 +232,7 @@ def test_pedestrian_direction_of_another_dimension_exits_2(tmp_path, capsys, dir
 def test_defaults_are_filled_in():
     raw = load_raw("two-particle-sedimentation-1d")
     cfg = validate(raw)
-    assert cfg["picard"] == {"tol": 1e-9, "max_iter": 60, "sigma": 0.5}
+    assert cfg["picard"] == {"tol": 1e-9, "max_iter": 60}
     assert cfg["density_tracking"] is False
     assert "audit_radius" not in cfg  # optional, computed from the data
     assert all(isinstance(x, float) and not math.isnan(x) for x in cfg["species"][0]["weights"])

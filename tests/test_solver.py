@@ -1,4 +1,3 @@
-import json
 import math
 from dataclasses import replace
 
@@ -7,7 +6,6 @@ import pytest
 from scipy.optimize import brentq
 
 from nonlocalflow import (
-    EmptySpeciesError,
     GridDensity,
     MeasureVector,
     ParticleMeasure,
@@ -37,7 +35,7 @@ from nonlocalflow import (
 from nonlocalflow import solver
 from nonlocalflow.cli import main
 from nonlocalflow.flow import integrate
-from nonlocalflow.scenario import _cosine_bump_1d, load_config, load_raw, load_scenario, scenario_from_config
+from nonlocalflow.scenario import _cosine_bump_1d, load_config, scenario_from_config
 
 
 def bump_particles(n=30, mass=1.0, support=(-1.0, 1.0)):
@@ -190,7 +188,7 @@ def test_window_length_keeps_the_contraction_factor_at_or_under_sigma(name):
     scn = scenario_from_config(load_config(name, {"mode": "picard"}), audit=False)
     c, tw = scn.lipschitz_b(), window_length(scn)
     assert tw < scn.horizon
-    assert c * tw * math.exp(c * tw) <= scn.picard.sigma
+    assert c * tw * math.exp(c * tw) <= solver.PICARD_SIGMA
 
 
 def test_window_length_factor_never_exceeds_sigma():
@@ -198,27 +196,23 @@ def test_window_length_factor_never_exceeds_sigma():
     # must not
     rng = np.random.default_rng(20)
     scn = replace(sedimentation_scenario(), horizon=1e6)
-    for c, sigma in zip(10.0 ** rng.uniform(-3, 3, 300), rng.uniform(0.01, 0.99, 300)):
-        probe = replace(scn, model=linear_local_field(-c, 4.0, 1), picard=PicardParams(sigma=sigma))
-        tw = window_length(probe)
-        assert c * tw * math.exp(c * tw) <= sigma, (c, sigma, tw)
+    for c in 10.0 ** rng.uniform(-3, 3, 300):
+        tw = window_length(replace(scn, model=linear_local_field(-c, 4.0, 1)))
+        assert c * tw * math.exp(c * tw) <= solver.PICARD_SIGMA, (c, tw)
 
 
 def test_picard_rejects_a_window_shorter_than_one_step(tmp_path, capsys, monkeypatch):
-    # sigma = 0.02 at C = 1 allows windows of about 0.0196 < dt = 0.05; a
-    # one-step window would contract with factor 0.0526 > sigma
-    raw = load_raw("sedimentation-1d")
-    raw["picard"] = {"sigma": 0.02}
-    path = tmp_path / "tight-sigma.json"
-    path.write_text(json.dumps(raw))
+    # C = 1 allows windows of about 0.3517 < dt = 0.5; a one-step window
+    # would contract with factor 0.824 > PICARD_SIGMA
     solved = []
     monkeypatch.setattr(solver, "picard_window", lambda *a, **k: solved.append(a))
-    argv = ["run", str(path), "--mode", "picard", "--dt", "0.05", "--out", str(tmp_path / "out")]
+    argv = ["run", "sedimentation-1d", "--mode", "picard", "--dt", "0.5", "--out", str(tmp_path / "out")]
     assert main(argv) == 3
     assert solved == []
-    window = window_length(scenario_from_config(load_config(str(path), {"mode": "picard", "dt": 0.05}), audit=False))
+    window = window_length(scenario_from_config(load_config("sedimentation-1d", {"mode": "picard", "dt": 0.5}), audit=False))
+    assert 0.35 < window < 0.5
     message = capsys.readouterr().err
-    for part in ("picard.sigma = 0.02", "dt = 0.05", repr(window), repr(0.05)):
+    for part in ("dt = 0.5", repr(window), repr(0.5)):
         assert part in message
 
 
@@ -378,14 +372,6 @@ def test_solve_picard_tracked_densities_match_direct(name):
     )
     assert gap <= 1e-7
     assert check_linfty_growth(scn, record=picard).passed
-
-
-def test_solve_picard_rejects_empty_species():
-    scn = scenario_from_config(load_config("predator-prey-1d", {"mode": "picard"}), audit=False)
-    empty = ParticleMeasure(1, np.zeros((0, 1)), np.zeros(0))
-    scn = replace(scn, initial=MeasureVector((empty, scn.initial.species[1])))
-    with pytest.raises(EmptySpeciesError, match="^empty species 0$"):
-        solve_picard(scn)
 
 
 def test_solve_dispatch():

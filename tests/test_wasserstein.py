@@ -419,8 +419,6 @@ def test_kantorovich_potential_matches_dense_and_attains_w1(monkeypatch):
     for _ in range(50):
         mu, nu = random_pair(rng, max_pts=12, dim=1)
         assert abs(potential_value(w1_exact(mu, nu)[1], mu, nu) - w1_1d(mu, nu)) <= 1e-12
-    empty = ParticleMeasure(2, np.zeros((0, 2)), np.zeros(0))
-    assert kantorovich_potential(w1_exact(empty, empty)[1], np.ones((3, 2))).tolist() == [0.0] * 3
 
 
 def test_dual_lower_bound_examples():
