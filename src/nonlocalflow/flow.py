@@ -21,7 +21,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .kernels import require_positive
+from .kernels import require_positive, sample_box, sample_normal
 from .measures import MeasureVector, ParticleMeasure
 from .velocity import VelocityModel, lipschitz_bound_b, velocity_batch
 
@@ -250,24 +250,32 @@ def integrate(
     return SolutionRecord(times, states)
 
 
+def _probe_offsets(dim: int, seed: int) -> np.ndarray:
+    """:data:`PROBE_PAIRS` vectors :data:`PROBE_SEPARATION` long, along the
+    :func:`sample_normal` points of indices ``seed + 1`` to ``seed + PROBE_PAIRS``."""
+    offsets = sample_normal(PROBE_PAIRS, dim, seed)
+    return offsets * (PROBE_SEPARATION / np.linalg.norm(offsets, axis=1, keepdims=True))
+
+
 def flow_map_lipschitz_probe(model: VelocityModel, record: SolutionRecord, seed: int = 0) -> float:
     """Max over species and probe pairs of |X_T(x) - X_T(y)| / |x - y|.
 
     X is each species' flow with ``record`` as frozen source, on the
-    record's own step grid.  Around each species' initial cloud, species 0
-    first, ``seed`` places :data:`PROBE_PAIRS` pairs :data:`PROBE_SEPARATION`
-    apart; one :func:`integrate` call moves them all.  The ratio must stay
-    below exp(Lip(b) * T) up to integration error.
+    record's own step grid.  Around each species' initial cloud, padded by
+    0.5, :func:`sample_box` places :data:`PROBE_PAIRS` base points, and each
+    pair's second point lies :data:`PROBE_SEPARATION` away along a
+    :func:`sample_normal` direction.  Species i of k reads the indices after
+    ``(seed * k + i) * 2 * PROBE_PAIRS``: the first PROBE_PAIRS for the base
+    points, the next for the directions.  One :func:`integrate` call moves
+    them all.  The ratio must stay below exp(Lip(b) * T) up to integration
+    error.
     """
-    rng = np.random.default_rng(seed)
     start = record.states[0]
     probes = []
-    for mu in start.species:
-        base = rng.uniform(
-            mu.positions.min(axis=0) - 0.5, mu.positions.max(axis=0) + 0.5, size=(PROBE_PAIRS, start.dim)
-        )
-        offsets = rng.normal(size=(PROBE_PAIRS, start.dim))
-        offsets *= PROBE_SEPARATION / np.linalg.norm(offsets, axis=1, keepdims=True)
+    for i, mu in enumerate(start.species):
+        first = (seed * start.k + i) * 2 * PROBE_PAIRS
+        base = sample_box(mu.positions.min(axis=0) - 0.5, mu.positions.max(axis=0) + 0.5, PROBE_PAIRS, first)
+        offsets = _probe_offsets(start.dim, first + PROBE_PAIRS)
         probes.append(ParticleMeasure(start.dim, np.vstack([base, base + offsets]), np.ones(2 * PROBE_PAIRS)))
     times = record.times
     moved = integrate(model, record, MeasureVector(tuple(probes)), times[0], times[-1], times.size - 1)

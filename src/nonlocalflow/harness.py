@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from .flow import SolutionRecord, _uniform_steps, flow_map_lipschitz_probe, integrate
-from .kernels import sample_box
+from .kernels import sample_box, sample_normal
 from .measures import MeasureVector
 from .solver import Scenario, solve_direct
 from .velocity import VelocityModel, _l1_ball_samples, lipschitz_bound_b, velocity_batch
@@ -27,8 +28,8 @@ from .wasserstein import PairCapError, w1_series, w1_vector
 # The gates: a report passes when lhs <= rhs * slack.
 STABILITY_SLACK = 1.05  # stability-initial, stability-general and linfty-growth
 FLOW_LIPSCHITZ_SLACK = 1.01
-# the scale of the normal jitter that perturbs the datum of a stability pair
-# or of the lemma
+# the scale of the normal jitter (Box-Muller on Halton points, one index
+# range per seed and species) that perturbs a stability pair or the lemma
 PERTURBATION = 0.05
 # quasi-random sample counts: the lemma's points (seed 0) for its velocity
 # gap, and the general check's points for sup|V - U| and sup|eta - nu|
@@ -111,9 +112,15 @@ def check_lemma_perturbed(scenario: Scenario, record: SolutionRecord) -> BoundRe
 
 
 def perturbed_initial(rho: MeasureVector, scale: float, seed: int) -> MeasureVector:
-    """Jitter positions with a seeded normal displacement; weights unchanged."""
-    rng = np.random.default_rng(seed)
-    return rho.with_positions([p + rng.normal(scale=scale, size=p.shape) for p in rho.positions()])
+    """Jitter positions by ``scale`` times :func:`sample_normal`; weights
+    unchanged.  With N particles in all, species i reads the Halton indices
+    after seed * N plus the particles of species 0 .. i-1, so no two seeds
+    and no two species share a draw."""
+    sizes = [len(m) for m in rho.species]
+    starts = accumulate(sizes[:-1], initial=seed * sum(sizes))
+    return rho.with_positions(
+        [m.positions + scale * sample_normal(len(m), rho.dim, s) for m, s in zip(rho.species, starts)]
+    )
 
 
 def check_stability_initial(

@@ -221,6 +221,8 @@ def zero_kernel(dim: int) -> Kernel:
 
 
 def _halton(n: int, dim: int, seed: int = 0) -> np.ndarray:
+    if seed + n > 2**53:
+        raise ValueError(f"Halton index {seed + n} is above 2^53, where float64 stops counting")
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     out = np.empty((n, dim))
     for a in range(dim):
@@ -238,10 +240,22 @@ def _halton(n: int, dim: int, seed: int = 0) -> np.ndarray:
 
 
 def sample_box(low: np.ndarray, high: np.ndarray, n: int, seed: int = 0) -> np.ndarray:
-    """Deterministic quasi-random points in an axis-aligned box."""
+    """Deterministic quasi-random points in an axis-aligned box: the Halton
+    points of indices ``seed + 1`` to ``seed + n`` (Halton 1960), with the
+    prime bases rotated by ``seed``."""
     low = np.atleast_1d(np.asarray(low, dtype=np.float64))
     high = np.atleast_1d(np.asarray(high, dtype=np.float64))
     return low + _halton(n, low.size, seed) * (high - low)
+
+
+def sample_normal(n: int, dim: int, seed: int) -> np.ndarray:
+    """Deterministic standard normal points in R^dim, read from the
+    :func:`sample_box` points of indices ``seed + 1`` to ``seed + n`` in the
+    unit box of dimension 2 * dim: coordinate j is the Box-Muller map
+    (Box & Muller 1958) sqrt(-2 log u_j) cos(2 pi u_{dim + j}).  A Halton
+    coordinate lies in (0, 1), so the log is finite."""
+    u = sample_box(np.zeros(2 * dim), np.ones(2 * dim), n, seed)
+    return np.sqrt(-2.0 * np.log(u[:, :dim])) * np.cos(2.0 * np.pi * u[:, dim:])
 
 
 def steepest_slope(rise: np.ndarray, gaps: np.ndarray) -> tuple[int, float] | None:

@@ -72,6 +72,8 @@ RANGES = {
     "positive": lambda x: x > 0,
     "at least 0": lambda x: x >= 0,
     "at least 1": lambda x: x >= 1,
+    # a seed picks Halton indices near seed * N, which float64 counts exactly
+    "from 0 to 2^32 - 1": lambda x: (x >= 0) & (x < 2**32),
     "of length 2": lambda v: v.size == 2,
     "of length 2, increasing": lambda v: v.size == 2 and v[0] < v[1],
 }
@@ -172,7 +174,7 @@ SCENARIO = Field("object", fields={
     "dt": _positive(),
     "mode": Field("string", "direct", choices=("direct", "picard")),
     "density_tracking": Field("boolean", False),
-    "seed": Field("integer", 0, "at least 0"),
+    "seed": Field("integer", 0, "from 0 to 2^32 - 1"),
     "audit_radius": _positive(OPTIONAL),  # absent: from the data
     "picard": Field("object", {}, fields=_PICARD, noun="picard."),
     "model": Field("variant", fields=MODELS),

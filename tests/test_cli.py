@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -233,6 +236,8 @@ def test_non_finite_scenario_fields_rejected_with_field(tmp_path, capsys, field,
         (["sedimentation-1d", "--n", "0"], "species[0]: "),
         (["pedestrian-2d", "--n", "0"], "species[0]: --n must be at least 1, got 0"),
         (["pedestrian-2d", "--n", "-5"], "species[0]: --n must be at least 1, got -5"),
+        (["sedimentation-1d", "--seed", "-1"], "seed must be an integer and from 0 to 2^32 - 1, got -1"),
+        (["sedimentation-1d", "--seed", "4294967296"], "seed must be an integer and from 0 to 2^32 - 1"),
     ],
 )
 def test_bad_run_overrides_exit_2_with_field(tmp_path, capsys, argv, message):
@@ -368,3 +373,38 @@ def test_pair_cap_fails_the_check_and_skips_the_w1_plot(tmp_path, capsys, monkey
     assert "exceed the cap 100" in rows[2]
     assert (out / "trajectory.csv").exists()
     assert sorted(p.name for p in (out / "plot").iterdir()) == ["particle-cloud.csv", "particle-cloud.svg"]
+
+
+# One command in a fresh interpreter, then whether numpy.random was loaded.
+_FRESH_MAIN = (
+    "import sys\n"
+    "from nonlocalflow.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print('numpy.random' in sys.modules)\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "sedimentation-1d"],
+        ["run", "sedimentation-1d", "--mode", "picard"],
+        ["run", "pedestrian-2d"],
+        ["run", "pedestrian-2d", "--mode", "picard"],
+        ["audit", "pedestrian-2d"],
+        ["w1", "a.csv", "b.csv"],
+    ],
+    ids=["run-1d", "run-1d-picard", "run-2d", "run-2d-picard", "audit-2d", "w1-2d"],
+)
+def test_a_command_never_loads_numpy_random(tmp_path, argv):
+    # a subprocess: pytest and hypothesis may load numpy.random themselves
+    (tmp_path / "a.csv").write_text("x_1,x_2,weight\n0.0,0.0,1.0\n")
+    (tmp_path / "b.csv").write_text("x_1,x_2,weight\n3.0,4.0,0.5\n1.0,0.0,0.5\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", _FRESH_MAIN, *argv], capture_output=True, text=True, cwd=tmp_path, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"

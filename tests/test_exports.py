@@ -111,3 +111,17 @@ def test_every_default_is_passed_by_some_call():
                 unset.add(qualified)
     assert sorted(unset - UNSET_DEFAULTS.keys()) == []
     assert sorted(UNSET_DEFAULTS.keys() - unset) == []
+
+
+def test_only_the_suite_loads_numpy_random():
+    """The checks draw from the package's Halton sampler; only the suite's
+    random W1 instances come from numpy.random, as test-oracle data."""
+    pattern = re.compile(r"\bnp\.random\b|\bnumpy\.random\b|from numpy import [^\n]*\brandom\b")
+    found = [
+        f"{path.name}:{n}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "suite.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert found == []

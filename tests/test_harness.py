@@ -1,14 +1,18 @@
 import math
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonlocalflow import (
     BoundReport,
     GridDensity,
     KernelMatrix,
     MeasureVector,
+    ParticleMeasure,
     Scenario,
     StepControl,
     VelocityField,
@@ -28,7 +32,8 @@ from nonlocalflow import (
     zero_kernel,
 )
 from nonlocalflow import harness, solver, w1_series, w1_vector, wasserstein
-from nonlocalflow.harness import perturbed_initial
+from nonlocalflow.harness import PERTURBATION, perturbed_initial
+from nonlocalflow.kernels import sample_normal
 from nonlocalflow.cli import run_checks
 from nonlocalflow.scenario import _cosine_bump_1d, load_config, load_scenario, scenario_from_config
 from nonlocalflow.solver import solve
@@ -380,3 +385,82 @@ def test_lemma_control_between_two_nearby_diracs(lip_r, passed):
     assert rep.lhs == pytest.approx(0.25, rel=1e-12)
     assert rep.rhs == pytest.approx(0.25 * lip_r)
     assert rep.passed is passed
+
+
+def _cloud(sizes, dim):
+    """One species per entry of ``sizes``, its particles at the origin."""
+    return MeasureVector(tuple(ParticleMeasure(dim, np.zeros((n, dim)), np.ones(n)) for n in sizes))
+
+
+def _record_ranges(mp):
+    """Make the harness's normal draws record the Halton indices they read."""
+    ranges = []
+
+    def recording(n, dim, seed):
+        ranges.append(range(seed + 1, seed + n + 1))
+        return sample_normal(n, dim, seed)
+
+    mp.setattr(harness, "sample_normal", recording)
+    return ranges
+
+
+def _disjoint(ranges):
+    spans = sorted((r.start, r.stop) for r in ranges)
+    return all(stop <= start for (_, stop), (start, _) in zip(spans, spans[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 50), min_size=1, max_size=4),
+    dim=st.integers(1, 3),
+    seed=st.integers(0, 1000),
+)
+def test_a_perturbation_is_deterministic_and_its_species_read_disjoint_ranges(sizes, dim, seed):
+    rho = _cloud(sizes, dim)
+    with pytest.MonkeyPatch.context() as mp:
+        ranges = _record_ranges(mp)
+        sigma = perturbed_initial(rho, PERTURBATION, seed)
+    assert [len(r) for r in ranges] == sizes
+    assert _disjoint(ranges)
+    again = perturbed_initial(rho, PERTURBATION, seed)
+    assert all(np.array_equal(a, b) for a, b in zip(sigma.positions(), again.positions()))
+
+
+@cache
+def _predator_prey():
+    """A two-species scenario and its direct solve."""
+    scn = load_scenario("predator-prey-1d")
+    return scn, solve_direct(scn)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 1000), pairs=st.integers(1, 6))
+def test_the_pairs_of_one_battery_read_disjoint_ranges(seed, pairs):
+    scn, base = _predator_prey()
+    with pytest.MonkeyPatch.context() as mp:
+        ranges = _record_ranges(mp)
+        mp.setattr(
+            harness,
+            "check_stability_initial",
+            lambda scenario, base, sigma0, fingerprint: BoundReport.make("pair", 0.0, 1.0, 1.0, fingerprint),
+        )
+        reports = stability_battery(replace(scn, seed=seed), pairs, base)
+    assert [rep.fingerprint["pair_seed"] for rep in reports] == list(range(seed, seed + pairs))
+    assert len(ranges) == pairs * scn.initial.k
+    assert _disjoint(ranges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 10_000), dim=st.integers(1, 3), seed=st.integers(0, 1000))
+def test_every_displacement_is_finite(n, dim, seed):
+    # a log of 0 would also raise: a RuntimeWarning fails the test
+    (shift,) = perturbed_initial(_cloud([n], dim), PERTURBATION, seed).positions()
+    assert np.isfinite(shift).all()
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(4000, 10_000), dim=st.integers(1, 3), seed=st.integers(0, 1000))
+def test_displacements_are_centred_with_the_perturbation_scale(n, dim, seed):
+    (shift,) = perturbed_initial(_cloud([n], dim), PERTURBATION, seed).positions()
+    assert np.abs(shift.mean(axis=0)).max() <= 0.1 * PERTURBATION
+    assert np.abs(shift.std(axis=0) / PERTURBATION - 1.0).max() <= 0.1

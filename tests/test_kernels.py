@@ -23,6 +23,7 @@ from nonlocalflow import (
     zero_kernel,
 )
 from nonlocalflow import _accel
+from nonlocalflow.kernels import sample_normal
 
 LIBRARY = ("tent", "bump-poly", "cosine-lobe", "constant")
 
@@ -295,3 +296,12 @@ def test_opaque_convolve_batch_in_small_blocks_matches_double_loop(instance, blo
     slow = _convolve_loop(points, centers, weights, lambda x: _odd_ramp_point(x, scale, height))
     tol = 1e-13 * (1.0 + ramp.sup_bound * float(weights.sum()))
     assert np.allclose(fast, slow, rtol=0.0, atol=tol)
+
+
+def test_normal_draws_stay_distinct_up_to_the_largest_seed():
+    # the largest run seed times a million particles reads exact Halton
+    # indices; past 2^53 float64 would give neighbouring indices one point
+    z = sample_normal(1000, 2, (2**32 - 1) * 10**6)
+    assert np.unique(z, axis=0).shape == (1000, 2)
+    with pytest.raises(ValueError, match="above 2\\^53"):
+        sample_normal(1000, 2, 2**53)
