@@ -5,14 +5,14 @@ profiles over particle ensembles (one convolution per velocity evaluation)
 and merging sorted weight sequences for 1D transport costs.  Both are
 vectorized numpy.
 
-In 1D a radial sum is exact and O((N + M) log N): every compact profile
-sums over one window [x - s, x + s] of sorted centres, and each profile
-(tent, bump, cosine lobe) is a short sum of coefficients in the point times
-weighted moments of the centres, read from prefix sums.  The moments are
-anchored at the midpoint of each centre's cell of width s, so a window,
-which meets at most three cells, only ever differences O(1) quantities.
-Non-finite input takes the dense pass below, which defines its NaN and inf
-results.
+In 1D a radial sum of at least _FAST_MIN_ELEMENTS pairs is exact and
+O((N + M) log N): every compact profile sums over one window [x - s, x + s]
+of sorted centres, and each profile (tent, bump, cosine lobe) is a short
+sum of coefficients in the point times weighted moments of the centres,
+read from prefix sums.  The moments are anchored at the midpoint of each
+centre's cell of width s, so a window, which meets at most three cells,
+only ever differences O(1) quantities.  Smaller sums and non-finite input
+take the dense pass below, which defines its NaN and inf results.
 
 In 2D and up a radial sum is one fused dense pass over blocks of evaluation
 points, finished by one matrix-vector product with the weights, so its
@@ -20,7 +20,7 @@ memory is O(block + M·(d + 2)) whatever N and M are.  The bump is a
 polynomial in |x - c|^2, and 1 - |x - c|^2 / s^2 is the inner product of
 the lifted vectors (x~, 1 - |x~|^2, 1) and (2 c~, 1, -|c~|^2) of the
 coordinates taken from the block's box centre in units of s: a block of
-at least _LIFT_MIN_ELEMENTS pairs whose points lie within _LIFT_MAX_EXTENT
+at least _FAST_MIN_ELEMENTS pairs whose points lie within _LIFT_MAX_EXTENT
 scales of that centre gets its bump values from one matrix product, a
 clamp and a square (see _lifted_bump).  Every other block (small or wide
 ones, non-finite or overflowing input, the tent and the cosine lobe, which
@@ -62,11 +62,12 @@ _WINDOW_BLOCK_ELEMENTS = 1 << 13
 # unit weight that radial sums are held to.  See _lifted_bump.
 _LIFT_MAX_EXTENT = 1.5
 _LIFT_MAX_DIM = 3
-# The lifted product makes about two dozen small numpy calls per block, the
-# coordinate pass one dozen, so the product pays only on blocks of about
-# 2^13 (row, centre) elements or more: in 2D the coordinate pass is faster
-# at 52 x 52, and the product from about 90 x 90 on.
-_LIFT_MIN_ELEMENTS = 1 << 13
+# The lifted product and the windowed 1D sum make about two dozen small numpy
+# calls each, the coordinate pass one dozen, so they pay only on blocks
+# (lifted) or sums (windowed) of about 2^13 (row, centre) elements or more:
+# the coordinate pass is faster at 52 x 52 in 2D and at 41 x 40 in 1D, the
+# other two from about 90 x 90 on.
+_FAST_MIN_ELEMENTS = 1 << 13
 # unit roundoff of float64
 _U = 2.0**-53
 
@@ -312,7 +313,7 @@ def radial_sum(
     m, n = points.shape[0], centers.shape[0]
     if code == PROFILE_CONSTANT:
         return np.full(m, height * float(weights.sum()))
-    if points.shape[1] == 1 and code in _MOMENTS:
+    if points.shape[1] == 1 and code in _MOMENTS and m * n >= _FAST_MIN_ELEMENTS:
         out = _windowed_sum_1d(points[:, 0], centers[:, 0], weights, code, scale)
         if out is not None:
             out *= height
@@ -325,7 +326,7 @@ def radial_sum(
     lift = (
         code == PROFILE_BUMP
         and points.shape[1] <= _LIFT_MAX_DIM
-        and sq_buf.size >= _LIFT_MIN_ELEMENTS
+        and sq_buf.size >= _FAST_MIN_ELEMENTS
         and math.isfinite(weights.sum())
     )
     for lo in range(0, m, rows):

@@ -2,23 +2,21 @@
 
 Every kernel carries its exact sup bound and spatial Lipschitz constant;
 all stability constants in the solver and harness are derived from these
-numbers, so they are part of the type and never re-estimated.  Library
-kernels are radial and time-independent, which gives them a fast summation
-path through :mod:`nonlocalflow._accel`: in 1D an exact sum over each
-point's support window by cell-anchored prefix sums, in O((N + M) log N),
-and in 2D a blocked dense pass.  There the bump, a polynomial in |x|^2,
-takes one lifted matrix product per block of at least 2^13 pairs whose
-points lie within 1.5 scales of its box centre; the tent and the cosine
-lobe, which need |x| itself, and smaller, wider or non-finite blocks build
-coordinate differences.  ``Kernel.evaluate(t, xs)`` maps offsets (M, d) to
-values (M,) and carries ``t`` so user kernels may vary in time.
+numbers, so they are part of the type and never re-estimated.  A kernel is
+a sum of radial terms h * p(|x - a| / s), each a library profile p about a
+centre a: the origin for every library kernel, +s and -s for the two tents
+of the odd ramp.  A convolution sums term by term through
+:mod:`nonlocalflow._accel`: in 1D by a windowed pass from 2^13 pairs on and
+by the dense pass below that, in 2D by a blocked dense pass.
+``Kernel.evaluate(t, xs)`` maps offsets (M, d) to values (M,); it carries
+``t`` for kernels that vary in time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -32,31 +30,36 @@ class AuditError(ValueError):
 
 @dataclass(frozen=True)
 class RadialTerm:
-    """One radial profile term h * profile(|x| / s)."""
+    """One radial profile term h * profile(|x - a| / s) about a centre a in R^d."""
 
     code: int
     scale: float
     height: float
+    center: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class Kernel:
+    """A sum of radial terms (the empty sum is zero) with its declared sup and Lipschitz-in-x bounds."""
+
     dim: int
-    evaluate: Callable[[float, np.ndarray], np.ndarray]  # (t, xs (M, d)) -> (M,)
+    terms: tuple[RadialTerm, ...]
     sup_bound: float
     lip_x: float
-    # Fast path: sum of radial terms, None for opaque user kernels.
-    terms: tuple[RadialTerm, ...] | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(self.terms))
+        if any(len(term.center) != self.dim for term in self.terms):
+            raise ValueError(f"every term centre must be a point of R^{self.dim}")
 
-def _kernel_from_terms(dim: int, terms: Sequence[RadialTerm], sup: float, lip: float) -> Kernel:
-    terms = tuple(terms)
-
-    def evaluate(t: float, xs: np.ndarray) -> np.ndarray:
-        sq = np.square(np.asarray(xs, dtype=np.float64)).sum(axis=1)
-        return sum(tm.height * _accel.unit_profile(sq.copy(), tm.code, tm.scale) for tm in terms)
-
-    return Kernel(dim, evaluate, sup, lip, terms)
+    def evaluate(self, t: float, xs: np.ndarray) -> np.ndarray:
+        """Values (M,) at offsets ``xs`` (M, d) and time ``t``."""
+        xs = np.asarray(xs, dtype=np.float64)
+        out = np.zeros(xs.shape[0])
+        for term in self.terms:
+            sq = np.square(xs - term.center).sum(axis=1)
+            out += term.height * _accel.unit_profile(sq, term.code, term.scale)
+        return out
 
 
 # Verified numerically: max |d/dx h(1 - x^2/s^2)^2| is attained at |x| = s/sqrt(3)
@@ -80,19 +83,17 @@ def kernel_library(name: str, dim: int = 1, scale: float = 1.0, height: float = 
     """
     require_positive("kernel scale", scale)
     require_positive("kernel height", height)
-    if name == "tent":
-        term = RadialTerm(_accel.PROFILE_TENT, scale, height)
-        return _kernel_from_terms(dim, [term], height, height / scale)
-    if name == "bump-poly":
-        term = RadialTerm(_accel.PROFILE_BUMP, scale, height)
-        return _kernel_from_terms(dim, [term], height, _BUMP_LIP_FACTOR * height / scale)
-    if name == "cosine-lobe":
-        term = RadialTerm(_accel.PROFILE_COSINE, scale, height)
-        return _kernel_from_terms(dim, [term], height, math.pi * height / (2.0 * scale))
-    if name == "constant":
-        term = RadialTerm(_accel.PROFILE_CONSTANT, 1.0, height)
-        return _kernel_from_terms(dim, [term], height, 0.0)
-    raise ValueError(f"unknown kernel name {name!r}")
+    # profile code, scale and Lipschitz constant of each library kernel
+    library = {
+        "tent": (_accel.PROFILE_TENT, scale, height / scale),
+        "bump-poly": (_accel.PROFILE_BUMP, scale, _BUMP_LIP_FACTOR * height / scale),
+        "cosine-lobe": (_accel.PROFILE_COSINE, scale, math.pi * height / (2.0 * scale)),
+        "constant": (_accel.PROFILE_CONSTANT, 1.0, 0.0),
+    }
+    if name not in library:
+        raise ValueError(f"unknown kernel name {name!r}")
+    code, term_scale, lip = library[name]
+    return Kernel(dim, (RadialTerm(code, term_scale, height, (0.0,) * dim),), height, lip)
 
 
 def odd_ramp_kernel(scale: float, height: float) -> Kernel:
@@ -100,47 +101,27 @@ def odd_ramp_kernel(scale: float, height: float) -> Kernel:
 
     lambda(x) = h * x/s on |x| <= s, h * sign(x) * (2 - |x|/s) on s < |x| <= 2s,
     zero beyond.  Carries direction information (repulsion/attraction) that
-    even radial kernels cannot; sup = h, lip = h/s.
+    even radial kernels cannot; sup = h, lip = h/s.  It is exactly two
+    shifted tents, h * T(x - s) - h * T(x + s) with T(x) = max(0, 1 - |x|/s).
     """
     require_positive("kernel scale", scale)
     require_positive("kernel height", height)
-
-    def evaluate(t: float, xs: np.ndarray) -> np.ndarray:
-        u = xs[:, 0] / scale
-        a = np.abs(u)
-        ramp = np.where(a <= 2.0, height * np.sign(u) * (2.0 - a), 0.0)
-        return np.where(a <= 1.0, height * u, ramp)
-
-    return Kernel(1, evaluate, height, height / scale, None)
+    tent = _accel.PROFILE_TENT
+    terms = (RadialTerm(tent, scale, height, (scale,)), RadialTerm(tent, scale, -height, (-scale,)))
+    return Kernel(1, terms, height, height / scale)
 
 
 def scale_kernel(kernel: Kernel, factor: float) -> Kernel:
     """factor * kernel, metadata scaled exactly."""
-    if kernel.terms is not None:
-        terms = tuple(RadialTerm(t.code, t.scale, t.height * factor) for t in kernel.terms)
-        return _kernel_from_terms(
-            kernel.dim, terms, abs(factor) * kernel.sup_bound, abs(factor) * kernel.lip_x
-        )
-    base = kernel.evaluate
-    return Kernel(
-        kernel.dim,
-        lambda t, xs: factor * base(t, xs),
-        abs(factor) * kernel.sup_bound,
-        abs(factor) * kernel.lip_x,
-        None,
-    )
+    terms = tuple(replace(term, height=term.height * factor) for term in kernel.terms)
+    return Kernel(kernel.dim, terms, abs(factor) * kernel.sup_bound, abs(factor) * kernel.lip_x)
 
 
 def add_kernels(a: Kernel, b: Kernel) -> Kernel:
     """a + b with conservative (subadditive) metadata."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    sup = a.sup_bound + b.sup_bound
-    lip = a.lip_x + b.lip_x
-    if a.terms is not None and b.terms is not None:
-        return _kernel_from_terms(a.dim, a.terms + b.terms, sup, lip)
-    ea, eb = a.evaluate, b.evaluate
-    return Kernel(a.dim, lambda t, xs: ea(t, xs) + eb(t, xs), sup, lip, None)
+    return Kernel(a.dim, a.terms + b.terms, a.sup_bound + b.sup_bound, a.lip_x + b.lip_x)
 
 
 def convolve_batch(
@@ -150,21 +131,11 @@ def convolve_batch(
     pts = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
     if pts.shape[1] != mu.dim:
         raise ValueError("evaluation points have wrong dimension")
-    if kernel.terms is not None:
-        out = np.zeros(pts.shape[0])
-        for term in kernel.terms:
-            out += _accel.radial_sum(
-                pts, mu.positions, mu.weights, term.code, term.scale, term.height
-            )
-        return out
-    m, n = pts.shape[0], len(mu)
-    out = np.empty(m)
-    rows = _accel.block_rows(n)
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        diff = pts[lo:hi, None, :] - mu.positions[None, :, :]
-        vals = kernel.evaluate(t, diff.reshape(-1, mu.dim))
-        out[lo:hi] = vals.reshape(hi - lo, n) @ mu.weights
+    out = np.zeros(pts.shape[0])
+    for term in kernel.terms:
+        # a term about a centre a sums the profile about the shifted centres x_m + a
+        centers = mu.positions + term.center if any(term.center) else mu.positions
+        out += _accel.radial_sum(pts, centers, mu.weights, term.code, term.scale, term.height)
     return out
 
 
@@ -217,7 +188,7 @@ class KernelMatrix:
 
 
 def zero_kernel(dim: int) -> Kernel:
-    return _kernel_from_terms(dim, [RadialTerm(_accel.PROFILE_CONSTANT, 1.0, 0.0)], 0.0, 0.0)
+    return Kernel(dim, (), 0.0, 0.0)
 
 
 def _halton(n: int, dim: int, seed: int = 0) -> np.ndarray:

@@ -153,7 +153,7 @@ def _bump_sum_and_coordinate_blocks(points, centers, weights, scale, height):
     the number of blocks that took the coordinate pass, the only pass that
     calls ``unit_profile``."""
     with (
-        mock.patch.object(_accel, "_LIFT_MIN_ELEMENTS", 0),
+        mock.patch.object(_accel, "_FAST_MIN_ELEMENTS", 0),
         mock.patch.object(_accel, "unit_profile", wraps=_accel.unit_profile) as coordinate,
     ):
         out = _accel.radial_sum(points, centers, weights, _accel.PROFILE_BUMP, scale, height)
@@ -258,6 +258,12 @@ def test_lifted_bump_matches_the_loop(instance):
     assert (fast[unweighted == 0.0] == 0.0).all()
 
 
+def _windowed_at_any_size():
+    """Open the windowed 1D sum to sums of any size: the small instances
+    below would otherwise take the dense pass."""
+    return mock.patch.object(_accel, "_FAST_MIN_ELEMENTS", 0)
+
+
 @st.composite
 def windowed_instances(draw):
     """1D instances for the windowed sum: unsorted centres with duplicates
@@ -282,7 +288,7 @@ def windowed_instances(draw):
 @given(instance=windowed_instances())
 def test_windowed_1d_sum_matches_the_loop(code, instance):
     block, points, centers, weights, scale, height = instance
-    with mock.patch.object(_accel, "_WINDOW_BLOCK_ELEMENTS", block):
+    with _windowed_at_any_size(), mock.patch.object(_accel, "_WINDOW_BLOCK_ELEMENTS", block):
         fast = _accel.radial_sum(points, centers, weights, code, scale, height)
     slow = _radial_sum_loop(points, centers, weights, code, scale, height)
     tol = 1e-13 * (1.0 + height * float(weights.sum()))
@@ -296,9 +302,23 @@ def test_windowed_1d_sum_at_the_support_edges(code):
     centers = np.array([[0.5], [-0.25], [-0.25], [2.0]])
     weights = np.array([0.5, 0.25, 1.0, 0.75])
     points = np.array([[1.25], [-0.25], [-1.0], [0.5], [2.75], [1.25 + 1e-12], [0.5 - 0.75]])
-    fast = _accel.radial_sum(points, centers, weights, code, 0.75, 2.0)
+    with _windowed_at_any_size():
+        fast = _accel.radial_sum(points, centers, weights, code, 0.75, 2.0)
     slow = _radial_sum_loop(points, centers, weights, code, 0.75, 2.0)
     assert np.allclose(fast, slow, rtol=0.0, atol=1e-13 * (1.0 + 2.0 * weights.sum()))
+
+
+@pytest.mark.parametrize("code", [1, 2, 3])
+@pytest.mark.parametrize("size, windowed", [(40, 0), (100, 1)])
+def test_small_1d_sums_take_the_dense_pass(code, size, windowed):
+    # 40 x 40 pairs are below the windowed sum's threshold, 100 x 100 above
+    x = np.linspace(-1.0, 1.0, size)[:, None]
+    with (
+        mock.patch.object(_accel, "_windowed_sum_1d", wraps=_accel._windowed_sum_1d) as window,
+        mock.patch.object(_accel, "unit_profile", wraps=_accel.unit_profile) as dense,
+    ):
+        _accel.radial_sum(x, x, np.ones(size), code, 0.3, 1.0)
+    assert (window.call_count, dense.call_count) == (windowed, 1 - windowed)
 
 
 @pytest.mark.parametrize("code", [0, 1, 2, 3])
@@ -350,7 +370,8 @@ def test_windowed_1d_sum_keeps_the_dense_non_finite_results(code, where, value):
     centers = np.array([0.1, 0.5, -0.2, 40.0])
     weights = np.array([0.5, 0.25, 1.0, 0.75])
     {"point": points, "centre": centers, "weight": weights}[where][-1] = value
-    one_d = _accel.radial_sum(points[:, None], centers[:, None], weights, code, 0.5, 1.0)
+    with _windowed_at_any_size():
+        one_d = _accel.radial_sum(points[:, None], centers[:, None], weights, code, 0.5, 1.0)
     dense = _accel.radial_sum(_on_x_axis(points), _on_x_axis(centers), weights, code, 0.5, 1.0)
     np.testing.assert_array_equal(one_d, dense)
     if where == "point" and math.isnan(value):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ from nonlocalflow import (
     KernelMatrix,
     MeasureVector,
     ParticleMeasure,
+    RadialTerm,
     add_kernels,
     audit_kernel,
     convolve_batch,
@@ -97,10 +99,10 @@ def test_library_metadata_never_exceeded(name, params):
 def test_audit_accepts_library_and_rejects_false_declaration():
     k = kernel_library("tent", 1, scale=0.5, height=2.0)
     audit_kernel(k, box_radius=2.0)
-    lying = Kernel(1, k.evaluate, sup_bound=k.sup_bound, lip_x=0.5 * k.lip_x)
+    lying = replace(k, lip_x=0.5 * k.lip_x)
     with pytest.raises(AuditError, match="slope"):
         audit_kernel(lying, box_radius=2.0)
-    lying_sup = Kernel(1, k.evaluate, sup_bound=0.5, lip_x=k.lip_x)
+    lying_sup = replace(k, sup_bound=0.5)
     with pytest.raises(AuditError, match="sup"):
         audit_kernel(lying_sup, box_radius=2.0)
 
@@ -206,6 +208,13 @@ def test_scale_and_add_kernels():
     assert conv_at(mu, both, 1.0) == pytest.approx(1.0)
 
 
+def test_a_term_centre_must_be_a_point_of_the_kernel_dimension():
+    term = RadialTerm(_accel.PROFILE_TENT, 1.0, 1.0, (0.0,))
+    with pytest.raises(ValueError, match="R\\^2"):
+        Kernel(2, (term,), 1.0, 1.0)
+    assert Kernel(1, [term], 1.0, 1.0).terms == (term,)
+
+
 def test_odd_ramp_kernel_shape():
     lam = odd_ramp_kernel(scale=0.5, height=0.3)
     vals = lam.evaluate(0.0, np.array([[0.25], [-0.25], [0.5], [0.75], [2.0]]))
@@ -215,7 +224,7 @@ def test_odd_ramp_kernel_shape():
 
 
 # Scalar per-point formulas and a point-by-centre double loop: the oracle
-# for the batched opaque-kernel path of convolve_batch.
+# for the odd ramp's two offset tents in convolve_batch.
 
 
 def _odd_ramp_point(x, scale, height):
@@ -240,8 +249,13 @@ def _convolve_loop(points, centers, weights, kernel_at):
     return out
 
 
+# Each ramp instance runs through the windowed 1D sum (threshold 0) and
+# through the pass its size picks, the dense one for these small instances.
+_BOTH_1D_PASSES = (0, _accel._FAST_MIN_ELEMENTS)
+
+
 @st.composite
-def opaque_instances(draw):
+def ramp_instances(draw):
     scale = draw(st.floats(0.1, 2.0))
     height = draw(st.floats(0.1, 3.0))
     centers = draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=8))
@@ -260,8 +274,8 @@ def opaque_instances(draw):
 
 @pytest.mark.parametrize("form", ["ramp", "negated", "plus-tent"])
 @settings(max_examples=60, deadline=None)
-@given(instance=opaque_instances())
-def test_opaque_convolve_batch_matches_double_loop(form, instance):
+@given(instance=ramp_instances())
+def test_ramp_convolve_batch_matches_double_loop(form, instance):
     scale, height, points, centers, weights = instance
     ramp = odd_ramp_kernel(scale, height)
     tent = kernel_library("tent", 1, scale=0.7, height=0.4)
@@ -273,29 +287,40 @@ def test_opaque_convolve_batch_matches_double_loop(form, instance):
             lambda x: _odd_ramp_point(x, scale, height) + _tent_point(x, 0.7, 0.4),
         ),
     }[form]
-    assert kernel.terms is None
+    tent_code = _accel.PROFILE_TENT
+    assert ramp.terms == (
+        RadialTerm(tent_code, scale, height, (scale,)),
+        RadialTerm(tent_code, scale, -height, (-scale,)),
+    )
     mu = ParticleMeasure(1, centers.reshape(-1, 1), weights)
-    fast = convolve_batch(mu, kernel, 0.0, points.reshape(-1, 1))
     slow = _convolve_loop(points, centers, weights, kernel_at)
     # summation order differs; every term is at most sup_bound * weight
     tol = 1e-13 * (1.0 + kernel.sup_bound * float(weights.sum()))
-    assert fast.shape == (len(points),)
-    assert np.allclose(fast, slow, rtol=0.0, atol=tol)
+    for threshold in _BOTH_1D_PASSES:
+        with mock.patch.object(_accel, "_FAST_MIN_ELEMENTS", threshold):
+            fast = convolve_batch(mu, kernel, 0.0, points.reshape(-1, 1))
+        assert fast.shape == (len(points),)
+        assert np.allclose(fast, slow, rtol=0.0, atol=tol)
 
 
 @settings(max_examples=60, deadline=None)
-@given(instance=opaque_instances(), block=st.integers(1, 10))
-def test_opaque_convolve_batch_in_small_blocks_matches_double_loop(instance, block):
+@given(instance=ramp_instances(), block=st.integers(1, 10))
+def test_ramp_convolve_batch_in_small_blocks_matches_double_loop(instance, block):
     # a small block constant splits the points into several blocks, down to
     # one row each when there are more centres than the block holds
     scale, height, points, centers, weights = instance
     ramp = odd_ramp_kernel(scale, height)
     mu = ParticleMeasure(1, centers.reshape(-1, 1), weights)
-    with mock.patch.object(_accel, "_BLOCK_ELEMENTS", block):
-        fast = convolve_batch(mu, ramp, 0.0, points.reshape(-1, 1))
     slow = _convolve_loop(points, centers, weights, lambda x: _odd_ramp_point(x, scale, height))
     tol = 1e-13 * (1.0 + ramp.sup_bound * float(weights.sum()))
-    assert np.allclose(fast, slow, rtol=0.0, atol=tol)
+    for threshold in _BOTH_1D_PASSES:
+        with (
+            mock.patch.object(_accel, "_FAST_MIN_ELEMENTS", threshold),
+            mock.patch.object(_accel, "_BLOCK_ELEMENTS", block),
+            mock.patch.object(_accel, "_WINDOW_BLOCK_ELEMENTS", block),
+        ):
+            fast = convolve_batch(mu, ramp, 0.0, points.reshape(-1, 1))
+        assert np.allclose(fast, slow, rtol=0.0, atol=tol)
 
 
 def test_normal_draws_stay_distinct_up_to_the_largest_seed():
