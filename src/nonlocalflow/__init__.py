@@ -27,7 +27,6 @@ from .kernels import (
     add_kernels,
     audit_kernel,
     convolve_batch,
-    convolve_vector_batch,
     kernel_library,
     odd_ramp_kernel,
     scale_kernel,

@@ -7,25 +7,28 @@ a sum of radial terms h * p(|x - a| / s), each a library profile p about a
 centre a: the origin for every library kernel, +s and -s for the two tents
 of the odd ramp.  A convolution sums term by term through
 :mod:`nonlocalflow._accel`: in 1D by a windowed pass from 2^13 pairs on and
-by the dense pass below that, in 2D by a blocked dense pass.
-``Kernel.evaluate(t, xs)`` maps offsets (M, d) to values (M,); it carries
-``t`` for kernels that vary in time.
+by the dense pass below that, in 2D by a blocked dense pass.  That is the
+only code that sums profiles: ``Kernel.evaluate(t, xs)``, which maps
+offsets (M, d) to values (M,), is the convolution with a unit mass at the
+origin.  It carries ``t`` for kernels that vary in time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
 from . import _accel
-from .measures import MeasureVector, ParticleMeasure
+from .measures import ParticleMeasure, dirac
 
 
 class AuditError(ValueError):
     """Declared metadata contradicted by a sampled witness."""
+
+
+_PROFILE_CODES = (_accel.PROFILE_CONSTANT, _accel.PROFILE_TENT, _accel.PROFILE_BUMP, _accel.PROFILE_COSINE)
 
 
 @dataclass(frozen=True)
@@ -36,6 +39,15 @@ class RadialTerm:
     scale: float
     height: float
     center: tuple[float, ...]
+
+    def __post_init__(self):
+        if self.code not in _PROFILE_CODES:
+            raise ValueError(f"term code must be one of {_PROFILE_CODES}, got {self.code!r}")
+        require_positive("term scale", self.scale)
+        if not math.isfinite(self.height):
+            raise ValueError(f"term height must be finite, got {self.height!r}")
+        if not all(math.isfinite(a) for a in self.center):
+            raise ValueError(f"term center must be finite, got {self.center!r}")
 
 
 @dataclass(frozen=True)
@@ -53,13 +65,9 @@ class Kernel:
             raise ValueError(f"every term centre must be a point of R^{self.dim}")
 
     def evaluate(self, t: float, xs: np.ndarray) -> np.ndarray:
-        """Values (M,) at offsets ``xs`` (M, d) and time ``t``."""
-        xs = np.asarray(xs, dtype=np.float64)
-        out = np.zeros(xs.shape[0])
-        for term in self.terms:
-            sq = np.square(xs - term.center).sum(axis=1)
-            out += term.height * _accel.unit_profile(sq, term.code, term.scale)
-        return out
+        """Values (M,) at offsets ``xs`` (M, d) and time ``t``: the
+        convolution with a unit mass at the origin."""
+        return convolve_batch(dirac((0.0,) * self.dim), self, t, xs)
 
 
 # Verified numerically: max |d/dx h(1 - x^2/s^2)^2| is attained at |x| = s/sqrt(3)
@@ -139,17 +147,6 @@ def convolve_batch(
     return out
 
 
-def convolve_vector_batch(
-    rho: MeasureVector, row: Sequence[Kernel], t: float, points: np.ndarray
-) -> np.ndarray:
-    """(M, k) matrix of per-species convolutions at M points."""
-    pts = np.atleast_2d(points)
-    out = np.empty((pts.shape[0], rho.k))
-    for j in range(rho.k):
-        out[:, j] = convolve_batch(rho.species[j], row[j], t, pts)
-    return out
-
-
 @dataclass(frozen=True)
 class KernelMatrix:
     """k x k grid of kernels; row i couples species i to every species."""
@@ -173,9 +170,6 @@ class KernelMatrix:
     @property
     def dim(self) -> int:
         return self.entries[0][0].dim
-
-    def row(self, i: int) -> tuple[Kernel, ...]:
-        return self.entries[i]
 
     @property
     def lip_x(self) -> float:
@@ -263,13 +257,14 @@ def audit_kernel(kernel: Kernel, box_radius: float) -> None:
     vx = kernel.evaluate(0.0, xs)
     vy = kernel.evaluate(0.0, ys)
     worst = np.argmax(np.abs(vx))
-    if abs(vx[worst]) > kernel.sup_bound + tol:
+    # written so that a NaN witness or a NaN declaration fails
+    if not abs(vx[worst]) <= kernel.sup_bound + tol:
         raise AuditError(
             f"kernel sup audit failed: |eta(0.0, {xs[worst]})| = {abs(vx[worst])} "
             f"> declared {kernel.sup_bound}"
         )
     steep = steepest_slope(np.abs(vx - vy), np.linalg.norm(xs - ys, axis=1))
-    if steep is not None and steep[1] > kernel.lip_x + tol:
+    if steep is not None and not steep[1] <= kernel.lip_x + tol:
         worst, slope = steep
         raise AuditError(
             f"kernel Lipschitz audit failed: slope {slope} between "

@@ -33,6 +33,12 @@ from .wasserstein import coupling_cost
 PICARD_SIGMA = 0.5
 
 
+# W(PICARD_SIGMA), the root of w * exp(w) = PICARD_SIGMA on the principal
+# branch of the Lambert W function (Corless, Gonnet, Hare, Jeffrey & Knuth
+# 1996): C * T * exp(C * T) <= PICARD_SIGMA holds exactly when C * T <= it
+_PICARD_CT = 0.35173371124919584
+
+
 @dataclass(frozen=True)
 class PicardParams:
     tol: float = 1e-9
@@ -113,29 +119,17 @@ def solve_direct(scenario: Scenario) -> SolutionRecord:
 def window_length(scenario: Scenario) -> float:
     """Largest window with C * T * exp(C * T) <= PICARD_SIGMA, capped by the horizon.
 
-    The horizon itself when it qualifies (tested on C * T first, so exp
-    cannot overflow); otherwise the root lies below PICARD_SIGMA / C, because
-    exp(C * T) >= 1, and is found by bisection to 1e-12.  The full horizon is
-    covered by chaining such windows.
+    That is T = W(PICARD_SIGMA) / C, with W the Lambert W function, or the
+    horizon when it is shorter or C = 0; a root rounded above the bound steps
+    back float by float.  The full horizon is covered by chaining such windows.
     """
     c = scenario.lipschitz_b()
-
-    def f(tw: float) -> float:
-        return c * tw * math.exp(c * tw) - PICARD_SIGMA
-
-    if c * scenario.horizon <= PICARD_SIGMA and f(scenario.horizon) <= 0:
+    if c == 0:
         return scenario.horizon
-    lo, hi = 0.0, PICARD_SIGMA / c
-    mid = 0.5 * hi
-    # a bracket of adjacent floats wider than 1e-12 stops too: mid is an end
-    while hi - lo > 1e-12 and lo < mid < hi:
-        if f(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    # lo is the bracket end known to satisfy the bound; mid may overshoot it
-    return min(lo, scenario.horizon)
+    tw = min(scenario.horizon, _PICARD_CT / c)
+    while c * tw * math.exp(c * tw) > PICARD_SIGMA:
+        tw = math.nextafter(tw, 0.0)
+    return tw
 
 
 def picard_window(

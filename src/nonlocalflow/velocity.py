@@ -24,7 +24,7 @@ from .kernels import (
     Kernel,
     KernelMatrix,
     audit_kernel,
-    convolve_vector_batch,
+    convolve_batch,
     kernel_library,
     require_positive,
     sample_box,
@@ -103,9 +103,11 @@ def velocity_batch(
     t: float,
     points: np.ndarray,
 ) -> np.ndarray:
-    """V^i(t, x, (source * eta^i)(x)) at many points, shape (M, d)."""
+    """V^i(t, x, r) at many points, shape (M, d); column j of r (M, k) is
+    species j of ``source`` convolved with eta^i_j by :func:`convolve_batch`."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    conv = convolve_vector_batch(source, model.kernels.row(i), t, pts)
+    row = model.kernels.entries[i]
+    conv = np.column_stack([convolve_batch(mu, kn, t, pts) for mu, kn in zip(source.species, row, strict=True)])
     vel = np.asarray(model.fields[i].evaluate(t, pts, conv), dtype=np.float64)
     if vel.shape != pts.shape:
         raise ValueError(f"velocity field {i} returned shape {vel.shape}, expected {pts.shape}")
@@ -266,14 +268,15 @@ def audit_velocity_field(field: VelocityField, box_radius: float, r_radius: floa
     vx = field.evaluate(0.0, xs, rs)
     speeds = np.linalg.norm(vx, axis=1)
     worst = int(np.argmax(speeds))
-    if speeds[worst] > field.sup_bound + tol:
+    # written so that a NaN witness or a NaN declaration fails
+    if not speeds[worst] <= field.sup_bound + tol:
         raise AuditError(
             f"velocity sup audit failed: |V(0.0, {xs[worst]}, {rs[worst]})| = "
             f"{speeds[worst]} > declared {field.sup_bound}"
         )
     vy = field.evaluate(0.0, ys, rs)
     steep = steepest_slope(np.linalg.norm(vx - vy, axis=1), np.linalg.norm(xs - ys, axis=1))
-    if steep is not None and steep[1] > field.lip_x + tol:
+    if steep is not None and not steep[1] <= field.lip_x + tol:
         worst, slope = steep
         raise AuditError(
             f"velocity Lip_x audit failed: slope {slope} between "
@@ -281,7 +284,7 @@ def audit_velocity_field(field: VelocityField, box_radius: float, r_radius: floa
         )
     vq = field.evaluate(0.0, xs, qs)
     steep = steepest_slope(np.linalg.norm(vx - vq, axis=1), np.abs(rs - qs).sum(axis=1))
-    if steep is not None and steep[1] > field.lip_r + tol:
+    if steep is not None and not steep[1] <= field.lip_r + tol:
         worst, slope = steep
         raise AuditError(
             f"velocity Lip_r audit failed: slope {slope} between "

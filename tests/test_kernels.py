@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from unittest import mock
 
@@ -13,19 +14,21 @@ from nonlocalflow import (
     MeasureVector,
     ParticleMeasure,
     RadialTerm,
+    VelocityField,
+    VelocityModel,
     add_kernels,
     audit_kernel,
     convolve_batch,
-    convolve_vector_batch,
     dirac,
     kernel_library,
     odd_ramp_kernel,
     scale_kernel,
     total_mass,
+    velocity_batch,
     zero_kernel,
 )
 from nonlocalflow import _accel
-from nonlocalflow.kernels import sample_normal
+from nonlocalflow.kernels import AUDIT_SAMPLES, sample_normal
 
 LIBRARY = ("tent", "bump-poly", "cosine-lobe", "constant")
 
@@ -105,6 +108,11 @@ def test_audit_accepts_library_and_rejects_false_declaration():
     lying_sup = replace(k, sup_bound=0.5)
     with pytest.raises(AuditError, match="sup"):
         audit_kernel(lying_sup, box_radius=2.0)
+    # a comparison with NaN is False, so a check must fail unless it holds
+    with pytest.raises(AuditError, match="slope"):
+        audit_kernel(replace(k, lip_x=float("nan")), box_radius=2.0)
+    with pytest.raises(AuditError, match="sup"):
+        audit_kernel(replace(k, sup_bound=float("nan")), box_radius=2.0)
 
 
 def test_convolve_dirac_identity():
@@ -165,22 +173,37 @@ def test_lipschitz_propagation_bound():
     ).all()
 
 
+def _convolutions(rho, rows, i, points):
+    """The (M, k) vector r that velocity_batch hands the field of species i."""
+    seen = []
+
+    def record(t, xs, rs):
+        seen.append(rs)
+        return np.zeros_like(xs)
+
+    fields = tuple(VelocityField(rho.dim, rho.k, record, 0.0, 0.0, 0.0) for _ in rows)
+    velocity_batch(VelocityModel(fields, KernelMatrix(rows)), rho, i, 0.0, points)
+    return seen[0]
+
+
 def test_convolve_vector_reductions():
     k = kernel_library("tent")
     mu = dirac([0.2])
     rho = MeasureVector((mu,))
-    v = convolve_vector_batch(rho, [k], 0.0, np.array([[0.5]]))
+    v = _convolutions(rho, ((k,),), 0, np.array([[0.5]]))
     assert v.shape == (1, 1)
     assert v[0, 0] == pytest.approx(conv_at(mu, k, 0.5))
 
     zero = zero_kernel(1)
-    assert convolve_vector_batch(rho, [zero], 0.0, np.array([[0.1]]))[0, 0] == 0.0
+    assert _convolutions(rho, ((zero,),), 0, np.array([[0.1]]))[0, 0] == 0.0
 
     c1 = kernel_library("constant", 1, height=0.3)
     c2 = kernel_library("constant", 1, height=0.9)
     two = MeasureVector((dirac([0.0]), dirac([5.0])))
-    out = convolve_vector_batch(two, [c1, c2], 0.0, np.array([[1.0]]))
-    assert np.allclose(out, [[0.3, 0.9]])
+    # species i sees row i of the kernel matrix, column j convolving species j
+    rows = ((c1, c2), (zero, c2))
+    assert np.allclose(_convolutions(two, rows, 0, np.array([[1.0]])), [[0.3, 0.9]])
+    assert np.allclose(_convolutions(two, rows, 1, np.array([[1.0]])), [[0.0, 0.9]])
 
 
 def test_kernel_matrix_norm_one_conventions():
@@ -213,6 +236,28 @@ def test_a_term_centre_must_be_a_point_of_the_kernel_dimension():
     with pytest.raises(ValueError, match="R\\^2"):
         Kernel(2, (term,), 1.0, 1.0)
     assert Kernel(1, [term], 1.0, 1.0).terms == (term,)
+
+
+def _term(**change):
+    return RadialTerm(**{"code": _accel.PROFILE_TENT, "scale": 1.0, "height": 1.0, "center": (0.0,), **change})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("field", ["scale", "height", "center"])
+def test_a_term_rejects_a_bad_field_by_name(field, value):
+    change = {field: (0.0, value) if field == "center" else value}
+    if field == "scale" or not math.isfinite(value):
+        with pytest.raises(ValueError, match=f"term {field} must be finite"):
+            _term(**change)
+    else:
+        # a zero or negative height and any finite centre are a term
+        _term(**change)
+
+
+@pytest.mark.parametrize("code", [-1, 4, None])
+def test_a_term_rejects_an_unknown_profile_code(code):
+    with pytest.raises(ValueError, match="term code must be one of"):
+        _term(code=code)
 
 
 def test_odd_ramp_kernel_shape():
@@ -330,3 +375,55 @@ def test_normal_draws_stay_distinct_up_to_the_largest_seed():
     assert np.unique(z, axis=0).shape == (1000, 2)
     with pytest.raises(ValueError, match="above 2\\^53"):
         sample_normal(1000, 2, 2**53)
+
+
+# Kernel.evaluate is convolve_batch against a unit mass at the origin; the
+# explicit per-term formula h * p(|x - a| / s) is its oracle.
+
+
+def _profile_formula(code, u):
+    if code == _accel.PROFILE_CONSTANT:
+        return np.ones_like(u)
+    if code == _accel.PROFILE_TENT:
+        return np.maximum(0.0, 1.0 - u)
+    if code == _accel.PROFILE_BUMP:
+        return np.maximum(0.0, 1.0 - u * u) ** 2
+    return np.where(u <= 1.0, np.cos(0.5 * np.pi * u), 0.0)
+
+
+_CODES = (_accel.PROFILE_TENT, _accel.PROFILE_BUMP, _accel.PROFILE_COSINE, _accel.PROFILE_CONSTANT)
+
+
+def _terms(dim):
+    return st.builds(
+        RadialTerm,
+        code=st.sampled_from(_CODES),
+        scale=st.floats(0.1, 2.0),
+        height=st.floats(-3.0, 3.0),
+        center=st.tuples(*[st.floats(-1.0, 1.0)] * dim),
+    )
+
+
+# M = 1500 is the auditor's sample count; from 2^13 pairs on, the windowed 1D
+# pass and the lifted 2D bump take over from the dense pass
+@pytest.mark.parametrize("m", [AUDIT_SAMPLES, 2**13 - 1, 2**13])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("code", _CODES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_evaluate_matches_the_per_term_formula(code, dim, m, data):
+    terms = [replace(data.draw(_terms(dim)), code=code)] + data.draw(st.lists(_terms(dim), max_size=3))
+    # the lifted bump needs every point within 1.5 scales of the box centre,
+    # so the box's half-width is half, one or three of the smallest scales
+    half_width = data.draw(st.sampled_from([0.5, 1.0, 3.0])) * min(term.scale for term in terms)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    xs = np.random.default_rng(seed).uniform(-half_width, half_width, (m, dim))
+    heights = sum(abs(term.height) for term in terms)
+    kernel = Kernel(dim, tuple(terms), heights, 1.0)
+    expected = np.zeros(m)
+    for term in terms:
+        u = np.linalg.norm(xs - term.center, axis=1) / term.scale
+        expected += term.height * _profile_formula(term.code, u)
+    got = kernel.evaluate(0.0, xs)
+    assert got.shape == (m,)
+    assert np.allclose(got, expected, rtol=0.0, atol=1e-13 * (1.0 + heights))

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import lambertw
 
 from nonlocalflow import (
     GridDensity,
@@ -162,7 +163,14 @@ def test_window_length_examples():
 
     c4 = replace(scn, model=linear_local_field(-4.0, 4.0, 1), horizon=10.0,
                  step=StepControl(0.01))
-    assert window_length(c4) < 0.5 * window_length(c2)  # doubling C more than halves
+    # T = W(sigma) / C, so doubling C halves the window
+    assert window_length(c4) == pytest.approx(0.5 * window_length(c2), rel=1e-15)
+
+
+def test_the_window_constant_is_the_lambert_w_of_sigma():
+    w = solver._PICARD_CT
+    assert w == lambertw(solver.PICARD_SIGMA).real
+    assert w * math.exp(w) == pytest.approx(solver.PICARD_SIGMA, rel=1e-15)
 
 
 def test_window_length_of_a_subnormal_rate_is_the_horizon():
@@ -172,9 +180,8 @@ def test_window_length_of_a_subnormal_rate_is_the_horizon():
 
 @pytest.mark.parametrize("c", [2.0, 1e-5])
 def test_window_length_on_a_long_horizon_matches_the_root(c):
-    # exp(C * horizon) overflows; the horizon test on C * T comes first.  At
-    # C = 1e-5 the root is near 35173, where adjacent floats are 7.3e-12
-    # apart, so the bisection cannot close to 1e-12 and stops on adjacency
+    # exp(C * horizon) overflows, and the window never evaluates it.  At
+    # C = 1e-5 the root is near 35173, where adjacent floats are 7.3e-12 apart
     scn = replace(sedimentation_scenario(), model=linear_local_field(-c, 4.0, 1), horizon=1e6,
                   step=StepControl(0.01))
     oracle = brentq(lambda t: c * t * math.exp(c * t) - 0.5, 0.0, 0.5 / c, xtol=1e-13)
@@ -192,8 +199,7 @@ def test_window_length_keeps_the_contraction_factor_at_or_under_sigma(name):
 
 
 def test_window_length_factor_never_exceeds_sigma():
-    # the bisection's midpoint can overshoot the root; the window it returns
-    # must not
+    # W(sigma) / C can round above the root; the window it returns must not
     rng = np.random.default_rng(20)
     scn = replace(sedimentation_scenario(), horizon=1e6)
     for c in 10.0 ** rng.uniform(-3, 3, 300):

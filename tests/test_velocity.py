@@ -200,6 +200,10 @@ def test_velocity_audit_catches_false_lipschitz():
         ({"sup_bound": 1.0}, r"velocity sup audit failed: \|V\(0.0, \["),
         ({"lip_x": 0.5}, r"Lip_x audit failed: slope .* between x=\["),
         ({"lip_r": 1.0}, r"Lip_r audit failed: slope .* between r=\["),
+        # a comparison with NaN is False, so a check must fail unless it holds
+        ({"sup_bound": float("nan")}, r"velocity sup audit failed: \|V\(0.0, \["),
+        ({"lip_x": float("nan")}, r"Lip_x audit failed: slope .* between x=\["),
+        ({"lip_r": float("nan")}, r"Lip_r audit failed: slope .* between r=\["),
     ],
 )
 def test_velocity_audit_names_the_witness_of_each_lie(declared, message):
@@ -212,6 +216,24 @@ def test_velocity_audit_names_the_witness_of_each_lie(declared, message):
     audit_velocity_field(VelocityField(1, 2, law, **honest), 2.0, 1.0)
     with pytest.raises(AuditError, match=message):
         audit_velocity_field(VelocityField(1, 2, law, **{**honest, **declared}), box_radius=2.0, r_radius=1.0)
+
+
+@pytest.mark.parametrize("call, message", [(0, "velocity sup audit"), (1, "Lip_x audit"), (2, "Lip_r audit")])
+def test_velocity_audit_rejects_a_nan_witness(call, message):
+    # the audit evaluates at (x, r), (y, r) and (x, q) in that order; one NaN
+    # value in the chosen call is the witness of that check
+    calls = []
+
+    def law(t, xs, rs):
+        v = xs + 2.0 * rs[:, :1] - 1.0
+        if len(calls) == call:
+            v[7] = np.nan
+        calls.append(call)
+        return v
+
+    field = VelocityField(1, 2, law, sup_bound=5.0, lip_x=1.0, lip_r=2.0)
+    with pytest.raises(AuditError, match=f"{message} failed: .*nan"):
+        audit_velocity_field(field, box_radius=2.0, r_radius=1.0)
 
 
 def test_velocity_batch_rejects_a_field_of_the_wrong_shape():
