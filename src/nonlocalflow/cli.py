@@ -125,9 +125,11 @@ def _read_measure_csv(path: str) -> ParticleMeasure:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         cols = [c.strip() for c in next(reader, [])]
-        dims = [i for i, c in enumerate(cols) if c.startswith("x_")]
-        if "weight" not in cols or not dims:
+        names = [c for c in cols if c.startswith("x_")]
+        # x_1..x_d once each, in any order; a coordinate is read by its name
+        if "weight" not in cols or not names or set(names) != {f"x_{a}" for a in range(1, len(names) + 1)}:
             raise ScenarioParseError(f"{path}, line 1: need columns x_1..x_d,weight")
+        dims = [cols.index(f"x_{a}") for a in range(1, len(names) + 1)]
         wi = cols.index("weight")
         pos = []
         w = []

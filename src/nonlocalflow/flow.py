@@ -6,10 +6,10 @@ coupled particle ODE system); in frozen mode it is a frozen record,
 interpolated linearly in time at the RK stage times.  Weights are never
 touched, so species masses are conserved bit-exactly.
 
-Transported densities are a post-pass over the computed characteristics:
-along each path the density is its initial value times exp(-integral of
-div V), with div V approximated by central differences of the effective
-velocity and the time integral by the midpoint rule.
+Transported densities are a post-pass over a finished record's
+characteristics: along each path the density is its initial value times
+exp(-integral of div V), with div V approximated by central differences of
+the effective velocity and the time integral by the midpoint rule.
 """
 
 from __future__ import annotations
@@ -105,17 +105,6 @@ class SolutionRecord:
         return self.states[-1]
 
 
-def _stage_source(
-    frozen_r: SolutionRecord | None,
-    template: MeasureVector,
-    stage_positions: Sequence[np.ndarray],
-    t_stage: float,
-) -> MeasureVector:
-    if frozen_r is None:
-        return template.with_positions(stage_positions)
-    return frozen_r.at(t_stage)
-
-
 def rk4_step(
     model: VelocityModel,
     frozen_r: SolutionRecord | None,
@@ -135,7 +124,7 @@ def rk4_step(
     points = rho.positions()
 
     def stage(t_stage: float, pts: list[np.ndarray]) -> list[np.ndarray]:
-        source = _stage_source(frozen_r, rho, pts, t_stage)
+        source = rho.with_positions(pts) if frozen_r is None else frozen_r.at(t_stage)
         return [velocity_batch(model, source, i, t_stage, p) for i, p in enumerate(pts)]
 
     def shifted(vels: list[np.ndarray], factor: float) -> list[np.ndarray]:
@@ -185,28 +174,27 @@ def _non_finite(j: int, t: float) -> NonFiniteStateError:
 
 def transported_densities(
     model: VelocityModel,
-    frozen_r: SolutionRecord | None,
     record: SolutionRecord,
     dt: float,
-    density_values: Sequence[np.ndarray],
+    rho0: Sequence[np.ndarray],
 ) -> list[tuple[np.ndarray, ...]]:
     """rho_0 * exp(-integral of div V) along the characteristics of ``record``.
 
-    ``record`` holds the states of one solve, ``dt`` apart;
-    ``density_values`` gives rho_0 at each particle of its first state.
-    Each step's integral uses the midpoint rule: div V at the record's time
-    plus dt/2 with positions averaged between the step's two states.
-    Returns one tuple of per-species densities per state.  Raises
+    ``record`` holds the states of one solve, ``dt`` apart; ``rho0`` gives
+    rho_0 at each particle of its first state.  Each step's integral uses the
+    midpoint rule: div V at the record's time plus dt/2, at positions (and
+    a source measure) averaged between the step's two states.  Returns one
+    tuple of per-species densities per state.  Raises
     :class:`NonFiniteStateError` naming the first step whose integral is not
     finite.
     """
-    initial = [np.asarray(v, dtype=np.float64) for v in density_values]
+    initial = [np.asarray(v, dtype=np.float64) for v in rho0]
     acc = [np.zeros(len(m)) for m in record.states[0].species]
     densities = [tuple(d0 * np.exp(-a) for d0, a in zip(initial, acc))]
     for j, (state, nxt) in enumerate(zip(record.states, record.states[1:])):
         tm = record.times[j] + 0.5 * dt
         mid = [0.5 * (a + b) for a, b in zip(state.positions(), nxt.positions())]
-        source = _stage_source(frozen_r, state, mid, tm)
+        source = state.with_positions(mid)
         acc = [a + dt * divergence_at(model, source, i, tm, mid[i]) for i, a in enumerate(acc)]
         if not all(np.isfinite(a).all() for a in acc):
             raise _non_finite(j, record.times[j + 1])

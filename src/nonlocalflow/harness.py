@@ -144,7 +144,7 @@ def check_stability_initial(
         K = 2.0 * lipschitz_bound_b(scenario.model, rho0.total_measure())
     # d0 first: a pair above the pair cap fails before anything is solved
     d0 = w1_vector(rho0, sigma0)
-    rec_b = solve_direct(replace(scenario, initial=sigma0, initial_densities=None))
+    rec_b = solve_direct(replace(scenario, initial=sigma0))
     fp = {**scenario.fingerprint(), **(fingerprint or {})}
     dists = w1_series(zip(base.states[1:], rec_b.states[1:]))
     if d0 == 0.0:
@@ -254,9 +254,11 @@ def check_stability_general(
 
 def check_linfty_growth(scenario: Scenario, record: SolutionRecord) -> BoundReport:
     """Transported density max vs sup-norm growth exp(C t), read from the
-    densities of ``record``, a tracked solve of ``scenario`` in either mode."""
+    densities of ``record``, a tracked :func:`solve` of ``scenario`` in either mode."""
     if scenario.initial_densities is None:
         raise ValueError("scenario must track densities")
+    if record.densities is None:
+        raise ValueError("the record carries no tracked densities; solve attaches them")
     c = scenario.lipschitz_b()
     sup0 = max(
         dens.max_value() for dens in scenario.initial_densities if dens is not None
@@ -285,7 +287,7 @@ def stability_battery(
     cap.
     """
     if base is None:
-        base = solve_direct(replace(scenario, initial_densities=None))
+        base = solve_direct(scenario)
 
     def one(seed: int) -> BoundReport:
         sigma0 = perturbed_initial(scenario.initial, PERTURBATION, seed)

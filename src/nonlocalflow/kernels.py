@@ -63,6 +63,7 @@ class Kernel:
         object.__setattr__(self, "terms", tuple(self.terms))
         if any(len(term.center) != self.dim for term in self.terms):
             raise ValueError(f"every term centre must be a point of R^{self.dim}")
+        require_bounds("kernel", self, ("sup_bound", "lip_x"))
 
     def evaluate(self, t: float, xs: np.ndarray) -> np.ndarray:
         """Values (M,) at offsets ``xs`` (M, d) and time ``t``: the
@@ -79,6 +80,14 @@ def require_positive(name: str, value: float) -> None:
     """Reject a parameter unless it is finite and positive (NaN included)."""
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def require_bounds(owner: str, obj, names: tuple[str, ...]) -> None:
+    """Reject each declared bound of ``obj`` unless it is finite and >= 0 (NaN included)."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{owner} {name} must be finite and >= 0, got {value!r}")
 
 
 def kernel_library(name: str, dim: int = 1, scale: float = 1.0, height: float = 1.0) -> Kernel:

@@ -5,6 +5,7 @@ RK4.  ``solve_picard`` freezes the convolution source, solves the resulting
 linear transport problem with ``flow.integrate``, and iterates the map
 r -> rho to its fixed point; the horizon is covered by chaining time windows
 short enough that the map contracts with factor C*T*exp(C*T) <= PICARD_SIGMA.
+Both move particles only; ``solve`` adds tracked densities to either record.
 """
 
 from __future__ import annotations
@@ -84,17 +85,6 @@ class Scenario:
         """C, the Lipschitz bound of the effective field at the initial mass."""
         return lipschitz_bound_b(self.model, self.initial.total_measure())
 
-    def density_values(self) -> list[np.ndarray] | None:
-        if self.initial_densities is None:
-            return None
-        vals = []
-        for mu, dens in zip(self.initial.species, self.initial_densities):
-            if dens is None:
-                vals.append(np.zeros(len(mu)))
-            else:
-                vals.append(dens.value_at(mu.positions))
-        return vals
-
 
 class PicardConvergenceError(RuntimeError):
     """Fixed-point iteration hit max_iter; carries the distance sequence."""
@@ -108,12 +98,9 @@ class PicardConvergenceError(RuntimeError):
 
 def solve_direct(scenario: Scenario) -> SolutionRecord:
     """Self-consistent Lagrangian integration over the full horizon; the
-    record carries the transported densities when the scenario tracks them."""
-    steps, dt = _uniform_steps(0.0, scenario.horizon, scenario.step.dt)
-    record = integrate(scenario.model, None, scenario.initial, 0.0, scenario.horizon, steps)
-    if scenario.initial_densities is not None:
-        record.densities = transported_densities(scenario.model, None, record, dt, scenario.density_values())
-    return record
+    record holds particles only (:func:`solve` adds tracked densities)."""
+    steps, _ = _uniform_steps(0.0, scenario.horizon, scenario.step.dt)
+    return integrate(scenario.model, None, scenario.initial, 0.0, scenario.horizon, steps)
 
 
 def window_length(scenario: Scenario) -> float:
@@ -174,9 +161,9 @@ def solve_picard(scenario: Scenario) -> SolutionRecord:
     """Chain contraction windows over [0, T].
 
     Windows are snapped onto the uniform step grid, so picard and direct
-    solves share snapshot times.  Tracked densities are one post-pass over
-    the converged snapshots, which are also the frozen source.  Raises
-    ValueError when the longest contracting window is shorter than one step.
+    solves share snapshot times.  The record holds particles only
+    (:func:`solve` adds tracked densities).  Raises ValueError when the
+    longest contracting window is shorter than one step.
     """
     window = window_length(scenario)
     total_steps, dtu = _uniform_steps(0.0, scenario.horizon, scenario.step.dt)
@@ -203,7 +190,7 @@ def solve_picard(scenario: Scenario) -> SolutionRecord:
         states_all.extend(rec.states[1:])
         step0 += steps
 
-    record = SolutionRecord(
+    return SolutionRecord(
         times_all,
         states_all,
         diagnostics={
@@ -211,15 +198,20 @@ def solve_picard(scenario: Scenario) -> SolutionRecord:
             "picard_distances": per_window_distances,
         },
     )
-    if scenario.initial_densities is not None:
-        record.densities = transported_densities(scenario.model, record, record, dtu, scenario.density_values())
-    return record
 
 
 def solve(scenario: Scenario) -> SolutionRecord:
-    """Solve in the scenario's mode; a non-finite state is reported with its fingerprint."""
+    """Solve in the scenario's mode and attach the tracked densities, if any,
+    transported from rho_0 at the initial particles; a non-finite state or
+    density integral is reported with its fingerprint."""
     try:
-        return solve_picard(scenario) if scenario.mode == "picard" else solve_direct(scenario)
+        record = solve_picard(scenario) if scenario.mode == "picard" else solve_direct(scenario)
+        if scenario.initial_densities is not None:
+            rho0 = [np.zeros(len(mu)) if dens is None else dens.value_at(mu.positions)
+                    for mu, dens in zip(scenario.initial.species, scenario.initial_densities)]
+            _, dt = _uniform_steps(0.0, scenario.horizon, scenario.step.dt)
+            record.densities = transported_densities(scenario.model, record, dt, rho0)
+        return record
     except NonFiniteStateError as exc:
         fp = json.dumps(scenario.fingerprint(), sort_keys=True)
         raise NonFiniteStateError(f"{exc} in {fp}") from exc

@@ -26,6 +26,7 @@ from .kernels import (
     audit_kernel,
     convolve_batch,
     kernel_library,
+    require_bounds,
     require_positive,
     sample_box,
     steepest_slope,
@@ -47,6 +48,9 @@ class VelocityField:
     sup_bound: float
     lip_x: float
     lip_r: float
+
+    def __post_init__(self):
+        require_bounds("velocity field", self, ("sup_bound", "lip_x", "lip_r"))
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,7 @@ class VelocityModel:
 
 def lipschitz_bound_b(model: VelocityModel, mass: float) -> float:
     """Lipschitz constant of the effective field b(t,x) = V(t, x, rho*eta);
-    a negative or non-finite bound, from lying metadata, is rejected."""
+    a bound that is not finite, from declarations that overflow, is rejected."""
     if mass < 0:
         raise ValueError("mass must be nonnegative")
     c = model.lip_x + model.lip_r * model.kernels.lip_x * mass

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nonlocalflow import AuditError, VelocityField, VelocityModel, _accel, cli, solve_direct, w1_vector, wasserstein
+from nonlocalflow import AuditError, VelocityField, VelocityModel, _accel, cli, solve, solve_direct, w1_vector, wasserstein
 from nonlocalflow.cli import RunConfig, main, run
 from nonlocalflow.output import emit_plotdata
 from nonlocalflow.scenario import (
@@ -124,7 +124,7 @@ def test_emit_picard_decay_monotone(tmp_path):
 
 def test_density_profile_emission(tmp_path):
     scn = load_scenario("linear-local-compressive-1d", audit=False)
-    rec = solve_direct(scn)
+    rec = solve(scn)
     emit_plotdata(rec, "density-profile", tmp_path)
     rows = (tmp_path / "plot/density-profile.csv").read_text().splitlines()
     assert rows[0] == "t,species,particle,x_1,density"
@@ -275,6 +275,11 @@ def test_cli_w1_verb(tmp_path, capsys):
     b.write_text("x_1,weight\n3.0,1.0\n")
     assert main(["w1", str(a), str(b)]) == 0
     assert float(capsys.readouterr().out.strip()) == pytest.approx(3.0)
+    # coordinates are read by name: (1, 0) against (0, 5)
+    a.write_text("x_1,x_2,weight\n1,0,1\n")
+    b.write_text("x_2,x_1,weight\n5,0,1\n")
+    assert main(["w1", str(a), str(b)]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(np.sqrt(26.0), rel=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -289,9 +294,11 @@ def test_cli_w1_verb(tmp_path, capsys):
         ("weight\n1\n", "line 1: need columns x_1..x_d,weight"),
         ("x_1,x_2,weight\n0.0,0.0,1.0\n", "line 1: dimension 2 differs from dimension 1 of {good}"),
         ("x_1,weight\n", "line 1: header has no particle rows below it"),
+        ("x_1,x_3,weight\n0.0,0.0,1.0\n", "line 1: need columns x_1..x_d,weight"),
+        ("x_1,x_1,weight\n0.0,0.0,1.0\n", "line 1: need columns x_1..x_d,weight"),
     ],
     ids=["empty", "short-row", "long-row", "non-numeric", "nan-cell", "negative-weight",
-         "no-position-column", "dimension-mismatch", "no-particle-rows"],
+         "no-position-column", "dimension-mismatch", "no-particle-rows", "gap", "duplicate"],
 )
 def test_cli_w1_rejects_a_malformed_measure_csv(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.csv"

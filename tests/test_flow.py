@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +31,7 @@ from nonlocalflow import (
 )
 from nonlocalflow import flow
 from nonlocalflow.flow import PROBE_SEPARATION, integrate
-from nonlocalflow.solver import Scenario, solve_picard
+from nonlocalflow.solver import Scenario, solve, solve_picard
 from nonlocalflow.scenario import _cosine_bump_1d, load_scenario
 from dataclasses import replace
 
@@ -110,7 +113,7 @@ def test_mass_conserved_bit_exactly_along_flow():
 def _transported(model, mu, dens, dt, steps):
     """Initial and final transported density of ``steps`` RK4 steps from ``mu``."""
     record = integrate(model, None, MeasureVector((mu,)), 0.0, dt * steps, steps)
-    densities = transported_densities(model, None, record, dt, (dens.value_at(mu.positions),))
+    densities = transported_densities(model, record, dt, (dens.value_at(mu.positions),))
     return densities[0][0], densities[-1][0]
 
 
@@ -161,9 +164,11 @@ def test_non_finite_divergence_stops_a_tracked_solve(monkeypatch):
         "nan-div", constant_drift_field([0.3]), MeasureVector((mu,)), horizon=0.5,
         step=StepControl(0.05), initial_densities=(dens,),
     )
-    assert solve_direct(replace(scn, initial_densities=None)).times[-1] == 0.5
-    with pytest.raises(NonFiniteStateError, match=r"non-finite state after step index 2 \(t = 0\.15"):
-        solve_direct(scn)
+    # the particles alone solve; the density pass in solve stops with the fingerprint
+    assert solve_direct(scn).times[-1] == 0.5
+    fp = re.escape(json.dumps(scn.fingerprint(), sort_keys=True))
+    with pytest.raises(NonFiniteStateError, match=r"non-finite state after step index 2 \(t = 0\.15.* in " + fp):
+        solve(scn)
 
 
 def _probe(model, init, horizon, dt):

@@ -271,9 +271,16 @@ def test_general_check_degenerates_to_initial_check():
 def test_linfty_divergence_free():
     scn = bump_scenario(track=True)
     scn = replace(scn, model=constant_drift_field([0.3]))
-    rep = check_linfty_growth(scn, solve_direct(scn))
+    rep = check_linfty_growth(scn, solve(scn))
     assert rep.passed
     assert rep.lhs <= 1.0 + 1e-9
+
+
+def test_linfty_growth_rejects_a_record_without_densities():
+    # solve_direct moves particles only; solve attaches the tracked densities
+    scn = bump_scenario(horizon=0.05, track=True)
+    with pytest.raises(ValueError, match="the record carries no tracked densities"):
+        check_linfty_growth(scn, solve_direct(scn))
 
 
 def test_linfty_compressive_saturates():
@@ -288,7 +295,7 @@ def test_linfty_compressive_saturates():
         step=StepControl(0.01),
         initial_densities=(dens,),
     )
-    rep = check_linfty_growth(scn, solve_direct(scn))
+    rep = check_linfty_growth(scn, solve(scn))
     assert rep.passed
     assert rep.lhs == pytest.approx(1.0, abs=0.01)
 

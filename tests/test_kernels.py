@@ -108,11 +108,11 @@ def test_audit_accepts_library_and_rejects_false_declaration():
     lying_sup = replace(k, sup_bound=0.5)
     with pytest.raises(AuditError, match="sup"):
         audit_kernel(lying_sup, box_radius=2.0)
-    # a comparison with NaN is False, so a check must fail unless it holds
-    with pytest.raises(AuditError, match="slope"):
-        audit_kernel(replace(k, lip_x=float("nan")), box_radius=2.0)
-    with pytest.raises(AuditError, match="sup"):
-        audit_kernel(replace(k, sup_bound=float("nan")), box_radius=2.0)
+    # a negative, NaN or infinite declaration never reaches the audit
+    for name in ("sup_bound", "lip_x"):
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"kernel {name} must be finite and >= 0, got {bad!r}"):
+                replace(k, **{name: bad})
 
 
 def test_convolve_dirac_identity():

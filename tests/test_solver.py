@@ -368,8 +368,8 @@ def test_solve_picard_tracked_densities_match_direct(name):
     cfg = load_config(name, {"mode": "picard"})
     cfg["density_tracking"] = True
     scn = scenario_from_config(cfg)
-    picard = solve_picard(scn)
-    direct = solve_direct(replace(scn, mode="direct"))
+    picard = solve(scn)
+    direct = solve(replace(scn, mode="direct"))
     assert len(picard.densities) == len(direct.densities) == len(picard.times)
     gap = max(
         np.abs(np.log(p) - np.log(d)).max()
@@ -378,6 +378,18 @@ def test_solve_picard_tracked_densities_match_direct(name):
     )
     assert gap <= 1e-7
     assert check_linfty_growth(scn, record=picard).passed
+
+
+def test_only_solve_attaches_tracked_densities():
+    # the two solvers move particles only; solve adds the density pass in either mode
+    _, dens = bump_particles()
+    scn = sedimentation_scenario(horizon=0.05, dt=0.01, initial_densities=(dens,))
+    for mode, particles_only in (("direct", solve_direct), ("picard", solve_picard)):
+        tracked = replace(scn, mode=mode)
+        assert particles_only(tracked).densities is None
+        record = solve(tracked)
+        assert len(record.densities) == len(record.times)
+        np.testing.assert_array_equal(record.densities[0][0], dens.value_at(tracked.initial.species[0].positions))
 
 
 def test_solve_dispatch():
