@@ -109,6 +109,16 @@ def test_velocity_field_rejects_a_bad_declared_bound(name, value):
         VelocityField(1, 1, lambda t, xs, rs: xs, **{**honest, name: value})
 
 
+@pytest.mark.parametrize("lip_x", [-1.0, float("nan")])
+def test_lipschitz_bound_b_rejects_a_negative_or_nan_bound(lip_x):
+    # construction refuses such a declaration; set past it, the bound refuses it too
+    field = VelocityField(1, 1, lambda t, xs, rs: xs, sup_bound=1.0, lip_x=1.0, lip_r=0.0)
+    object.__setattr__(field, "lip_x", lip_x)
+    model = VelocityModel((field,), sedimentation_field(kernel_library("tent")).kernels)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        lipschitz_bound_b(model, 1.0)
+
+
 def test_lipschitz_bound_b_rejects_an_overflowing_bound():
     # finite declarations whose C = Lip_x + Lip_r * Lip_x(eta) * mass is inf
     field = VelocityField(1, 1, lambda t, xs, rs: xs, sup_bound=1.0, lip_x=1.0, lip_r=1e300)
@@ -208,6 +218,10 @@ def test_velocity_audit_catches_false_lipschitz():
         ({"sup_bound": 1.0}, r"velocity sup audit failed: \|V\(0.0, \["),
         ({"lip_x": 0.5}, r"Lip_x audit failed: slope .* between x=\["),
         ({"lip_r": 1.0}, r"Lip_r audit failed: slope .* between r=\["),
+        # a comparison with NaN is False, so a check must fail unless it holds
+        ({"sup_bound": float("nan")}, r"velocity sup audit failed: \|V\(0.0, \["),
+        ({"lip_x": float("nan")}, r"Lip_x audit failed: slope .* between x=\["),
+        ({"lip_r": float("nan")}, r"Lip_r audit failed: slope .* between r=\["),
     ],
 )
 def test_velocity_audit_names_the_witness_of_each_lie(declared, message):
@@ -218,8 +232,12 @@ def test_velocity_audit_names_the_witness_of_each_lie(declared, message):
         return xs + 2.0 * rs[:, :1] - 1.0
 
     audit_velocity_field(VelocityField(1, 2, law, **honest), 2.0, 1.0)
+    # construction refuses a NaN declaration; set past it, the audit refuses it too
+    lying = VelocityField(1, 2, law, **honest)
+    for name, value in declared.items():
+        object.__setattr__(lying, name, value)
     with pytest.raises(AuditError, match=message):
-        audit_velocity_field(VelocityField(1, 2, law, **{**honest, **declared}), box_radius=2.0, r_radius=1.0)
+        audit_velocity_field(lying, box_radius=2.0, r_radius=1.0)
 
 
 @pytest.mark.parametrize("call, message", [(0, "velocity sup audit"), (1, "Lip_x audit"), (2, "Lip_r audit")])
