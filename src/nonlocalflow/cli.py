@@ -129,6 +129,9 @@ def _read_measure_csv(path: str) -> ParticleMeasure:
         # x_1..x_d once each, in any order; a coordinate is read by its name
         if "weight" not in cols or not names or set(names) != {f"x_{a}" for a in range(1, len(names) + 1)}:
             raise ScenarioParseError(f"{path}, line 1: need columns x_1..x_d,weight")
+        for name in cols:
+            if cols.count(name) > 1:
+                raise ScenarioParseError(f"{path}, line 1: column {name!r} appears more than once")
         dims = [cols.index(f"x_{a}") for a in range(1, len(names) + 1)]
         wi = cols.index("weight")
         pos = []

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _accel
-from .measures import ParticleMeasure, dirac
+from .measures import ParticleMeasure, dirac, require_positive
 
 
 class AuditError(ValueError):
@@ -74,12 +74,6 @@ class Kernel:
 # Verified numerically: max |d/dx h(1 - x^2/s^2)^2| is attained at |x| = s/sqrt(3)
 # and equals 8h / (3 sqrt(3) s).
 _BUMP_LIP_FACTOR = 8.0 / (3.0 * math.sqrt(3.0))
-
-
-def require_positive(name: str, value: float) -> None:
-    """Reject a parameter unless it is finite and positive (NaN included)."""
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def require_bounds(owner: str, obj, names: tuple[str, ...]) -> None:

@@ -9,6 +9,7 @@ conserved bit-exactly along any flow.  Densities enter through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -109,6 +110,12 @@ def total_mass(mu: ParticleMeasure) -> float:
     return float(np.sum(mu.weights))
 
 
+def require_positive(name: str, value: float) -> None:
+    """Reject a parameter unless it is finite and positive (NaN included)."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridAxis:
     origin: float
@@ -116,8 +123,11 @@ class GridAxis:
     count: int
 
     def __post_init__(self):
-        if self.spacing <= 0 or self.count < 1:
-            raise ValueError("grid axis needs positive spacing and count >= 1")
+        if not math.isfinite(self.origin):
+            raise ValueError(f"grid axis origin must be finite, got {self.origin!r}")
+        require_positive("grid axis spacing", self.spacing)
+        if self.count < 1:
+            raise ValueError(f"grid axis count must be at least 1, got {self.count!r}")
 
     def nodes(self) -> np.ndarray:
         return self.origin + self.spacing * np.arange(self.count)

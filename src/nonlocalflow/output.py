@@ -78,12 +78,13 @@ def write_trajectory(record: SolutionRecord, path: Path) -> None:
     if record.densities is None:
         _write_long_table(path, record, ["weight"], lambda j, i, mu: (mu.weights,))
         return
-    _write_long_table(
-        path,
-        record,
-        ["weight", "logdensity"],
-        lambda j, i, mu: (mu.weights, np.log(np.maximum(record.densities[j][i], 1e-300))),
-    )
+    with np.errstate(divide="ignore"):  # log 0 is -inf, written as such
+        _write_long_table(
+            path,
+            record,
+            ["weight", "logdensity"],
+            lambda j, i, mu: (mu.weights, np.log(record.densities[j][i])),
+        )
 
 
 def write_reports(reports: list[BoundReport], path: Path) -> None:

@@ -37,7 +37,7 @@ from .measures import (
     particles_from_density,
     uniform_density_1d,
 )
-from .solver import PicardParams, Scenario
+from .solver import Scenario
 from .velocity import (
     VelocityField,
     VelocityModel,
@@ -86,8 +86,7 @@ class Field:
     ``type`` is number, integer, boolean, string, vector, points, object,
     variant (an object whose ``type`` picks its fields from ``fields``) or
     list (of variants).  ``noun`` prefixes the names of an object's fields in
-    errors, as the library's own checks name them (``kernel scale``,
-    ``picard.tol``).
+    errors, as the library's own checks name them (``kernel scale``).
     """
 
     type: str
@@ -143,7 +142,6 @@ MODELS = {
 SPECIES = {
     "grid-1d": {
         "support": Field("vector", range="of length 2, increasing"),
-        "resolution": _count(64),
         "profile": Field("string", "uniform", choices=("uniform", "cosine-bump")),
         "particles": _count(),
         "mass": _positive(1.0),
@@ -151,7 +149,6 @@ SPECIES = {
     "grid-2d": {
         "center": Field("vector", range="of length 2"),
         "radius": _positive(),
-        "resolution": _count(24),
         "particles_per_axis": _count(8),
         "mass": _positive(1.0),
     },
@@ -166,7 +163,6 @@ CHECKS = {
     "lemma-stability": {},
     "flow-lipschitz": {},
 }
-_PICARD = {"tol": _positive(1e-9), "max_iter": _count(60)}
 SCENARIO = Field("object", fields={
     "schema": Field("integer", choices=(SCHEMA_VERSION,)),
     "name": Field("string"),
@@ -175,14 +171,15 @@ SCENARIO = Field("object", fields={
     "mode": Field("string", "direct", choices=("direct", "picard")),
     "density_tracking": Field("boolean", False),
     "seed": Field("integer", 0, "from 0 to 2^32 - 1"),
-    "audit_radius": _positive(OPTIONAL),  # absent: from the data
-    "picard": Field("object", {}, fields=_PICARD, noun="picard."),
     "model": Field("variant", fields=MODELS),
     "species": Field("list", fields=SPECIES),
     "checks": Field("list", [], fields=CHECKS),
 })
 # the gallery models that move exactly one species
 ONE_SPECIES_MODELS = ("sedimentation", "pedestrian", "linear-local", "constant-drift")
+# cells per axis of the grid that samples a grid-1d or grid-2d species' density
+GRID_1D_CELLS = 64
+GRID_2D_CELLS = 24
 # run --n sets, per species type, this field to this function of n
 N_OVERRIDE = {
     "grid-1d": ("particles", lambda n: n),
@@ -342,11 +339,11 @@ def _scaled_to_mass(dens: GridDensity, mass: float) -> GridDensity:
 def _build_species(cfg: dict, idx: int) -> tuple[ParticleMeasure, GridDensity | None]:
     kind = cfg["type"]
     if kind == "grid-1d":
-        dens = _PROFILES_1D[cfg["profile"]](*cfg["support"], cfg["resolution"])
+        dens = _PROFILES_1D[cfg["profile"]](*cfg["support"], GRID_1D_CELLS)
         dens = _scaled_to_mass(dens, cfg["mass"])
         return particles_from_density(dens, cfg["particles"]), dens
     if kind == "grid-2d":
-        dens = _cosine_bump_2d(cfg["center"], cfg["radius"], cfg["resolution"])
+        dens = _cosine_bump_2d(cfg["center"], cfg["radius"], GRID_2D_CELLS)
         dens = _scaled_to_mass(dens, cfg["mass"])
         return particles_from_density(dens, cfg["particles_per_axis"]), dens
     if kind == "dirac":
@@ -363,13 +360,14 @@ def _kernel(cfg: dict, dim: int):
 
 def _build_phi(cfg: dict, ball: float) -> VelocityField:
     """The predator's own V(t, x, r); x is the predator's position."""
-    # VelocityField(dim, k, evaluate, sup_bound, lip_x, lip_r)
+    # VelocityField(dim, k, evaluate, sup_bound, lip_x, lip_r[, domain_radius])
     if cfg["type"] == "pursuit":
         return VelocityField(1, 2, lambda t, xs, rs: rs[:, :1].copy(), ball, 0.0, 1.0)
     if cfg["type"] == "spring":
         target, rate = np.asarray(cfg["target"]), cfg["rate"]
-        sup = rate * (float(np.linalg.norm(target)) + cfg["domain_radius"])
-        return VelocityField(1, 2, lambda t, xs, rs: rate * (target - xs), sup, rate, 0.0)
+        radius = cfg["domain_radius"]
+        sup = rate * (float(np.linalg.norm(target)) + radius)
+        return VelocityField(1, 2, lambda t, xs, rs: rate * (target - xs), sup, rate, 0.0, radius)
     vec = np.asarray(cfg["vector"])
     drift = float(np.linalg.norm(vec))
     return VelocityField(1, 2, lambda t, xs, rs: np.broadcast_to(vec, xs.shape).copy(), drift, 0.0, 0.0)
@@ -419,18 +417,15 @@ def scenario_from_config(raw: dict, audit: bool = True) -> Scenario:
     try:
         scenario = Scenario(
             name=cfg["name"], model=model, initial=initial, horizon=cfg["horizon"],
-            step=StepControl(cfg["dt"]), mode=cfg["mode"],
-            picard=PicardParams(**cfg["picard"]), seed=cfg["seed"],
+            step=StepControl(cfg["dt"]), mode=cfg["mode"], seed=cfg["seed"],
             initial_densities=tuple(dens for _, dens in built) if cfg["density_tracking"] else None,
         )
     except ValueError as exc:  # the table checked the rest: a model that cannot move the species
         raise ScenarioParseError(f"scenario: {exc}") from None
     if audit:
-        radius = cfg.get("audit_radius")
-        if radius is None:
-            span = max(float(np.abs(m.positions).max()) for m in initial.species)
-            radius = span + model.sup_bound * scenario.horizon + 1.0
-        audit_model(model, radius, initial.total_measure())
+        # the data box: no |x| grows by more than sup|V|·T from the initial data; 1 is a margin
+        span = max(float(np.abs(m.positions).max()) for m in initial.species)
+        audit_model(model, span + model.sup_bound * scenario.horizon + 1.0, initial.total_measure())
     return scenario
 
 

@@ -12,6 +12,7 @@ numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -39,7 +40,8 @@ class VelocityField:
     """One species' velocity law.
 
     ``evaluate(t, xs, rs)`` maps time, positions (M, d) and the convolution
-    vectors rs (M, k) to velocities (M, d).
+    vectors rs (M, k) to velocities (M, d).  The bounds hold on the box
+    |x_a| <= ``domain_radius``, which is all of space by default.
     """
 
     dim: int
@@ -48,9 +50,12 @@ class VelocityField:
     sup_bound: float
     lip_x: float
     lip_r: float
+    domain_radius: float = math.inf
 
     def __post_init__(self):
         require_bounds("velocity field", self, ("sup_bound", "lip_x", "lip_r"))
+        if not self.domain_radius > 0:
+            raise ValueError(f"velocity field domain_radius must be > 0, got {self.domain_radius!r}")
 
 
 @dataclass(frozen=True)
@@ -214,8 +219,7 @@ def sedimentation_field(kernel: Kernel, mass: float = 1.0) -> VelocityModel:
 def linear_local_field(alpha: float, domain_radius: float, dim: int = 1) -> VelocityModel:
     """Local field V = alpha * x paired with a constant kernel (r is ignored).
 
-    Bounded only on the declared domain; sup is certified on the box
-    |x_a| <= domain_radius.
+    Bounded only on its declared domain, the box |x_a| <= domain_radius.
     """
     field = VelocityField(
         dim,
@@ -224,6 +228,7 @@ def linear_local_field(alpha: float, domain_radius: float, dim: int = 1) -> Velo
         sup_bound=abs(alpha) * domain_radius * np.sqrt(dim),
         lip_x=abs(alpha),
         lip_r=0.0,
+        domain_radius=domain_radius,
     )
     return VelocityModel((field,), KernelMatrix(((kernel_library("constant", dim),),)))
 
@@ -258,12 +263,12 @@ def audit_velocity_field(field: VelocityField, box_radius: float, r_radius: floa
     t = 0 on :data:`~nonlocalflow.kernels.AUDIT_SAMPLES` samples.
 
     r is sampled from the norm-1 ball of radius M = mass * sup(eta); x from
-    the declared box.  Raises :class:`AuditError` with the witness on
-    violation.  A slope check with no sample pair more than 1e-12 apart is
-    skipped.
+    the box |x_a| <= ``box_radius``, cut to the field's ``domain_radius``.
+    Raises :class:`AuditError` with the witness on violation.  A slope
+    check with no sample pair more than 1e-12 apart is skipped.
     """
-    lo = -box_radius * np.ones(field.dim)
-    hi = box_radius * np.ones(field.dim)
+    hi = min(box_radius, field.domain_radius) * np.ones(field.dim)
+    lo = -hi
     xs = sample_box(lo, hi, AUDIT_SAMPLES, 0)
     ys = sample_box(lo, hi, AUDIT_SAMPLES, 5)
     rs = _l1_ball_samples(field.k, r_radius, AUDIT_SAMPLES, 9)

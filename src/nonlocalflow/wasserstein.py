@@ -85,6 +85,15 @@ class TransportPlan:
         return float(max(np.abs(row - mu.weights).max(), np.abs(col - nu.weights).max()))
 
 
+def _distance_blocks(xs: np.ndarray, ys: np.ndarray):
+    """Pairs (lo, |x_i - y_j|) for the rows i of ``xs`` from lo, in blocks of
+    ``_accel.block_rows(len(ys))`` rows, so that no (N, M, d) array is built."""
+    rows = _accel.block_rows(len(ys))
+    for lo in range(0, len(xs), rows):
+        diff = xs[lo : lo + rows, None, :] - ys[None, :, :]
+        yield lo, np.sqrt(np.einsum("nmd,nmd->nm", diff, diff))
+
+
 def w1_exact(
     mu: ParticleMeasure,
     nu: ParticleMeasure,
@@ -113,8 +122,9 @@ def w1_exact(
         raise PairCapError(
             f"{n}x{m} pairs exceed the cap {DEFAULT_PAIR_CAP}; use w1_1d in 1D or subsample"
         )
-    diff = mu.positions[:, None, :] - nu.positions[None, :, :]
-    cost = np.sqrt(np.einsum("nmd,nmd->nm", diff, diff))
+    cost = np.empty((n, m))
+    for lo, dist in _distance_blocks(mu.positions, nu.positions):
+        cost[lo : lo + len(dist)] = dist
     start = None
     if warm is not None and warm.fits(mu.weights, nu.weights):
         start = (warm.source_index, warm.target_index, warm.mass)
@@ -150,16 +160,13 @@ def kantorovich_potential(plan: TransportPlan, points: np.ndarray) -> np.ndarray
     phi is 1-Lipschitz, as a minimum of 1-Lipschitz functions.  For a plan
     of ``w1_exact(mu, nu)`` it equals the row duals u_i on mu's support and
     -v_j on nu's, so the integral of phi d(mu - nu) is the dual objective,
-    which equals W1.  Points are taken in blocks of ``_accel.block_rows(M)``
-    rows, so no (P, M) array is built.
+    which equals W1.  Points are taken in blocks of rows, so no (P, M)
+    array is built.
     """
     points = np.asarray(points, dtype=np.float64)
-    ys, v = plan.target_support, plan.target_dual
     out = np.empty(len(points))
-    rows = _accel.block_rows(len(v))
-    for lo in range(0, len(points), rows):
-        diff = points[lo : lo + rows, None, :] - ys[None, :, :]
-        out[lo : lo + rows] = (np.sqrt(np.einsum("pmd,pmd->pm", diff, diff)) - v).min(axis=1)
+    for lo, dist in _distance_blocks(points, plan.target_support):
+        out[lo : lo + len(dist)] = (dist - plan.target_dual).min(axis=1)
     return out
 
 

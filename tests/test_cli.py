@@ -8,7 +8,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nonlocalflow import AuditError, VelocityField, VelocityModel, _accel, cli, solve, solve_direct, w1_vector, wasserstein
+from nonlocalflow import (
+    AuditError,
+    VelocityField,
+    VelocityModel,
+    _accel,
+    audit_velocity_field,
+    cli,
+    solve,
+    solve_direct,
+    w1_vector,
+    wasserstein,
+)
 from nonlocalflow.cli import RunConfig, main, run
 from nonlocalflow.output import emit_plotdata
 from nonlocalflow.scenario import (
@@ -209,13 +220,11 @@ NAN = float("nan")
 @pytest.mark.parametrize(
     "field, fields",
     [
-        ("audit_radius", {"audit_radius": NAN}),
+        ("horizon", {"horizon": -1.0}),
         ("dt", {"dt": NAN}),
         ("dt", {"dt": float("inf")}),
         ("horizon", {"horizon": NAN}),
-        ("audit_radius", {"audit_radius": -1.0}),
-        ("audit_radius", {"audit_radius": float("inf")}),
-        ("picard.tol", {"picard": {"tol": NAN}}),
+        ("horizon", {"horizon": float("inf")}),
     ],
 )
 def test_non_finite_scenario_fields_rejected_with_field(tmp_path, capsys, field, fields):
@@ -296,9 +305,11 @@ def test_cli_w1_verb(tmp_path, capsys):
         ("x_1,weight\n", "line 1: header has no particle rows below it"),
         ("x_1,x_3,weight\n0.0,0.0,1.0\n", "line 1: need columns x_1..x_d,weight"),
         ("x_1,x_1,weight\n0.0,0.0,1.0\n", "line 1: need columns x_1..x_d,weight"),
+        ("x_1,weight,weight\n0,1,5\n", "line 1: column 'weight' appears more than once"),
     ],
     ids=["empty", "short-row", "long-row", "non-numeric", "nan-cell", "negative-weight",
-         "no-position-column", "dimension-mismatch", "no-particle-rows", "gap", "duplicate"],
+         "no-position-column", "dimension-mismatch", "no-particle-rows", "gap", "duplicate",
+         "repeated-column"],
 )
 def test_cli_w1_rejects_a_malformed_measure_csv(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.csv"
@@ -310,10 +321,12 @@ def test_cli_w1_rejects_a_malformed_measure_csv(tmp_path, capsys, text, message)
 
 
 def test_audit_error_carries_witness():
-    raw = load_raw("predator-decoupled-1d")
-    raw["audit_radius"] = 30.0  # spring sup bound only certified on radius 3
-    with pytest.raises(AuditError, match="sup audit"):
-        scenario_from_config(raw)
+    # the spring's sup bound holds on |x| <= 3; declared on |x| <= 30, the
+    # audit samples a point beyond 3 that exceeds it
+    spring = load_scenario("predator-decoupled-1d", audit=False).model.fields[1]
+    assert spring.domain_radius == 3.0
+    with pytest.raises(AuditError, match=r"velocity sup audit failed: \|V\(0.0, \[-?\d"):
+        audit_velocity_field(replace(spring, domain_radius=30.0), box_radius=30.0, r_radius=1.0)
 
 
 def test_density_profile_is_written_once(tmp_path, monkeypatch):

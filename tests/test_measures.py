@@ -91,3 +91,24 @@ def test_grid_density_interpolation():
     assert np.allclose(inside, 1.0)
     outside = dens.value_at(np.array([[3.0], [-1.0]]))
     assert np.allclose(outside, 0.0)
+
+
+@pytest.mark.parametrize(
+    "origin, spacing, count, message",
+    [
+        (0.0, float("nan"), 4, "grid axis spacing must be finite and positive, got nan"),
+        (float("nan"), 1.0, 4, "grid axis origin must be finite, got nan"),
+        (0.0, float("inf"), 4, "grid axis spacing must be finite and positive, got inf"),
+        (float("-inf"), 1.0, 4, "grid axis origin must be finite, got -inf"),
+        (0.0, 0.0, 4, "grid axis spacing must be finite and positive, got 0.0"),
+        (0.0, 1.0, 0, "grid axis count must be at least 1, got 0"),
+    ],
+)
+def test_grid_axis_rejects_a_bad_field_by_name(origin, spacing, count, message):
+    with pytest.raises(ValueError, match=message):
+        GridAxis(origin, spacing, count)
+
+
+def test_uniform_density_on_a_nan_support_is_rejected():
+    with pytest.raises(ValueError, match="grid axis origin must be finite"):
+        uniform_density_1d(0.0, float("nan"))

@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from nonlocalflow.measures import MeasureVector, ParticleMeasure
 from nonlocalflow.output import emit_plotdata, write_trajectory
-from nonlocalflow.solver import SolutionRecord
+from nonlocalflow.scenario import load_raw, scenario_from_config
+from nonlocalflow.solver import SolutionRecord, solve
 
 # -0.0, subnormals and values where %.17g switches to an exponent
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16, 1e17, 0.1, 1 / 3]
@@ -36,6 +37,11 @@ def records(draw):
     return SolutionRecord(np.array(times), states, densities)
 
 
+def _log(density):
+    with np.errstate(divide="ignore"):
+        return np.log(density)
+
+
 def _oracle(record, head, cells, frame=False):
     """The table cell by cell: every number through f"{x:.17g}"."""
     lines = [",".join(head)]
@@ -58,7 +64,7 @@ def test_long_tables_match_a_cell_by_cell_oracle(tmp_path_factory, record):
     expected = _oracle(
         record,
         ["t", "species", "particle", *xs, "weight", "logdensity"],
-        lambda j, i, m, mu: [mu.weights[m], np.log(max(record.densities[j][i][m], 1e-300))],
+        lambda j, i, m, mu: [mu.weights[m], _log(record.densities[j][i][m])],
     )
     assert (out / "trajectory.csv").read_text() == expected
 
@@ -75,6 +81,19 @@ def test_long_tables_match_a_cell_by_cell_oracle(tmp_path_factory, record):
             record, ["frame", "t", "species", "particle", *xs], lambda j, i, m, mu: [], frame=True
         )
         assert (out / "plot" / "particle-cloud.csv").read_text() == expected
+
+
+def test_logdensity_is_minus_inf_where_the_density_is_0(tmp_path):
+    # the predator is a point mass, so its tracked density is 0
+    raw = load_raw("predator-prey-1d")
+    raw["density_tracking"] = True
+    record = solve(scenario_from_config(raw, audit=False))
+    write_trajectory(record, tmp_path / "trajectory.csv")
+    rows = [line.split(",") for line in (tmp_path / "trajectory.csv").read_text().splitlines()[1:]]
+    assert [r[-1] for r in rows if r[1] == "1"] == ["-inf"] * len(record.times)
+    # the prey's density is positive: its bytes are those of log(max(rho, 1e-300))
+    clamped = [np.log(np.maximum(dens[0], 1e-300)) for dens in record.densities]
+    assert [r[-1] for r in rows if r[1] == "0"] == ["%.17g" % v for logs in clamped for v in logs]
 
 
 def test_cloud_spanning_the_double_range_has_finite_svg_coordinates(tmp_path):

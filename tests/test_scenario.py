@@ -1,10 +1,14 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from nonlocalflow import kernels, scenario, velocity
 from nonlocalflow.cli import main
+from nonlocalflow.kernels import AuditError
 from nonlocalflow.scenario import (
     OPTIONAL,
     REQUIRED,
@@ -107,7 +111,7 @@ def _three_particle_predator(raw):
         (_set(["checks", 1, "pairs"], -1), "checks[1]: pairs must be an integer and at least 1"),
         (_set(["density_tracking"], "no"), "scenario: density_tracking must be true or false"),
         (_set(["seed"], 1.7), "scenario: seed must be an integer"),
-        (_set(["species", 0, "resolution"], 0), "species[0]: resolution must be an integer and at least 1"),
+        (_set(["species", 0, "particles"], 0), "species[0]: particles must be an integer and at least 1"),
         (_set(["species", 0, "mass"], NAN), "species[0]: mass must be finite and positive"),
         (_set(["species", 0, "support"], [1.0, -1.0]), "species[0]: support must be"),
         (_set(["model", "type"], "sediment"), "model: type must be one of"),
@@ -188,19 +192,23 @@ def _write_and_check_both_verbs(tmp_path, capsys, raw, message):
             "unknown field checks[0].eps",
         ),
         ("sedimentation-1d", _set(["checks", 2, "tolerance"], 0.01), "unknown field checks[2].tolerance"),
-        ("sedimentation-1d", _set(["picard"], {"sigma": 0.5}), "unknown field picard.sigma"),
+        ("sedimentation-1d", _set(["picard"], {"sigma": 0.5}), "unknown field picard; "),
+        ("sedimentation-1d", _set(["picard"], {"tol": 1e-9, "max_iter": 60}), "unknown field picard; "),
+        ("linear-local-compressive-1d", _set(["audit_radius"], 4.0), "unknown field audit_radius; "),
+        ("sedimentation-1d", _set(["species", 0, "resolution"], 64), "unknown field species[0].resolution; "),
+        ("pedestrian-2d", _set(["species", 0, "resolution"], 24), "unknown field species[0].resolution; "),
     ],
     ids=[
         "courant", "h_fd", "scheme", "dim", "grid-2d-profile", "stability-initial.eps",
         "stability-initial.slack", "linfty-growth.slack", "lemma-stability.eps", "flow-lipschitz.tolerance",
-        "picard.sigma",
+        "picard.sigma", "picard", "audit_radius", "grid-1d-resolution", "grid-2d-resolution",
     ],
 )
 def test_retired_settings_are_unknown_fields(tmp_path, capsys, name, edit, message):
     # the RK4 step guard, the finite-difference step, the grid-1d scheme, the
     # linear-local dimension, the grid-2d profile, each check's gate and
-    # perturbation size and the Picard contraction factor are fixed; a file
-    # cannot set them
+    # perturbation size, the Picard block, the audit box and the grid sizes
+    # are fixed or derived; a file cannot set them
     raw = load_raw(name)
     edit(raw)
     _write_and_check_both_verbs(tmp_path, capsys, raw, message)
@@ -232,7 +240,55 @@ def test_pedestrian_direction_of_another_dimension_exits_2(tmp_path, capsys, dir
 def test_defaults_are_filled_in():
     raw = load_raw("two-particle-sedimentation-1d")
     cfg = validate(raw)
-    assert cfg["picard"] == {"tol": 1e-9, "max_iter": 60}
     assert cfg["density_tracking"] is False
-    assert "audit_radius" not in cfg  # optional, computed from the data
     assert all(isinstance(x, float) and not math.isnan(x) for x in cfg["species"][0]["weights"])
+
+
+# the declared domain |x_a| <= R of each field of a bundled scenario that has one
+DOMAINS = {
+    "linear-local-compressive-1d": (4.0,),
+    "linear-local-expansive-1d": (4.0,),
+    "predator-decoupled-1d": (math.inf, 3.0),
+}
+
+
+@pytest.mark.parametrize("name", bundled_scenarios())
+def test_each_field_is_audited_on_the_data_box_cut_to_its_domain(monkeypatch, name):
+    boxes = {"kernel": [], "field": []}
+
+    def spy(kind, real):
+        def sample(low, high, *rest):
+            if low[0] < 0:  # an x box; r is drawn from the unit box
+                assert np.all(high == high[0]) and np.all(low == -high)
+                boxes[kind].append(float(high[0]))
+            return real(low, high, *rest)
+
+        return sample
+
+    monkeypatch.setattr(kernels, "sample_box", spy("kernel", kernels.sample_box))
+    monkeypatch.setattr(velocity, "sample_box", spy("field", velocity.sample_box))
+    scn = scenario_from_config(load_raw(name))
+    span = max(float(np.abs(m.positions).max()) for m in scn.initial.species)
+    box = span + scn.model.sup_bound * scn.horizon + 1.0
+    domains = DOMAINS.get(name, (math.inf,) * scn.model.k)
+    assert tuple(f.domain_radius for f in scn.model.fields) == domains
+    assert all(r < box or r == math.inf for r in domains)  # so each declared domain is the cut
+    entries = sum(len(row) for row in scn.model.kernels.entries)
+    # two samples of x (x and y) per kernel and per field
+    assert boxes["kernel"] == [box] * (2 * entries)
+    assert boxes["field"] == [min(box, r) for r in domains for _ in "xy"]
+
+
+def test_pedestrian_with_its_lip_x_halved_fails_the_audit_at_load(monkeypatch):
+    # on the data box (radius 2.19) the pull toward the target bends enough
+    # to witness the halved declaration
+    real = scenario.pedestrian_field
+
+    def halved(*args):
+        model = real(*args)
+        (field,) = model.fields
+        return replace(model, fields=(replace(field, lip_x=field.lip_x / 2),))
+
+    monkeypatch.setattr(scenario, "pedestrian_field", halved)
+    with pytest.raises(AuditError, match="velocity Lip_x audit failed"):
+        scenario_from_config(load_raw("pedestrian-2d"))

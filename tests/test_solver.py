@@ -141,6 +141,20 @@ def test_record_rejects_times_that_do_not_increase(times):
         SolutionRecord(times, [scn.initial] * len(times))
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"tol": float("nan")}, "picard.tol must be finite and positive, got nan"),
+        ({"tol": 0.0}, "picard.tol must be finite and positive, got 0.0"),
+        ({"max_iter": 0}, "need picard.max_iter >= 1"),
+    ],
+    ids=["tol-nan", "tol-zero", "max_iter-zero"],
+)
+def test_picard_params_reject_a_bad_value(params, message):
+    with pytest.raises(ValueError, match=message):
+        PicardParams(**params)
+
+
 @pytest.mark.parametrize("t1", [0.0, -0.1])
 def test_picard_window_rejects_a_window_whose_times_do_not_increase(t1):
     scn = sedimentation_scenario(n=10)

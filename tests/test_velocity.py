@@ -109,6 +109,12 @@ def test_velocity_field_rejects_a_bad_declared_bound(name, value):
         VelocityField(1, 1, lambda t, xs, rs: xs, **{**honest, name: value})
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
+def test_velocity_field_rejects_a_bad_domain_radius(radius):
+    with pytest.raises(ValueError, match=f"velocity field domain_radius must be > 0, got {radius!r}"):
+        VelocityField(1, 1, lambda t, xs, rs: xs, 1.0, 1.0, 0.0, domain_radius=radius)
+
+
 @pytest.mark.parametrize("lip_x", [-1.0, float("nan")])
 def test_lipschitz_bound_b_rejects_a_negative_or_nan_bound(lip_x):
     # construction refuses such a declaration; set past it, the bound refuses it too
@@ -197,7 +203,8 @@ def test_linear_local_and_drift_metadata():
     model = linear_local_field(-1.5, 2.0, 1)
     assert model.lip_x == pytest.approx(1.5)
     assert model.lip_r == 0.0
-    audit_model(model, box_radius=2.0, mass=1.0)
+    # its sup 3 holds on |x| <= 2: a box of 10 is cut to that domain
+    audit_model(model, box_radius=10.0, mass=1.0)
 
     drift = constant_drift_field([0.3, -0.4])
     assert drift.sup_bound == pytest.approx(0.5)

@@ -1,3 +1,4 @@
+import tracemalloc
 from contextlib import contextmanager
 from itertools import permutations
 from unittest import mock
@@ -404,6 +405,42 @@ def test_pair_cap(monkeypatch):
     with pytest.raises(PairCapError, match="cap"):
         w1_exact(mu, nu)
 
+
+def test_w1_exact_cost_is_the_full_einsum_built_in_row_blocks(monkeypatch):
+    # the simplex is stopped when it is handed the cost matrix
+    class Handed(Exception):
+        pass
+
+    handed = []
+
+    def capture(cost, *args, **kwargs):
+        handed.append(cost)
+        raise Handed
+
+    def uniform(points):
+        return ParticleMeasure(points.shape[1], points, np.full(len(points), 1.0 / len(points)))
+
+    monkeypatch.setattr(_accel, "transport_simplex", capture)
+    rng = np.random.default_rng(5)
+    # 65536 // 400 = 163 rows per block, so the larger shapes span several
+    for dim in (1, 2, 3):
+        for n, m in ((1, 1), (7, 400), (400, 400), (401, 163)):
+            mu, nu = uniform(rng.normal(size=(n, dim))), uniform(rng.normal(size=(m, dim)))
+            with pytest.raises(Handed):
+                w1_exact(mu, nu)
+            diff = mu.positions[:, None, :] - nu.positions[None, :, :]
+            assert np.array_equal(handed.pop(), np.sqrt(np.einsum("nmd,nmd->nm", diff, diff)))
+    # 1500 x 1500 in 2D: the cost is 18 MB, and the (N, M, d) temporaries
+    # of the full einsum took the peak to 72 MB
+    mu, nu = uniform(rng.normal(size=(1500, 2))), uniform(rng.normal(size=(1500, 2)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(Handed):
+            w1_exact(mu, nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 1500 * 1500 * 8
 
 def test_kantorovich_potential_matches_dense_and_attains_w1(monkeypatch):
     # a small block puts the 300 points below into many row blocks
