@@ -21,8 +21,8 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .kernels import require_positive, sample_box, sample_normal
-from .measures import MeasureVector, ParticleMeasure
+from .kernels import sample_box, sample_normal
+from .measures import MeasureVector, ParticleMeasure, require_positive
 from .velocity import VelocityModel, lipschitz_bound_b, velocity_batch
 
 

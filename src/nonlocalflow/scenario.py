@@ -47,6 +47,7 @@ from .velocity import (
     constant_drift_field,
     linear_local_field,
     pedestrian_field,
+    require_in_domain,
     sedimentation_field,
     toward_point,
 )
@@ -423,6 +424,7 @@ def scenario_from_config(raw: dict, audit: bool = True) -> Scenario:
     except ValueError as exc:  # the table checked the rest: a model that cannot move the species
         raise ScenarioParseError(f"scenario: {exc}") from None
     if audit:
+        require_in_domain(model, initial)
         # the data box: no |x| grows by more than sup|V|·T from the initial data; 1 is a margin
         span = max(float(np.abs(m.positions).max()) for m in initial.species)
         audit_model(model, span + model.sup_bound * scenario.horizon + 1.0, initial.total_measure())

@@ -25,9 +25,8 @@ from .flow import (
     integrate,
     transported_densities,
 )
-from .kernels import require_positive
-from .measures import GridDensity, MeasureVector
-from .velocity import VelocityModel, lipschitz_bound_b, velocity_batch
+from .measures import GridDensity, MeasureVector, require_positive
+from .velocity import VelocityModel, lipschitz_bound_b, require_in_domain, velocity_batch
 from .wasserstein import coupling_cost
 
 # the contraction factor C*T*exp(C*T) that a Picard window may reach
@@ -203,9 +202,12 @@ def solve_picard(scenario: Scenario) -> SolutionRecord:
 def solve(scenario: Scenario) -> SolutionRecord:
     """Solve in the scenario's mode and attach the tracked densities, if any,
     transported from rho_0 at the initial particles; a non-finite state or
-    density integral is reported with its fingerprint."""
+    density integral is reported with its fingerprint.  A snapshot with a
+    particle outside its field's domain raises :class:`AuditError`."""
     try:
         record = solve_picard(scenario) if scenario.mode == "picard" else solve_direct(scenario)
+        for t, state in zip(record.times, record.states):
+            require_in_domain(scenario.model, state, float(t))
         if scenario.initial_densities is not None:
             rho0 = [np.zeros(len(mu)) if dens is None else dens.value_at(mu.positions)
                     for mu, dens in zip(scenario.initial.species, scenario.initial_densities)]

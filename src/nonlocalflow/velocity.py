@@ -28,11 +28,10 @@ from .kernels import (
     convolve_batch,
     kernel_library,
     require_bounds,
-    require_positive,
     sample_box,
     steepest_slope,
 )
-from .measures import MeasureVector
+from .measures import MeasureVector, require_positive
 
 
 @dataclass(frozen=True)
@@ -299,6 +298,21 @@ def audit_velocity_field(field: VelocityField, box_radius: float, r_radius: floa
             f"velocity Lip_r audit failed: slope {slope} between "
             f"r={rs[worst]} and q={qs[worst]} > declared {field.lip_r}"
         )
+
+
+def require_in_domain(model: VelocityModel, state: MeasureVector, t: float = 0.0) -> None:
+    """Raise :class:`AuditError` naming a particle of species i at time ``t``
+    that lies outside field i's ``domain_radius``, where its bounds need not hold."""
+    for i, (field, mu) in enumerate(zip(model.fields, state.species)):
+        if field.domain_radius == math.inf:
+            continue
+        far = np.abs(mu.positions).max(axis=1)
+        worst = int(np.argmax(far))
+        if not far[worst] <= field.domain_radius:
+            raise AuditError(
+                f"species[{i}] at t = {t!r} has a particle at x = {mu.positions[worst]}, "
+                f"outside the domain |x_a| <= {field.domain_radius} of its field's bounds"
+            )
 
 
 def audit_model(model: VelocityModel, box_radius: float, mass: float) -> None:

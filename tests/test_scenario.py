@@ -279,6 +279,36 @@ def test_each_field_is_audited_on_the_data_box_cut_to_its_domain(monkeypatch, na
     assert boxes["field"] == [min(box, r) for r in domains for _ in "xy"]
 
 
+def _linear_local_on(raw, radius):
+    raw["model"]["domain_radius"] = radius
+
+
+def _spring_on(raw, radius):
+    raw["model"]["phi"]["domain_radius"] = radius
+
+
+@pytest.mark.parametrize(
+    "name, shrink, radius, witness",
+    [
+        ("linear-local-expansive-1d", _linear_local_on, 0.5, r"species\[0\] at t = 0.0 has a particle at x = \[0.749"),
+        ("predator-decoupled-1d", _spring_on, 0.1, r"species\[1\] at t = 0.0 has a particle at x = \[1.5\]"),
+    ],
+    ids=["linear-local", "spring"],
+)
+def test_a_domain_that_misses_the_initial_particles_fails_at_load(tmp_path, capsys, name, shrink, radius, witness):
+    # cut to such a domain the sampled box would miss the particles, so the
+    # declared sup could be false where they move
+    raw = load_raw(name)
+    shrink(raw, radius)
+    with pytest.raises(AuditError, match=witness + rf".*outside the domain \|x_a\| <= {radius} "):
+        scenario_from_config(raw)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(raw))
+    assert main(["audit", str(path)]) == 1
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "outside the domain" in capsys.readouterr().err
+
+
 def test_pedestrian_with_its_lip_x_halved_fails_the_audit_at_load(monkeypatch):
     # on the data box (radius 2.19) the pull toward the target bends enough
     # to witness the halved declaration

@@ -36,7 +36,8 @@ from nonlocalflow import (
 from nonlocalflow import solver
 from nonlocalflow.cli import main
 from nonlocalflow.flow import integrate
-from nonlocalflow.scenario import _cosine_bump_1d, load_config, scenario_from_config
+from nonlocalflow.kernels import AuditError
+from nonlocalflow.scenario import _cosine_bump_1d, load_config, load_raw, scenario_from_config
 
 
 def bump_particles(n=30, mass=1.0, support=(-1.0, 1.0)):
@@ -449,3 +450,13 @@ def test_weak_residual_second_order_in_dt():
         solve_direct(replace(scn, step=StepControl(0.01))), scn.model, phi
     )
     assert 3.5 <= coarse / fine <= 4.5
+
+
+def test_solve_stops_where_a_particle_leaves_its_field_s_domain():
+    # x(t) = x0 e^t leaves |x| <= 4 near t = 1.68 from x0 = 0.75; the
+    # bundled horizon of 1 stays inside
+    raw = load_raw("linear-local-expansive-1d")
+    solve(scenario_from_config(raw))
+    raw["horizon"] = 2.0
+    with pytest.raises(AuditError, match=r"species\[0\] at t = 1.68 has a particle at x = \[4.02"):
+        solve(scenario_from_config(raw))
