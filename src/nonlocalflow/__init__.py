@@ -1,7 +1,7 @@
 """Particle methods for convolution-coupled continuity equations on measures,
 with an exact Wasserstein-1 toolkit and a bound-certification harness."""
 
-from ._accel import PROFILE_BUMP, PROFILE_CONSTANT, PROFILE_COSINE, PROFILE_TENT
+from ._accel import PROFILE_BUMP, PROFILE_CONSTANT, PROFILE_TENT
 from .flow import (
     NonFiniteStateError,
     SolutionRecord,

@@ -7,9 +7,9 @@ vectorized numpy.
 
 In 1D a radial sum of at least _FAST_MIN_ELEMENTS pairs is exact and
 O((N + M) log N): every compact profile sums over one window [x - s, x + s]
-of sorted centres, and each profile (tent, bump, cosine lobe) is a short
-sum of coefficients in the point times weighted moments of the centres,
-read from prefix sums.  The moments are anchored at the midpoint of each
+of sorted centres, and each profile (tent, bump) is a polynomial in the
+point whose coefficients are weighted moments of the centres, read from
+prefix sums.  The moments are anchored at the midpoint of each
 centre's cell of width s, so a window, which meets at most three cells,
 only ever differences O(1) quantities.  Smaller sums and non-finite input
 take the dense pass below, which defines its NaN and inf results.
@@ -23,9 +23,9 @@ coordinates taken from the block's box centre in units of s: a block of
 at least _FAST_MIN_ELEMENTS pairs whose points lie within _LIFT_MAX_EXTENT
 scales of that centre gets its bump values from one matrix product, a
 clamp and a square (see _lifted_bump).  Every other block (small or wide
-ones, non-finite or overflowing input, the tent and the cosine lobe, which
-need |x - c| itself and cannot take its square root accurately near 0 from
-a lifted product) builds its squared distances coordinate by coordinate in
+ones, non-finite or overflowing input, and the tent, which needs |x - c|
+itself and cannot take its square root accurately near 0 from a lifted
+product) builds its squared distances coordinate by coordinate in
 one reused (rows, N) buffer and applies the profile in place.
 
 The transportation simplex behind exact W1 is in Python with numpy
@@ -47,7 +47,6 @@ BACKEND = "numpy"
 PROFILE_CONSTANT = 0
 PROFILE_TENT = 1
 PROFILE_BUMP = 2
-PROFILE_COSINE = 3
 
 
 # A block of rows holds about this many (row, centre) elements, so that its
@@ -78,27 +77,18 @@ def block_rows(n: int) -> int:
 
 
 def unit_profile(sq: np.ndarray, code: int, scale: float) -> np.ndarray:
-    """Overwrite squared distances ``sq`` with the height-1 profile values.
-
-    Every profile but the constant vanishes at and beyond ``scale``; the
-    cosine lobe is written as sin(pi/2 * max(0, 1 - u)) so that it is
-    exactly 0 there.
-    """
-    if code == PROFILE_CONSTANT:
-        sq.fill(1.0)
-    elif code == PROFILE_BUMP:
+    """Overwrite squared distances ``sq`` with the height-1 values of the
+    tent or the bump, which vanish at and beyond ``scale``."""
+    if code == PROFILE_BUMP:
         np.divide(sq, scale * scale, out=sq)
         np.subtract(1.0, sq, out=sq)
         np.maximum(sq, 0.0, out=sq)
         np.square(sq, out=sq)
-    elif code in (PROFILE_TENT, PROFILE_COSINE):
+    elif code == PROFILE_TENT:
         np.sqrt(sq, out=sq)
         np.divide(sq, scale, out=sq)
         np.subtract(1.0, sq, out=sq)
         np.maximum(sq, 0.0, out=sq)
-        if code == PROFILE_COSINE:
-            np.multiply(sq, 0.5 * np.pi, out=sq)
-            np.sin(sq, out=sq)
     else:
         raise ValueError(f"unknown profile code {code}")
     return sq
@@ -114,9 +104,6 @@ def unit_profile(sq: np.ndarray, code: int, scale: float) -> np.ndarray:
 # with v = u - delta and delta the piece's cell offset.
 _PIECE_CELLS = np.array([-1.0, 0.0, 0.0, 1.0])
 _PIECE_SIDES = np.array([1.0, 1.0, -1.0, -1.0])
-# Moments per centre of each windowed profile: w d^k for k < K, or w cos
-# and w sin for the cosine lobe.
-_MOMENTS = {PROFILE_TENT: 2, PROFILE_BUMP: 5, PROFILE_COSINE: 2}
 # The pieces' edges are x - 1, q, x, q + 1 and x + 1.
 _WINDOW_EDGES = np.array([[-1.0], [0.0], [1.0]])
 _CELL_EDGES = np.array([[0.0], [1.0]])
@@ -142,34 +129,14 @@ def _in_powers_of_u(expansion) -> np.ndarray:
     return np.array(columns).T
 
 
-# tent 1 - side*(v - d); bump (1 - (v - d)^2)^2 expanded in d
+# tent 1 - side*(v - d); bump (1 - (v - d)^2)^2 expanded in d: each centre
+# carries the moments w d^k for k < K, K being the column count over 4
 _POLYNOMIAL_PROFILES = {
     PROFILE_TENT: _in_powers_of_u(lambda side: [[1.0, -side], [side]]),
     PROFILE_BUMP: _in_powers_of_u(
         lambda side: [[1.0, 0.0, -2.0, 0.0, 1.0], [0.0, 4.0, 0.0, -4.0], [-2.0, 0.0, 6.0], [0.0, -4.0], [1.0]]
     ),
 }
-# cos(pi/2 (v - d)) by the angle-sum formula, from the moments sum w cos(pi
-# d / 2) and sum w sin(pi d / 2), with cos and sin of pi v / 2 expanded in
-# pi u / 2 and pi delta / 2: rows are the coefficients of cos(pi u / 2) and
-# sin(pi u / 2)
-_COS_DELTA = np.round(np.cos(0.5 * np.pi * _PIECE_CELLS))
-_SIN_DELTA = np.round(np.sin(0.5 * np.pi * _PIECE_CELLS))
-_COSINE_PIECES = np.array(
-    [np.concatenate([_COS_DELTA, -_SIN_DELTA]), np.concatenate([_SIN_DELTA, _COS_DELTA])]
-)
-
-
-def _cell_moments(d: np.ndarray, code: int, out: np.ndarray) -> None:
-    """Turn the weights in row 0 of ``out`` (K, N) into the weighted moments
-    of the centres' offsets ``d`` from their cells' midpoints."""
-    if code == PROFILE_COSINE:
-        half_pi_d = 0.5 * np.pi * d
-        np.multiply(out[0], np.sin(half_pi_d), out=out[1])
-        np.multiply(out[0], np.cos(half_pi_d), out=out[0])
-        return
-    for k in range(1, out.shape[0]):
-        np.multiply(out[k - 1], d, out=out[k])
 
 
 def _windowed_sum_1d(x: np.ndarray, c: np.ndarray, w: np.ndarray, code: int, scale: float) -> np.ndarray | None:
@@ -193,10 +160,14 @@ def _windowed_sum_1d(x: np.ndarray, c: np.ndarray, w: np.ndarray, code: int, sca
     # only if every term is (an overflow merely takes the dense pass)
     if not math.isfinite(c_scaled[0] + c_scaled[-1] + x_scaled.sum() + w.sum()):
         return None
-    moments = _MOMENTS[code]
+    to_u = _POLYNOMIAL_PROFILES[code]
+    moments = to_u.shape[1] // 4
     prefix = np.zeros((moments, c.size + 1))
     np.take(w, order, out=prefix[0, 1:])
-    _cell_moments(c_scaled - np.floor(c_scaled) - 0.5, code, prefix[:, 1:])
+    # the weighted moments w d^k of the centres' offsets d from their cells' midpoints
+    d = c_scaled - np.floor(c_scaled) - 0.5
+    for k in range(1, moments):
+        np.multiply(prefix[k - 1, 1:], d, out=prefix[k, 1:])
     np.cumsum(prefix[:, 1:], axis=1, out=prefix[:, 1:])
     q = np.floor(x_scaled)
     u = x_scaled - q - 0.5
@@ -210,13 +181,8 @@ def _windowed_sum_1d(x: np.ndarray, c: np.ndarray, w: np.ndarray, code: int, sca
         at_edges = np.take(prefix, np.searchsorted(c_scaled, keys), axis=1)
         pieces = (at_edges[:, 1:] - at_edges[:, :-1]).reshape(4 * moments, hi - lo)
         ub = u[lo:hi]
-        if code == PROFILE_COSINE:
-            parts = _COSINE_PIECES @ pieces
-            half_pi_u = 0.5 * np.pi * ub
-            out[lo:hi] = np.cos(half_pi_u) * parts[0] + np.sin(half_pi_u) * parts[1]
-            continue
         # Horner's rule in u
-        parts = _POLYNOMIAL_PROFILES[code] @ pieces
+        parts = to_u @ pieces
         value = parts[-1]
         for part in parts[-2::-1]:
             value = value * ub + part
@@ -313,7 +279,7 @@ def radial_sum(
     m, n = points.shape[0], centers.shape[0]
     if code == PROFILE_CONSTANT:
         return np.full(m, height * float(weights.sum()))
-    if points.shape[1] == 1 and code in _MOMENTS and m * n >= _FAST_MIN_ELEMENTS:
+    if points.shape[1] == 1 and code in _POLYNOMIAL_PROFILES and m * n >= _FAST_MIN_ELEMENTS:
         out = _windowed_sum_1d(points[:, 0], centers[:, 0], weights, code, scale)
         if out is not None:
             out *= height

@@ -28,7 +28,17 @@ class AuditError(ValueError):
     """Declared metadata contradicted by a sampled witness."""
 
 
-_PROFILE_CODES = (_accel.PROFILE_CONSTANT, _accel.PROFILE_TENT, _accel.PROFILE_BUMP, _accel.PROFILE_COSINE)
+# The library kernels by name, each of sup h: profile code, and Lipschitz
+# constant in units of h / s.
+#   tent        h * max(0, 1 - |x|/s)
+#   bump-poly   h * max(0, 1 - |x|^2/s^2)^2, steepest at |x| = s/sqrt(3)
+#   constant    h
+KERNEL_LIBRARY = {
+    "tent": (_accel.PROFILE_TENT, 1.0),
+    "bump-poly": (_accel.PROFILE_BUMP, 8.0 / (3.0 * math.sqrt(3.0))),
+    "constant": (_accel.PROFILE_CONSTANT, 0.0),
+}
+_PROFILE_CODES = tuple(code for code, _ in KERNEL_LIBRARY.values())
 
 
 @dataclass(frozen=True)
@@ -71,11 +81,6 @@ class Kernel:
         return convolve_batch(dirac((0.0,) * self.dim), self, t, xs)
 
 
-# Verified numerically: max |d/dx h(1 - x^2/s^2)^2| is attained at |x| = s/sqrt(3)
-# and equals 8h / (3 sqrt(3) s).
-_BUMP_LIP_FACTOR = 8.0 / (3.0 * math.sqrt(3.0))
-
-
 def require_bounds(owner: str, obj, names: tuple[str, ...]) -> None:
     """Reject each declared bound of ``obj`` unless it is finite and >= 0 (NaN included)."""
     for name in names:
@@ -85,26 +90,14 @@ def require_bounds(owner: str, obj, names: tuple[str, ...]) -> None:
 
 
 def kernel_library(name: str, dim: int = 1, scale: float = 1.0, height: float = 1.0) -> Kernel:
-    """Library kernels with analytically exact sup_bound and lip_x.
-
-    tent         h * max(0, 1 - |x|/s)          sup h, lip h/s
-    bump-poly    h * max(0, 1 - |x|^2/s^2)^2    sup h, lip 8h/(3*sqrt(3)*s)
-    cosine-lobe  h * cos(pi |x| / (2s)) on |x|<=s   sup h, lip pi*h/(2s)
-    constant     h                              sup h, lip 0
-    """
+    """The :data:`KERNEL_LIBRARY` kernel ``name`` with its analytically
+    exact sup_bound and lip_x."""
     require_positive("kernel scale", scale)
     require_positive("kernel height", height)
-    # profile code, scale and Lipschitz constant of each library kernel
-    library = {
-        "tent": (_accel.PROFILE_TENT, scale, height / scale),
-        "bump-poly": (_accel.PROFILE_BUMP, scale, _BUMP_LIP_FACTOR * height / scale),
-        "cosine-lobe": (_accel.PROFILE_COSINE, scale, math.pi * height / (2.0 * scale)),
-        "constant": (_accel.PROFILE_CONSTANT, 1.0, 0.0),
-    }
-    if name not in library:
+    if name not in KERNEL_LIBRARY:
         raise ValueError(f"unknown kernel name {name!r}")
-    code, term_scale, lip = library[name]
-    return Kernel(dim, (RadialTerm(code, term_scale, height, (0.0,) * dim),), height, lip)
+    code, lip = KERNEL_LIBRARY[name]
+    return Kernel(dim, (RadialTerm(code, scale, height, (0.0,) * dim),), height, lip * height / scale)
 
 
 def odd_ramp_kernel(scale: float, height: float) -> Kernel:

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .flow import StepControl
-from .kernels import KernelMatrix, kernel_library, odd_ramp_kernel, scale_kernel, zero_kernel
+from .kernels import KERNEL_LIBRARY, KernelMatrix, kernel_library, odd_ramp_kernel, scale_kernel, zero_kernel
 from .measures import (
     GridAxis,
     GridDensity,
@@ -37,7 +37,7 @@ from .measures import (
     particles_from_density,
     uniform_density_1d,
 )
-from .solver import Scenario
+from .solver import SEED_LIMIT, Scenario
 from .velocity import (
     VelocityField,
     VelocityModel,
@@ -73,8 +73,7 @@ RANGES = {
     "positive": lambda x: x > 0,
     "at least 0": lambda x: x >= 0,
     "at least 1": lambda x: x >= 1,
-    # a seed picks Halton indices near seed * N, which float64 counts exactly
-    "from 0 to 2^32 - 1": lambda x: (x >= 0) & (x < 2**32),
+    "from 0 to 2^32 - 1": lambda x: (x >= 0) & (x < SEED_LIMIT),
     "of length 2": lambda v: v.size == 2,
     "of length 2, increasing": lambda v: v.size == 2 and v[0] < v[1],
 }
@@ -108,7 +107,7 @@ def _count(default=REQUIRED) -> Field:
 
 _VECTOR = Field("vector")
 _KERNEL_FIELDS = {
-    "name": Field("string", choices=("tent", "bump-poly", "cosine-lobe", "constant")),
+    "name": Field("string", choices=tuple(KERNEL_LIBRARY)),
     "scale": _positive(1.0),
     "height": _positive(1.0),
 }
@@ -409,7 +408,7 @@ def _build_model(cfg: dict, species: list[ParticleMeasure]):
     return VelocityModel((prey, _build_phi(cfg["phi"], ball)), kernels)
 
 
-def scenario_from_config(raw: dict, audit: bool = True) -> Scenario:
+def scenario_from_config(raw: dict) -> Scenario:
     """Validate a parsed scenario file, build its scenario and audit its model."""
     cfg = validate(raw)
     built = [_build_species(sp, i) for i, sp in enumerate(cfg["species"])]
@@ -423,11 +422,10 @@ def scenario_from_config(raw: dict, audit: bool = True) -> Scenario:
         )
     except ValueError as exc:  # the table checked the rest: a model that cannot move the species
         raise ScenarioParseError(f"scenario: {exc}") from None
-    if audit:
-        require_in_domain(model, initial)
-        # the data box: no |x| grows by more than sup|V|·T from the initial data; 1 is a margin
-        span = max(float(np.abs(m.positions).max()) for m in initial.species)
-        audit_model(model, span + model.sup_bound * scenario.horizon + 1.0, initial.total_measure())
+    require_in_domain(model, initial)
+    # the data box: no |x| grows by more than sup|V|·T from the initial data; 1 is a margin
+    span = max(float(np.abs(m.positions).max()) for m in initial.species)
+    audit_model(model, span + model.sup_bound * scenario.horizon + 1.0, initial.total_measure())
     return scenario
 
 
@@ -475,7 +473,7 @@ def load_config(path_or_name: str, overrides: dict | None = None) -> dict:
     return validate(cfg)
 
 
-def load_scenario(path_or_name: str, audit: bool = True) -> Scenario:
+def load_scenario(path_or_name: str) -> Scenario:
     """Parse, build, and audit a scenario file (or bundled scenario name)."""
-    return scenario_from_config(load_config(path_or_name), audit=audit)
+    return scenario_from_config(load_config(path_or_name))
 

@@ -38,6 +38,10 @@ PICARD_SIGMA = 0.5
 # 1996): C * T * exp(C * T) <= PICARD_SIGMA holds exactly when C * T <= it
 _PICARD_CT = 0.35173371124919584
 
+# a seed is an integer from 0 to SEED_LIMIT - 1; it picks Halton indices near
+# seed * N, which float64 counts exactly
+SEED_LIMIT = 2**32
+
 
 @dataclass(frozen=True)
 class PicardParams:
@@ -46,8 +50,8 @@ class PicardParams:
 
     def __post_init__(self):
         require_positive("picard.tol", self.tol)
-        if self.max_iter < 1:
-            raise ValueError("need picard.max_iter >= 1")
+        if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
+            raise ValueError(f"picard.max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,8 @@ class Scenario:
 
     def __post_init__(self):
         require_positive("horizon", self.horizon)
+        if not (isinstance(self.seed, int) and 0 <= self.seed < SEED_LIMIT):
+            raise ValueError(f"seed must be an integer from 0 to 2^32 - 1, got {self.seed!r}")
         if self.mode not in ("direct", "picard"):
             raise ValueError("mode must be 'direct' or 'picard'")
         if (self.model.k, self.model.dim) != (self.initial.k, self.initial.dim):

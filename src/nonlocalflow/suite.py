@@ -167,7 +167,7 @@ def _random_pair(rng: np.random.Generator, max_pts: int, dim: int | None = None)
 
 @criterion(1, "mass conservation on bundled scenarios")
 def criterion_1_mass_conservation() -> list[BoundReport]:
-    scenarios = [load_scenario(name, audit=False) for name in bundled_scenarios()]
+    scenarios = [load_scenario(name) for name in bundled_scenarios()]
     return [check_mass_conservation(scenario, solve(scenario)) for scenario in scenarios]
 
 
@@ -203,7 +203,7 @@ def criterion_3_duality() -> list[BoundReport]:
 def criterion_4_initial_stability() -> list[BoundReport]:
     reports = []
     for name in ("sedimentation-1d", "pedestrian-2d", "linear-local-expansive-1d"):
-        scenario = load_scenario(name, audit=False)
+        scenario = load_scenario(name)
         reports += stability_battery(scenario, pairs=50)
     return reports
 
@@ -225,7 +225,7 @@ def _drift_perturbed(model: VelocityModel, size: float) -> VelocityModel:
 
 @criterion(5, "general stability under kernel/velocity perturbations")
 def criterion_5_general_stability() -> list[BoundReport]:
-    scenario = load_scenario("sedimentation-1d", audit=False)
+    scenario = load_scenario("sedimentation-1d")
     source = solve_direct(scenario)
     mass = scenario.initial.total_measure()
     reports = []
@@ -277,7 +277,7 @@ def criterion_6_contraction() -> list[BoundReport]:
     ]
     # contraction ratios window by window, above the 1e-9 noise floor
     for name, dt in (("sedimentation-1d", 0.005), ("pedestrian-2d", 0.02)):
-        scenario = load_scenario(name, audit=False)
+        scenario = load_scenario(name)
         scenario = replace(
             scenario,
             step=StepControl(dt),
@@ -304,7 +304,7 @@ def criterion_7_method_agreement() -> list[BoundReport]:
         ("predator-prey-1d", 0.005),
         ("pedestrian-2d", 0.01),
     ):
-        scenario = load_scenario(name, audit=False)
+        scenario = load_scenario(name)
         scenario = replace(
             scenario,
             step=StepControl(dt),
@@ -347,7 +347,7 @@ def _test_battery(scenario: Scenario) -> list:
 def criterion_8_weak_form() -> list[BoundReport]:
     reports = []
     for name, dt in (("sedimentation-smooth-1d", 0.02), ("pedestrian-2d", 0.02)):
-        scenario = load_scenario(name, audit=False)
+        scenario = load_scenario(name)
         coarse = solve_direct(replace(scenario, step=StepControl(dt)))
         fine = solve_direct(replace(scenario, step=StepControl(dt / 2)))
         for idx, phi in enumerate(_test_battery(scenario)):
@@ -361,11 +361,11 @@ def criterion_8_weak_form() -> list[BoundReport]:
 
 @criterion(9, "L-infinity growth bound")
 def criterion_9_linfty_growth() -> list[BoundReport]:
-    scenario = load_scenario("linear-local-compressive-1d", audit=False)
+    scenario = load_scenario("linear-local-compressive-1d")
     compressive = check_linfty_growth(scenario, solve(scenario))
     raw = load_raw("sedimentation-smooth-1d")
     raw["density_tracking"] = True
-    smooth = scenario_from_config(raw, audit=False)
+    smooth = scenario_from_config(raw)
     return [
         compressive,
         # the compressive field saturates its bound
@@ -376,7 +376,7 @@ def criterion_9_linfty_growth() -> list[BoundReport]:
 
 @criterion(10, "reduced-ODE exactness")
 def criterion_10_reduced_ode() -> list[BoundReport]:
-    scenario = load_scenario("single-dirac-sedimentation-1d", audit=False)
+    scenario = load_scenario("single-dirac-sedimentation-1d")
     record = solve_direct(scenario)
     kernel = scenario.model.kernels.entries[0][0]
     speed = kernel.evaluate(0.0, np.zeros((1, 1)))[0]
@@ -384,7 +384,7 @@ def criterion_10_reduced_ode() -> list[BoundReport]:
     line = np.array([state.species[0].positions[0, 0] for state in record.states])
     worst_line = float(np.abs(line - (p0 + speed * record.times)).max())
 
-    coupled = load_scenario("predator-decoupled-1d", audit=False)
+    coupled = load_scenario("predator-decoupled-1d")
     rec = solve_direct(coupled)
     # standalone RK4 of the same right-hand side on the same grid
     phi_cfg = load_raw("predator-decoupled-1d")["model"]["phi"]

@@ -100,7 +100,7 @@ def test_run_determinism_byte_identical(tmp_path):
 
 
 def test_emit_plotdata_kinds(tmp_path):
-    scn = load_scenario("sedimentation-1d", audit=False)
+    scn = load_scenario("sedimentation-1d")
     rec = solve_direct(scn)
 
     files = emit_plotdata(rec, "particle-cloud", tmp_path)
@@ -119,7 +119,7 @@ def test_emit_plotdata_kinds(tmp_path):
 
 
 def test_emit_picard_decay_monotone(tmp_path):
-    scn = scenario_from_config(load_config("sedimentation-1d", {"mode": "picard"}), audit=False)
+    scn = scenario_from_config(load_config("sedimentation-1d", {"mode": "picard"}))
     from nonlocalflow import solve_picard
 
     rec = solve_picard(scn)
@@ -134,7 +134,7 @@ def test_emit_picard_decay_monotone(tmp_path):
 
 
 def test_density_profile_emission(tmp_path):
-    scn = load_scenario("linear-local-compressive-1d", audit=False)
+    scn = load_scenario("linear-local-compressive-1d")
     rec = solve(scn)
     emit_plotdata(rec, "density-profile", tmp_path)
     rows = (tmp_path / "plot/density-profile.csv").read_text().splitlines()
@@ -323,7 +323,7 @@ def test_cli_w1_rejects_a_malformed_measure_csv(tmp_path, capsys, text, message)
 def test_audit_error_carries_witness():
     # the spring's sup bound holds on |x| <= 3; declared on |x| <= 30, the
     # audit samples a point beyond 3 that exceeds it
-    spring = load_scenario("predator-decoupled-1d", audit=False).model.fields[1]
+    spring = load_scenario("predator-decoupled-1d").model.fields[1]
     assert spring.domain_radius == 3.0
     with pytest.raises(AuditError, match=r"velocity sup audit failed: \|V\(0.0, \[-?\d"):
         audit_velocity_field(replace(spring, domain_radius=30.0), box_radius=30.0, r_radius=1.0)
@@ -395,12 +395,13 @@ def test_pair_cap_fails_the_check_and_skips_the_w1_plot(tmp_path, capsys, monkey
     assert sorted(p.name for p in (out / "plot").iterdir()) == ["particle-cloud.csv", "particle-cloud.svg"]
 
 
-# One command in a fresh interpreter, then whether numpy.random was loaded.
+# One command in a fresh interpreter, then whether numpy.random and scipy
+# were loaded.
 _FRESH_MAIN = (
     "import sys\n"
     "from nonlocalflow.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print('numpy.random' in sys.modules)\n"
+    "print('numpy.random' in sys.modules, 'scipy' in sys.modules)\n"
     "sys.exit(code)\n"
 )
 
@@ -427,4 +428,5 @@ def test_a_command_never_loads_numpy_random(tmp_path, argv):
         [sys.executable, "-c", _FRESH_MAIN, *argv], capture_output=True, text=True, cwd=tmp_path, env=env
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "False"
+    # only suite needs scipy, whose import takes about as long as a run
+    assert out.stdout.splitlines()[-1] == "False False"

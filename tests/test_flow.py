@@ -71,8 +71,8 @@ def test_linear_field_one_step_matches_taylor_degree_4():
 
 
 def test_rk4_self_convergence_order():
-    # analytic configuration: cosine lobe, separations inside the support
-    k = kernel_library("cosine-lobe", 1, scale=2.0, height=2.0)
+    # analytic configuration: the bump, separations inside the support
+    k = kernel_library("bump-poly", 1, scale=2.0, height=2.0)
     model = sedimentation_field(k, mass=1.0)
     mu, _ = unit_bump()
     scn = Scenario("probe", model, MeasureVector((mu,)), horizon=1.0, step=StepControl(0.05))

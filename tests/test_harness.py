@@ -152,7 +152,7 @@ def test_battery_shares_one_base_solve(monkeypatch):
 
 def test_stability_pair_over_the_pair_cap_solves_nothing(monkeypatch):
     # --n 16 puts 12 particles in the disk: d0 needs 144 pairs, over a cap of 100
-    scn = scenario_from_config(load_config("pedestrian-2d", {"n": 16}), audit=False)
+    scn = scenario_from_config(load_config("pedestrian-2d", {"n": 16}))
     base = solve_direct(scn)
     monkeypatch.setattr(wasserstein, "DEFAULT_PAIR_CAP", 100)
     calls = count_solves(monkeypatch)
@@ -163,7 +163,7 @@ def test_stability_pair_over_the_pair_cap_solves_nothing(monkeypatch):
 
 @pytest.mark.parametrize("mode, solves", [("direct", 3), ("picard", 4)])
 def test_run_checks_reuses_a_direct_record(monkeypatch, mode, solves):
-    scn = scenario_from_config(load_config("sedimentation-1d", {"n": 20, "mode": mode}), audit=False)
+    scn = scenario_from_config(load_config("sedimentation-1d", {"n": 20, "mode": mode}))
     record = solve(scn)
     calls = count_solves(monkeypatch)
     reports = run_checks(scn, record, [{"type": "stability-initial", "pairs": 3}])
@@ -177,7 +177,7 @@ def test_run_checks_reuses_a_direct_record(monkeypatch, mode, solves):
 
 @pytest.mark.parametrize("mode, own_direct_solves", [("direct", 1), ("picard", 0)])
 def test_run_checks_reuses_the_run_record_for_linfty(monkeypatch, mode, own_direct_solves):
-    scn = scenario_from_config(load_config("linear-local-compressive-1d", {"mode": mode}), audit=False)
+    scn = scenario_from_config(load_config("linear-local-compressive-1d", {"mode": mode}))
     calls = count_solves(monkeypatch)
     real = solver.solve_direct
     monkeypatch.setattr(solver, "solve_direct", lambda s: calls.append(s) or real(s))
@@ -313,7 +313,7 @@ def _understated(model, **metadata):
 
 def _expansive(lip_x=1.0):
     """linear-local-expansive-1d (V = x, so C = 1) declaring ``lip_x``."""
-    scn = load_scenario("linear-local-expansive-1d", audit=False)
+    scn = load_scenario("linear-local-expansive-1d")
     return replace(scn, model=_understated(scn.model, lip_x=lip_x))
 
 
@@ -373,7 +373,7 @@ def test_flow_lipschitz_control_on_the_second_species(lip_x, passed):
 
 @pytest.mark.parametrize("lip_x, passed", [(1.0, True), (0.9, False)])
 def test_linfty_control_on_the_compressive_field(lip_x, passed):
-    scn = load_scenario("linear-local-compressive-1d", audit=False)
+    scn = load_scenario("linear-local-compressive-1d")
     scn = replace(scn, model=_understated(scn.model, lip_x=lip_x))
     (rep,) = run_checks(scn, solve(scn), [{"type": "linfty-growth"}])
     # the peak density grows as e^t; the bound is e^{lip_x t}

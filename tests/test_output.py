@@ -87,7 +87,7 @@ def test_logdensity_is_minus_inf_where_the_density_is_0(tmp_path):
     # the predator is a point mass, so its tracked density is 0
     raw = load_raw("predator-prey-1d")
     raw["density_tracking"] = True
-    record = solve(scenario_from_config(raw, audit=False))
+    record = solve(scenario_from_config(raw))
     write_trajectory(record, tmp_path / "trajectory.csv")
     rows = [line.split(",") for line in (tmp_path / "trajectory.csv").read_text().splitlines()[1:]]
     assert [r[-1] for r in rows if r[1] == "1"] == ["-inf"] * len(record.times)

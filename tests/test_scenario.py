@@ -115,6 +115,10 @@ def _three_particle_predator(raw):
         (_set(["species", 0, "mass"], NAN), "species[0]: mass must be finite and positive"),
         (_set(["species", 0, "support"], [1.0, -1.0]), "species[0]: support must be"),
         (_set(["model", "type"], "sediment"), "model: type must be one of"),
+        (
+            _set(["model", "kernel", "name"], "cosine-lobe"),
+            "model.kernel: kernel name must be one of 'tent', 'bump-poly', 'constant', got 'cosine-lobe'",
+        ),
         (_set(["checks"], [{"type": "linfty-growth"}]), "checks[0]: linfty-growth needs density_tracking true"),
         (_set(["species"], []), "scenario: species must hold at least one species"),
         (

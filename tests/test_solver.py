@@ -147,13 +147,24 @@ def test_record_rejects_times_that_do_not_increase(times):
     [
         ({"tol": float("nan")}, "picard.tol must be finite and positive, got nan"),
         ({"tol": 0.0}, "picard.tol must be finite and positive, got 0.0"),
-        ({"max_iter": 0}, "need picard.max_iter >= 1"),
+        ({"max_iter": 0}, "picard.max_iter must be an integer >= 1, got 0"),
+        ({"max_iter": 2.5}, "picard.max_iter must be an integer >= 1, got 2.5"),
+        ({"max_iter": float("nan")}, "picard.max_iter must be an integer >= 1, got nan"),
     ],
-    ids=["tol-nan", "tol-zero", "max_iter-zero"],
+    ids=["tol-nan", "tol-zero", "max_iter-zero", "max_iter-fraction", "max_iter-nan"],
 )
 def test_picard_params_reject_a_bad_value(params, message):
     with pytest.raises(ValueError, match=message):
         PicardParams(**params)
+
+
+@pytest.mark.parametrize("seed", [2.5, float("nan"), -1, 2**32], ids=["fraction", "nan", "negative", "2^32"])
+def test_scenario_rejects_a_seed_that_is_not_a_32_bit_integer(seed):
+    # a negative seed would read the Halton origin, whose log is -inf
+    scn = sedimentation_scenario(n=10)
+    with pytest.raises(ValueError, match=rf"seed must be an integer from 0 to 2\^32 - 1, got {seed!r}"):
+        replace(scn, seed=seed)
+    assert replace(scn, seed=2**32 - 1).seed == 2**32 - 1
 
 
 @pytest.mark.parametrize("t1", [0.0, -0.1])
@@ -207,7 +218,7 @@ def test_window_length_on_a_long_horizon_matches_the_root(c):
     "name", ["sedimentation-1d", "pedestrian-2d", "predator-prey-1d", "sedimentation-smooth-1d"]
 )
 def test_window_length_keeps_the_contraction_factor_at_or_under_sigma(name):
-    scn = scenario_from_config(load_config(name, {"mode": "picard"}), audit=False)
+    scn = scenario_from_config(load_config(name, {"mode": "picard"}))
     c, tw = scn.lipschitz_b(), window_length(scn)
     assert tw < scn.horizon
     assert c * tw * math.exp(c * tw) <= solver.PICARD_SIGMA
@@ -230,7 +241,7 @@ def test_picard_rejects_a_window_shorter_than_one_step(tmp_path, capsys, monkeyp
     argv = ["run", "sedimentation-1d", "--mode", "picard", "--dt", "0.5", "--out", str(tmp_path / "out")]
     assert main(argv) == 3
     assert solved == []
-    window = window_length(scenario_from_config(load_config("sedimentation-1d", {"mode": "picard", "dt": 0.5}), audit=False))
+    window = window_length(scenario_from_config(load_config("sedimentation-1d", {"mode": "picard", "dt": 0.5})))
     assert 0.35 < window < 0.5
     message = capsys.readouterr().err
     for part in ("dt = 0.5", repr(window), repr(0.5)):
@@ -285,7 +296,7 @@ def test_picard_max_iter_error_carries_distances():
 def test_picard_distance_is_the_identity_coupling_and_exact_w1(name):
     # two successive iterates push the same particles of rho_0, and pairing
     # each particle with itself is their optimal coupling
-    scn = scenario_from_config(load_config(name, {"mode": "picard"}), audit=False)
+    scn = scenario_from_config(load_config(name, {"mode": "picard"}))
     steps = 5
     t1 = steps * scn.step.dt
     _, dists = picard_window(scn, 0.0, t1, scn.initial, steps=steps)
