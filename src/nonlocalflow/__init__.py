@@ -25,7 +25,6 @@ from .kernels import (
     KernelMatrix,
     RadialTerm,
     add_kernels,
-    audit_kernel,
     convolve_batch,
     kernel_library,
     odd_ramp_kernel,

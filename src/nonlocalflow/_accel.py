@@ -47,7 +47,14 @@ BACKEND = "numpy"
 PROFILE_CONSTANT = 0
 PROFILE_TENT = 1
 PROFILE_BUMP = 2
-
+# Each profile's coefficients in rho = |x - a| / s on [0, 1], lowest power
+# first: the constant 1 (at every rho), the tent 1 - rho and the bump
+# 1 - 2 rho^2 + rho^4.  The tent and the bump vanish at and beyond rho = 1.
+PROFILE_POLYNOMIALS = {
+    PROFILE_CONSTANT: (1.0,),
+    PROFILE_TENT: (1.0, -1.0),
+    PROFILE_BUMP: (1.0, 0.0, -2.0, 0.0, 1.0),
+}
 
 # A block of rows holds about this many (row, centre) elements, so that its
 # two (rows, N) buffers stay in cache.
@@ -109,34 +116,27 @@ _WINDOW_EDGES = np.array([[-1.0], [0.0], [1.0]])
 _CELL_EDGES = np.array([[0.0], [1.0]])
 
 
-def _in_powers_of_u(expansion) -> np.ndarray:
+def _in_powers_of_u(profile: tuple[float, ...]) -> np.ndarray:
     """(J, K * 4) matrix from a window's moments sum w d^k of piece p (row
-    k * 4 + p) to the coefficients of u^j of the window's sum.
-
-    ``expansion(side)`` lists the coefficients in v of c_k(v), where
-    profile(|v - d|) = sum_k c_k(v) d^k on that side of the point.
-    """
-    rows = max(len(c_k) for c_k in expansion(1.0))
+    k * 4 + p) to the coefficients of u^j of the window's sum, for the
+    profile sum_n p_n rho^n.  On side sigma, rho = sigma (v - d), so
+    profile(|v - d|) = sum_k c_k(v) d^k by the binomial theorem."""
+    rows = len(profile)
     columns = []
-    for k in range(len(expansion(1.0))):
+    for k in range(rows):
         for delta, side in zip(_PIECE_CELLS, _PIECE_SIDES):
             # c_k(u - delta) by the binomial theorem
             column = np.zeros(rows)
-            for i, a in enumerate(expansion(side)[k]):
+            for i in range(rows - k):
+                a = profile[i + k] * side ** (i + k) * math.comb(i + k, k) * (-1) ** k
                 for j in range(i + 1):
                     column[j] += a * math.comb(i, j) * (-delta) ** (i - j)
             columns.append(column)
     return np.array(columns).T
 
 
-# tent 1 - side*(v - d); bump (1 - (v - d)^2)^2 expanded in d: each centre
-# carries the moments w d^k for k < K, K being the column count over 4
-_POLYNOMIAL_PROFILES = {
-    PROFILE_TENT: _in_powers_of_u(lambda side: [[1.0, -side], [side]]),
-    PROFILE_BUMP: _in_powers_of_u(
-        lambda side: [[1.0, 0.0, -2.0, 0.0, 1.0], [0.0, 4.0, 0.0, -4.0], [-2.0, 0.0, 6.0], [0.0, -4.0], [1.0]]
-    ),
-}
+# each centre carries the moments w d^k for k < K, K being the column count over 4
+_POLYNOMIAL_PROFILES = {code: _in_powers_of_u(PROFILE_POLYNOMIALS[code]) for code in (PROFILE_TENT, PROFILE_BUMP)}
 
 
 def _windowed_sum_1d(x: np.ndarray, c: np.ndarray, w: np.ndarray, code: int, scale: float) -> np.ndarray | None:

@@ -1,22 +1,22 @@
-"""Convolution kernels with certified sup / Lipschitz metadata.
+"""Convolution kernels that derive their own sup and Lipschitz constant.
 
-Every kernel carries its exact sup bound and spatial Lipschitz constant;
-all stability constants in the solver and harness are derived from these
-numbers, so they are part of the type and never re-estimated.  A kernel is
-a sum of radial terms h * p(|x - a| / s), each a library profile p about a
-centre a: the origin for every library kernel, +s and -s for the two tents
-of the odd ramp.  A convolution sums term by term through
-:mod:`nonlocalflow._accel`: in 1D by a windowed pass from 2^13 pairs on and
-by the dense pass below that, in 2D by a blocked dense pass.  That is the
-only code that sums profiles: ``Kernel.evaluate(t, xs)``, which maps
-offsets (M, d) to values (M,), is the convolution with a unit mass at the
-origin.  It carries ``t`` for kernels that vary in time.
+A kernel is a sum of radial terms h * p(|x - a| / s), each a library
+profile p about a centre a: the origin for every library kernel, +s and -s
+for the two tents of the odd ramp.  Each profile is a polynomial in rho on
+[0, 1] (:data:`nonlocalflow._accel.PROFILE_POLYNOMIALS`), so a kernel
+computes its sup bound and spatial Lipschitz constant from its terms, and
+every stability constant reads these two numbers.  A convolution sums term
+by term through :mod:`nonlocalflow._accel`: in 1D by a windowed pass from
+2^13 pairs on and by the dense pass below that, in 2D by a blocked dense
+pass.  That is the only code that sums profiles: ``Kernel.evaluate(t, xs)``,
+which maps offsets (M, d) to values (M,), is the convolution with a unit
+mass at the origin.  It carries ``t`` for kernels that vary in time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,7 +38,7 @@ KERNEL_LIBRARY = {
     "bump-poly": (_accel.PROFILE_BUMP, 8.0 / (3.0 * math.sqrt(3.0))),
     "constant": (_accel.PROFILE_CONSTANT, 0.0),
 }
-_PROFILE_CODES = tuple(code for code, _ in KERNEL_LIBRARY.values())
+_UNIT_LIPSCHITZ = dict(KERNEL_LIBRARY.values())
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,8 @@ class RadialTerm:
     center: tuple[float, ...]
 
     def __post_init__(self):
-        if self.code not in _PROFILE_CODES:
-            raise ValueError(f"term code must be one of {_PROFILE_CODES}, got {self.code!r}")
+        if self.code not in _UNIT_LIPSCHITZ:
+            raise ValueError(f"term code must be one of {tuple(_UNIT_LIPSCHITZ)}, got {self.code!r}")
         require_positive("term scale", self.scale)
         if not math.isfinite(self.height):
             raise ValueError(f"term height must be finite, got {self.height!r}")
@@ -62,18 +62,22 @@ class RadialTerm:
 
 @dataclass(frozen=True)
 class Kernel:
-    """A sum of radial terms (the empty sum is zero) with its declared sup and Lipschitz-in-x bounds."""
+    """A sum of radial terms (the empty sum is zero) with the sup and
+    Lipschitz-in-x bounds that :func:`_derived_bounds` derives from them."""
 
     dim: int
     terms: tuple[RadialTerm, ...]
-    sup_bound: float
-    lip_x: float
+    sup_bound: float = field(init=False)
+    lip_x: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
         if any(len(term.center) != self.dim for term in self.terms):
             raise ValueError(f"every term centre must be a point of R^{self.dim}")
-        require_bounds("kernel", self, ("sup_bound", "lip_x"))
+        for name, value in zip(("sup_bound", "lip_x"), _derived_bounds(self.dim, self.terms)):
+            if not math.isfinite(value):
+                raise ValueError(f"kernel {name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
 
     def evaluate(self, t: float, xs: np.ndarray) -> np.ndarray:
         """Values (M,) at offsets ``xs`` (M, d) and time ``t``: the
@@ -81,23 +85,70 @@ class Kernel:
         return convolve_batch(dirac((0.0,) * self.dim), self, t, xs)
 
 
-def require_bounds(owner: str, obj, names: tuple[str, ...]) -> None:
-    """Reject each declared bound of ``obj`` unless it is finite and >= 0 (NaN included)."""
-    for name in names:
-        value = getattr(obj, name)
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"{owner} {name} must be finite and >= 0, got {value!r}")
+def _derived_bounds(dim: int, terms: tuple[RadialTerm, ...]) -> tuple[float, float]:
+    """sup |eta| and Lip eta of the sum of ``terms`` in R^dim: |h| and
+    |h| Lip(p) / s for one term; :func:`_piecewise_bounds` in 1D and about one
+    shared centre (a radial f(|x - a|) has Lipschitz constant sup |f'| in
+    any dimension); else the sound subadditive sum |h| and sum |h| Lip(p) / s."""
+    if len(terms) == 1:
+        (term,) = terms
+        return abs(term.height), abs(term.height) * _UNIT_LIPSCHITZ[term.code] / term.scale
+    heights = sum(abs(t.height) for t in terms)
+    pairs = [(t, t.center[0] if dim == 1 else 0.0) for t in terms]
+    # exact while each breakpoint a +- s is finite and apart from a, and every
+    # coefficient and value of the analysis (at most 2^8 sum |h|) is finite
+    if (dim == 1 or len({t.center for t in terms}) == 1) and math.isfinite(2.0**8 * heights) and all(
+        -math.inf < a - t.scale < a < a + t.scale < math.inf for t, a in pairs
+    ):
+        return _piecewise_bounds(pairs)
+    return heights, sum(abs(t.height) * _UNIT_LIPSCHITZ[t.code] / t.scale for t in terms)
+
+
+def _piecewise_bounds(pairs: list[tuple[RadialTerm, float]]) -> tuple[float, float]:
+    """Exact sup |eta| and sup |eta'| of eta(x) = sum h p(|x - a| / s) on the
+    line over ``pairs`` (term, a).  On a piece [lo, hi] between breakpoints a
+    and a +- s, eta is a polynomial in z = (x - lo) / u, u the smallest scale
+    of the terms that reach the piece: |eta| peaks at a breakpoint or a root
+    of eta', |eta'| at a breakpoint (from either side) or a root of eta''.
+    Values are summed term by term."""
+    compact = [(t, a) for t, a in pairs if t.code != _accel.PROFILE_CONSTANT]
+    edges = sorted({a + k * t.scale for t, a in compact for k in (-1.0, 0.0, 1.0)})
+    points, slopes = edges[:] or [0.0], [0.0]
+    for lo, hi in zip(edges, edges[1:]):
+        inside = [(t, a) for t, a in compact if a - t.scale <= lo and hi <= a + t.scale]
+        unit, poly = min((t.scale for t, _ in inside), default=1.0), np.zeros(1)
+        for t, a in inside:  # h p(rho) with rho = |lo - a| / s +- (u / s) z
+            rho = np.poly1d([(unit if lo >= a else -unit) / t.scale, abs(lo - a) / t.scale])
+            poly = np.polyadd(poly, t.height * np.poly1d(_accel.PROFILE_POLYNOMIALS[t.code][::-1])(rho).coeffs)
+        d1, end = np.polyder(poly), (hi - lo) / unit
+        points += [lo + unit * z for z in _roots_inside(d1, end)]
+        slopes += [abs(v) / unit for v in np.polyval(d1, [0.0, end, *_roots_inside(np.polyder(d1), end)]).tolist()]
+    return max(abs(_value(pairs, x)) for x in points), max(slopes)
+
+
+def _value(pairs: list[tuple[RadialTerm, float]], x: float) -> float:
+    """eta(x), correctly rounded: each profile is Horner's rule on its
+    polynomial at min(rho, 1), where a tent and a bump vanish."""
+    return math.fsum(
+        t.height * float(np.polyval(_accel.PROFILE_POLYNOMIALS[t.code][::-1], min(abs(x - a) / t.scale, 1.0)))
+        for t, a in pairs
+    )
+
+
+def _roots_inside(poly: np.ndarray, end: float) -> list[float]:
+    """Real parts in (0, end) of the roots of ``poly`` (highest power first), its
+    coefficients below float64 rounding of the largest zeroed so np.roots cannot overflow."""
+    small = np.abs(poly) <= np.finfo(float).eps * np.abs(poly).max(initial=0.0)
+    return [z for z in np.roots(np.where(small, 0.0, poly)).real.tolist() if 0.0 < z < end]
 
 
 def kernel_library(name: str, dim: int = 1, scale: float = 1.0, height: float = 1.0) -> Kernel:
-    """The :data:`KERNEL_LIBRARY` kernel ``name`` with its analytically
-    exact sup_bound and lip_x."""
+    """The :data:`KERNEL_LIBRARY` kernel ``name``: one term about the origin."""
     require_positive("kernel scale", scale)
     require_positive("kernel height", height)
     if name not in KERNEL_LIBRARY:
         raise ValueError(f"unknown kernel name {name!r}")
-    code, lip = KERNEL_LIBRARY[name]
-    return Kernel(dim, (RadialTerm(code, scale, height, (0.0,) * dim),), height, lip * height / scale)
+    return Kernel(dim, (RadialTerm(KERNEL_LIBRARY[name][0], scale, height, (0.0,) * dim),))
 
 
 def odd_ramp_kernel(scale: float, height: float) -> Kernel:
@@ -111,21 +162,19 @@ def odd_ramp_kernel(scale: float, height: float) -> Kernel:
     require_positive("kernel scale", scale)
     require_positive("kernel height", height)
     tent = _accel.PROFILE_TENT
-    terms = (RadialTerm(tent, scale, height, (scale,)), RadialTerm(tent, scale, -height, (-scale,)))
-    return Kernel(1, terms, height, height / scale)
+    return Kernel(1, (RadialTerm(tent, scale, height, (scale,)), RadialTerm(tent, scale, -height, (-scale,))))
 
 
 def scale_kernel(kernel: Kernel, factor: float) -> Kernel:
-    """factor * kernel, metadata scaled exactly."""
-    terms = tuple(replace(term, height=term.height * factor) for term in kernel.terms)
-    return Kernel(kernel.dim, terms, abs(factor) * kernel.sup_bound, abs(factor) * kernel.lip_x)
+    """factor * kernel."""
+    return Kernel(kernel.dim, tuple(replace(term, height=term.height * factor) for term in kernel.terms))
 
 
 def add_kernels(a: Kernel, b: Kernel) -> Kernel:
-    """a + b with conservative (subadditive) metadata."""
+    """a + b."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    return Kernel(a.dim, a.terms + b.terms, a.sup_bound + b.sup_bound, a.lip_x + b.lip_x)
+    return Kernel(a.dim, a.terms + b.terms)
 
 
 def convolve_batch(
@@ -178,7 +227,7 @@ class KernelMatrix:
 
 
 def zero_kernel(dim: int) -> Kernel:
-    return Kernel(dim, (), 0.0, 0.0)
+    return Kernel(dim, ())
 
 
 def _halton(n: int, dim: int, seed: int = 0) -> np.ndarray:
@@ -217,52 +266,3 @@ def sample_normal(n: int, dim: int, seed: int) -> np.ndarray:
     coordinate lies in (0, 1), so the log is finite."""
     u = sample_box(np.zeros(2 * dim), np.ones(2 * dim), n, seed)
     return np.sqrt(-2.0 * np.log(u[:, :dim])) * np.cos(2.0 * np.pi * u[:, dim:])
-
-
-def steepest_slope(rise: np.ndarray, gaps: np.ndarray) -> tuple[int, float] | None:
-    """Index and slope rise/gap of the steepest sample pair more than 1e-12
-    apart, or None when no pair is: a slope check has no witness then."""
-    apart = np.flatnonzero(gaps > 1e-12)
-    if apart.size == 0:
-        return None
-    ratio = rise[apart] / gaps[apart]
-    worst = int(np.argmax(ratio))
-    return int(apart[worst]), float(ratio[worst])
-
-
-# The auditors' sample count, and their tolerance relative to the largest
-# declared constant (at least 1): a witness must exceed a declaration by more
-# than rounding to fail it.
-AUDIT_SAMPLES = 1500
-AUDIT_REL_TOL = 1e-8
-
-
-def audit_kernel(kernel: Kernel, box_radius: float) -> None:
-    """Sample-check |eta| <= sup_bound and Lipschitz-in-x <= lip_x at t = 0
-    on :data:`AUDIT_SAMPLES` quasi-random pairs of the box.
-
-    Raises :class:`AuditError` with the witnessing sample on violation.
-    Sampling only under-estimates the true constants, so a pass never
-    certifies more than the declaration and a failure is always genuine.
-    """
-    lo = -box_radius * np.ones(kernel.dim)
-    hi = box_radius * np.ones(kernel.dim)
-    xs = sample_box(lo, hi, AUDIT_SAMPLES, 0)
-    ys = sample_box(lo, hi, AUDIT_SAMPLES, 3)
-    tol = AUDIT_REL_TOL * max(kernel.sup_bound, kernel.lip_x, 1.0)
-    vx = kernel.evaluate(0.0, xs)
-    vy = kernel.evaluate(0.0, ys)
-    worst = np.argmax(np.abs(vx))
-    # written so that a NaN witness or a NaN declaration fails
-    if not abs(vx[worst]) <= kernel.sup_bound + tol:
-        raise AuditError(
-            f"kernel sup audit failed: |eta(0.0, {xs[worst]})| = {abs(vx[worst])} "
-            f"> declared {kernel.sup_bound}"
-        )
-    steep = steepest_slope(np.abs(vx - vy), np.linalg.norm(xs - ys, axis=1))
-    if steep is not None and not steep[1] <= kernel.lip_x + tol:
-        worst, slope = steep
-        raise AuditError(
-            f"kernel Lipschitz audit failed: slope {slope} between "
-            f"{xs[worst]} and {ys[worst]} > declared {kernel.lip_x}"
-        )

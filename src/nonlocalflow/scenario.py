@@ -338,6 +338,17 @@ def _scaled_to_mass(dens: GridDensity, mass: float) -> GridDensity:
 
 def _build_species(cfg: dict, idx: int) -> tuple[ParticleMeasure, GridDensity | None]:
     kind = cfg["type"]
+    if kind in N_OVERRIDE:
+        # before numpy builds the grid: no cell may vanish, and no squared
+        # distance or density value (at most mass / cell volume) may overflow
+        if kind == "grid-1d":
+            cells, widths = GRID_1D_CELLS, [cfg["support"][1] - cfg["support"][0]]
+        else:
+            cells, widths = GRID_2D_CELLS, [(c + cfg["radius"]) - (c - cfg["radius"]) for c in cfg["center"]]
+        volume = math.prod(w / cells for w in widths)
+        if not (math.isfinite(sum(w * w for w in widths)) and volume > 0 and math.isfinite(cfg["mass"] / volume)):
+            named = ", ".join(f"{k} {cfg[k]!r}" for k in ("support", "center", "radius", "mass") if k in cfg)
+            raise ScenarioParseError(f"species[{idx}]: with {named}, a grid cell vanishes or a value overflows")
     if kind == "grid-1d":
         dens = _PROFILES_1D[cfg["profile"]](*cfg["support"], GRID_1D_CELLS)
         dens = _scaled_to_mass(dens, cfg["mass"])
@@ -352,10 +363,6 @@ def _build_species(cfg: dict, idx: int) -> tuple[ParticleMeasure, GridDensity | 
     if len(pos) != len(w):
         raise ScenarioParseError(f"species[{idx}]: positions and weights differ in length")
     return ParticleMeasure(pos.shape[1], pos, w), None
-
-
-def _kernel(cfg: dict, dim: int):
-    return kernel_library(cfg["name"], dim, cfg["scale"], cfg["height"])
 
 
 def _build_phi(cfg: dict, ball: float) -> VelocityField:
@@ -378,14 +385,14 @@ def _build_model(cfg: dict, species: list[ParticleMeasure]):
     dim = species[0].dim
     mass = sum(float(m.weights.sum()) for m in species)
     if kind == "sedimentation":
-        return sedimentation_field(_kernel(cfg["kernel"], 1), mass=mass)
+        return sedimentation_field(kernel_library(dim=1, **cfg["kernel"]), mass=mass)
     if kind == "pedestrian":
         speed = congestion_speed(cfg["speed"]["v_max"], cfg["speed"]["r_crit"])
         way = cfg["direction"]
         direction = (
             constant_direction(way["vector"]) if way["type"] == "constant" else toward_point(way["target"])
         )
-        return pedestrian_field(speed, direction, _kernel(cfg["kernel"], dim))
+        return pedestrian_field(speed, direction, kernel_library(dim=dim, **cfg["kernel"]))
     if kind == "linear-local":
         return linear_local_field(cfg["alpha"], cfg["domain_radius"], dim)
     if kind == "constant-drift":
@@ -398,7 +405,7 @@ def _build_model(cfg: dict, species: list[ParticleMeasure]):
     repulsion = odd_ramp_kernel(cfg["repulsion"]["scale"], cfg["repulsion"]["height"])
     attraction = odd_ramp_kernel(cfg["attraction"]["scale"], cfg["attraction"]["height"])
     self_cfg = cfg.get("prey_self_kernel")
-    eta00 = _kernel(self_cfg, 1) if self_cfg else zero_kernel(1)
+    eta00 = kernel_library(dim=1, **self_cfg) if self_cfg else zero_kernel(1)
     kernels = KernelMatrix(((eta00, repulsion), (scale_kernel(attraction, -1.0), zero_kernel(1))))
     # sup bounds hold on the whole reachable ball |r|_1 <= M
     ball = mass * kernels.sup_bound

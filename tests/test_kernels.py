@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonlocalflow import (
-    AuditError,
     Kernel,
     KernelMatrix,
     MeasureVector,
@@ -17,7 +16,6 @@ from nonlocalflow import (
     VelocityField,
     VelocityModel,
     add_kernels,
-    audit_kernel,
     convolve_batch,
     dirac,
     kernel_library,
@@ -28,7 +26,7 @@ from nonlocalflow import (
     zero_kernel,
 )
 from nonlocalflow import _accel
-from nonlocalflow.kernels import AUDIT_SAMPLES, sample_normal
+from nonlocalflow.kernels import KERNEL_LIBRARY, sample_normal
 
 LIBRARY = ("tent", "bump-poly", "constant")
 
@@ -99,20 +97,13 @@ def test_library_metadata_never_exceeded(name, params):
     assert (np.abs(vx - vy)[ok] <= k.lip_x * gaps[ok] + 1e-12).all()
 
 
-def test_audit_accepts_library_and_rejects_false_declaration():
+def test_a_kernel_takes_no_declared_bounds():
     k = kernel_library("tent", 1, scale=0.5, height=2.0)
-    audit_kernel(k, box_radius=2.0)
-    lying = replace(k, lip_x=0.5 * k.lip_x)
-    with pytest.raises(AuditError, match="slope"):
-        audit_kernel(lying, box_radius=2.0)
-    lying_sup = replace(k, sup_bound=0.5)
-    with pytest.raises(AuditError, match="sup"):
-        audit_kernel(lying_sup, box_radius=2.0)
-    # a negative, NaN or infinite declaration never reaches the audit
+    with pytest.raises(TypeError):
+        Kernel(1, k.terms, 2.0, 4.0)
     for name in ("sup_bound", "lip_x"):
-        for bad in (-1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match=f"kernel {name} must be finite and >= 0, got {bad!r}"):
-                replace(k, **{name: bad})
+        with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
+            replace(k, **{name: 1.0})
 
 
 def test_convolve_dirac_identity():
@@ -234,8 +225,8 @@ def test_scale_and_add_kernels():
 def test_a_term_centre_must_be_a_point_of_the_kernel_dimension():
     term = RadialTerm(_accel.PROFILE_TENT, 1.0, 1.0, (0.0,))
     with pytest.raises(ValueError, match="R\\^2"):
-        Kernel(2, (term,), 1.0, 1.0)
-    assert Kernel(1, [term], 1.0, 1.0).terms == (term,)
+        Kernel(2, (term,))
+    assert Kernel(1, [term]).terms == (term,)
 
 
 def _term(**change):
@@ -265,7 +256,8 @@ def test_odd_ramp_kernel_shape():
     vals = lam.evaluate(0.0, np.array([[0.25], [-0.25], [0.5], [0.75], [2.0]]))
     assert vals == pytest.approx([0.15, -0.15, 0.3, 0.15, 0.0])
     assert vals[4] == 0.0
-    audit_kernel(lam, box_radius=2.0)
+    # the derived bounds are the closed form h and h/s, bit for bit
+    assert (lam.sup_bound, lam.lip_x) == (0.3, 0.3 / 0.5)
 
 
 # Scalar per-point formulas and a point-by-centre double loop: the oracle
@@ -402,9 +394,9 @@ def _terms(dim):
     )
 
 
-# M = 1500 is the auditor's sample count; from 2^13 pairs on, the windowed 1D
-# pass and the lifted 2D bump take over from the dense pass
-@pytest.mark.parametrize("m", [AUDIT_SAMPLES, 2**13 - 1, 2**13])
+# M = 1500 takes the dense pass; from 2^13 pairs on, the windowed 1D pass
+# and the lifted 2D bump take over from it
+@pytest.mark.parametrize("m", [1500, 2**13 - 1, 2**13])
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("code", _CODES)
 @settings(max_examples=20, deadline=None)
@@ -417,7 +409,7 @@ def test_evaluate_matches_the_per_term_formula(code, dim, m, data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     xs = np.random.default_rng(seed).uniform(-half_width, half_width, (m, dim))
     heights = sum(abs(term.height) for term in terms)
-    kernel = Kernel(dim, tuple(terms), heights, 1.0)
+    kernel = Kernel(dim, tuple(terms))
     expected = np.zeros(m)
     for term in terms:
         u = np.linalg.norm(xs - term.center, axis=1) / term.scale
@@ -425,3 +417,133 @@ def test_evaluate_matches_the_per_term_formula(code, dim, m, data):
     got = kernel.evaluate(0.0, xs)
     assert got.shape == (m,)
     assert np.allclose(got, expected, rtol=0.0, atol=1e-13 * (1.0 + heights))
+
+
+# Derived bounds.  Every profile is a polynomial in rho = |x - a| / s, so a
+# kernel computes its sup and Lipschitz constant from its terms; the oracles
+# below are a dense grid through every breakpoint and the closed-form slope.
+
+
+def test_the_kernels_that_passed_the_sampled_audit_derive_their_true_lipschitz_constants():
+    # a unit tent plus a tent of scale 1e-3 and height 0.01 at 0.37 climbs at
+    # 1 + 10; the 2D bump of scale 0.05 at 8 / (3 sqrt 3) / 0.05.  Both passed
+    # the old sampled audit declaring Lip 1.
+    narrow = add_kernels(kernel_library("tent"), Kernel(1, (RadialTerm(_accel.PROFILE_TENT, 1e-3, 0.01, (0.37,)),)))
+    assert narrow.lip_x == pytest.approx(11.0, rel=1e-12)
+    assert narrow.sup_bound == 1.0
+    bump = kernel_library("bump-poly", 2, scale=0.05, height=1.0)
+    assert bump.lip_x == pytest.approx(30.79201435678004, rel=1e-12)
+    assert bump.lip_x == pytest.approx(8.0 / (3.0 * math.sqrt(3.0)) / 0.05, rel=1e-12)
+    with pytest.raises(TypeError):
+        Kernel(1, narrow.terms, 1.0, 1.0)
+
+
+def _profile_slope(code, u):
+    """d/du of the height-1 profile at 0 <= u < 1."""
+    if code == _accel.PROFILE_TENT:
+        return -np.ones_like(u)
+    if code == _accel.PROFILE_BUMP:
+        return -4.0 * u * (1.0 - u * u)
+    return np.zeros_like(u)
+
+
+def _slope_on_line(pairs, t, side):
+    """The closed-form derivative of sum h p(|t - a| / s) over ``pairs``
+    (term, a) at ``t``: the limit from ``side`` (+1 or -1) at a kink."""
+    out = np.zeros_like(t)
+    for term, a in pairs:
+        y = t - a
+        direction = np.where(y != 0.0, np.sign(y), side)
+        rho = np.abs(y) / term.scale
+        inside = (rho < 1.0) | ((rho == 1.0) & (side * direction < 0.0))
+        slope = term.height * _profile_slope(term.code, np.minimum(rho, 1.0)) * direction / term.scale
+        out += np.where(inside, slope, 0.0)
+    return out
+
+
+def _refined(t, values, more):
+    """``t`` and ``values`` with 2001 more points between the neighbours of
+    the largest |value|, where ``more`` gives the values."""
+    i = int(np.argmax(np.abs(values)))
+    fine = np.linspace(t[max(i - 1, 0)], t[min(i + 1, t.size - 1)], 2001)
+    return np.concatenate([t, fine]), np.concatenate([values, more(fine)])
+
+
+def _check_bounds_on_a_line(kernel, pairs, center, direction):
+    """The kernel on the line center + t direction is sum h p(|t - a| / s)
+    over ``pairs``: check its derived bounds against a grid of 2000 points
+    per piece between the breakpoints a and a +- s, plus a margin of 1."""
+    compact = [(term, a) for term, a in pairs if term.code != _accel.PROFILE_CONSTANT]
+    edges = sorted({a + k * term.scale for term, a in compact for k in (-1, 0, 1)})
+    edges = [min(edges, default=0.0) - 1.0, *edges, max(edges, default=0.0) + 1.0]
+    t = np.unique(np.concatenate([np.linspace(lo, hi, 2000) for lo, hi in zip(edges, edges[1:])]))
+
+    def values(t):
+        return kernel.evaluate(0.0, center + t[:, None] * direction)
+
+    heights = sum(abs(term.height) for term, _ in pairs)
+    v = values(t)
+    # soundness: every value, and every difference quotient up to the radial
+    # sums' rounding 2e-13 (1 + sum |h|) / gap, written without a division
+    assert np.abs(v).max() <= kernel.sup_bound * (1.0 + 1e-12)
+    assert (np.abs(np.diff(v)) <= kernel.lip_x * np.diff(t) + 2e-13 * (1.0 + heights)).all()
+    # tightness: the grid, refined about its largest |value| and |slope|,
+    # with each breakpoint's one-sided limits in the slopes
+    assert kernel.sup_bound == pytest.approx(np.abs(_refined(t, v, values)[1]).max(), rel=1e-9, abs=0.0)
+    slopes = np.maximum(np.abs(_slope_on_line(pairs, t, 1.0)), np.abs(_slope_on_line(pairs, t, -1.0)))
+    steepest = np.abs(_refined(t, slopes, lambda t: _slope_on_line(pairs, t, 1.0))[1]).max()
+    assert kernel.lip_x == pytest.approx(steepest, rel=1e-6, abs=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(terms=st.lists(_terms(1), min_size=1, max_size=4))
+def test_derived_bounds_of_a_1d_kernel_are_sound_and_tight(terms):
+    kernel = Kernel(1, tuple(terms))
+    _check_bounds_on_a_line(kernel, [(term, term.center[0]) for term in terms], np.zeros(1), np.ones(1))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_derived_bounds_of_a_kernel_about_one_centre_are_sound_and_tight(dim, data):
+    # a sum about one centre is radial, so its line through the centre in
+    # any direction carries its sup and its Lipschitz constant
+    center = data.draw(st.tuples(*[st.floats(-1.0, 1.0)] * dim))
+    terms = [replace(term, center=center) for term in data.draw(st.lists(_terms(dim), min_size=1, max_size=4))]
+    kernel = Kernel(dim, tuple(terms))
+    direction = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=dim)
+    direction /= np.linalg.norm(direction)
+    _check_bounds_on_a_line(kernel, [(term, 0.0) for term in terms], np.array(center), direction)
+
+
+@pytest.mark.parametrize("code", [_accel.PROFILE_TENT, _accel.PROFILE_BUMP])
+def test_unit_profile_is_horners_rule_on_its_polynomial(code):
+    scale = 0.7
+    rho = np.linspace(0.0, 1.5, 3001)
+    horner = np.zeros_like(rho)
+    for coefficient in reversed(_accel.PROFILE_POLYNOMIALS[code]):
+        horner = horner * rho + coefficient
+    got = _accel.unit_profile((rho * scale) ** 2, code, scale)
+    assert np.allclose(got, np.where(rho < 1.0, horner, 0.0), rtol=0.0, atol=1e-15)
+
+
+def test_the_constant_profile_is_one_everywhere():
+    assert _accel.PROFILE_POLYNOMIALS[_accel.PROFILE_CONSTANT] == (1.0,)
+    assert (kernel_library("constant").evaluate(0.0, np.array([[0.0], [0.5], [7.0]])) == 1.0).all()
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_each_library_lipschitz_constant_is_the_analysis_of_its_profile(name):
+    code, lip = KERNEL_LIBRARY[name]
+    # two half-height terms about one centre take the piecewise analysis,
+    # where one term would take the closed form that reads this column
+    half = RadialTerm(code, 1.0, 0.5, (0.0,))
+    kernel = Kernel(1, (half, half))
+    assert kernel.lip_x == pytest.approx(lip, rel=1e-15, abs=0.0)
+    assert kernel.sup_bound == 1.0
+
+
+def test_a_kernel_whose_derived_sup_overflows_is_rejected():
+    big = RadialTerm(_accel.PROFILE_BUMP, 1.0, 1e308, (0.0,))
+    with pytest.raises(ValueError, match="kernel sup_bound must be finite, got inf"):
+        Kernel(1, (big, big))

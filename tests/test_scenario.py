@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nonlocalflow import kernels, scenario, velocity
+from nonlocalflow import scenario, velocity
 from nonlocalflow.cli import main
-from nonlocalflow.kernels import AuditError
+from nonlocalflow.kernels import AuditError, kernel_library
 from nonlocalflow.scenario import (
     OPTIONAL,
     REQUIRED,
@@ -218,6 +218,23 @@ def test_retired_settings_are_unknown_fields(tmp_path, capsys, name, edit, messa
     _write_and_check_both_verbs(tmp_path, capsys, raw, message)
 
 
+@pytest.mark.parametrize(
+    "name, edit, fields",
+    [
+        ("pedestrian-2d", _set(["species", 0, "radius"], 1e300), "center [0.0, 0.0], radius 1e+300, mass 0.5"),
+        ("sedimentation-1d", _set(["species", 0, "support"], [-1e308, 1e308]), "support [-1e+308, 1e+308], mass 1.0"),
+        ("sedimentation-1d", _set(["species", 0, "support"], [0.0, 1e-310]), "support [0.0, 1e-310], mass 1.0"),
+    ],
+    ids=["radius", "wide-support", "narrow-support"],
+)
+def test_a_grid_species_that_overflows_exits_2_and_names_its_field(tmp_path, capsys, name, edit, fields):
+    # rejected before numpy builds the grid, so no RuntimeWarning (an error
+    # in these tests) is raised first
+    raw = load_raw(name)
+    edit(raw)
+    _write_and_check_both_verbs(tmp_path, capsys, raw, f"species[0]: with {fields}, a grid cell vanishes")
+
+
 def test_a_file_cannot_loosen_a_gate(tmp_path, capsys):
     # every report of this file would pass vacuously if its values were read
     raw = load_raw("sedimentation-1d")
@@ -258,29 +275,24 @@ DOMAINS = {
 
 @pytest.mark.parametrize("name", bundled_scenarios())
 def test_each_field_is_audited_on_the_data_box_cut_to_its_domain(monkeypatch, name):
-    boxes = {"kernel": [], "field": []}
+    boxes = []
 
-    def spy(kind, real):
-        def sample(low, high, *rest):
-            if low[0] < 0:  # an x box; r is drawn from the unit box
-                assert np.all(high == high[0]) and np.all(low == -high)
-                boxes[kind].append(float(high[0]))
-            return real(low, high, *rest)
+    def sample(low, high, *rest):
+        if low[0] < 0:  # an x box; r is drawn from the unit box
+            assert np.all(high == high[0]) and np.all(low == -high)
+            boxes.append(float(high[0]))
+        return real(low, high, *rest)
 
-        return sample
-
-    monkeypatch.setattr(kernels, "sample_box", spy("kernel", kernels.sample_box))
-    monkeypatch.setattr(velocity, "sample_box", spy("field", velocity.sample_box))
+    real = velocity.sample_box
+    monkeypatch.setattr(velocity, "sample_box", sample)
     scn = scenario_from_config(load_raw(name))
     span = max(float(np.abs(m.positions).max()) for m in scn.initial.species)
     box = span + scn.model.sup_bound * scn.horizon + 1.0
     domains = DOMAINS.get(name, (math.inf,) * scn.model.k)
     assert tuple(f.domain_radius for f in scn.model.fields) == domains
     assert all(r < box or r == math.inf for r in domains)  # so each declared domain is the cut
-    entries = sum(len(row) for row in scn.model.kernels.entries)
-    # two samples of x (x and y) per kernel and per field
-    assert boxes["kernel"] == [box] * (2 * entries)
-    assert boxes["field"] == [min(box, r) for r in domains for _ in "xy"]
+    # two samples of x (x and y) per field; the kernels derive their bounds
+    assert boxes == [min(box, r) for r in domains for _ in "xy"]
 
 
 def _linear_local_on(raw, radius):
@@ -326,3 +338,18 @@ def test_pedestrian_with_its_lip_x_halved_fails_the_audit_at_load(monkeypatch):
     monkeypatch.setattr(scenario, "pedestrian_field", halved)
     with pytest.raises(AuditError, match="velocity Lip_x audit failed"):
         scenario_from_config(load_raw("pedestrian-2d"))
+
+
+def test_the_prey_self_kernel_is_entry_0_0_and_counts_in_row_0(tmp_path):
+    raw = load_raw("predator-prey-1d")
+    raw["model"]["prey_self_kernel"] = {"name": "tent", "scale": 0.5, "height": 0.2}
+    kernels = scenario_from_config(raw).model.kernels
+    eta00, repulsion = kernels.entries[0]
+    assert eta00 == kernel_library("tent", 1, 0.5, 0.2)
+    # row 0 sums the prey's own kernel (Lip 0.4) and the repulsion (Lip 0.6),
+    # which outweighs row 1's attraction (Lip 0.4)
+    assert kernels.lip_x == eta00.lip_x + repulsion.lip_x
+    assert kernels.lip_x > sum(kn.lip_x for kn in kernels.entries[1])
+    path = tmp_path / "self.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
