@@ -59,14 +59,11 @@ from .velocity import (
     VelocityModel,
     audit_model,
     audit_velocity_field,
-    congestion_speed,
-    constant_direction,
     constant_drift_field,
     lipschitz_bound_b,
     linear_local_field,
     pedestrian_field,
     sedimentation_field,
-    toward_point,
     velocity_batch,
 )
 from .wasserstein import (

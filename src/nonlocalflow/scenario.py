@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .flow import StepControl
+from .flow import StepControl, StepControlError, _uniform_steps
 from .kernels import KERNEL_LIBRARY, KernelMatrix, kernel_library, odd_ramp_kernel, scale_kernel, zero_kernel
 from .measures import (
     GridAxis,
@@ -42,14 +42,11 @@ from .velocity import (
     VelocityField,
     VelocityModel,
     audit_model,
-    congestion_speed,
-    constant_direction,
     constant_drift_field,
     linear_local_field,
     pedestrian_field,
     require_in_domain,
     sedimentation_field,
-    toward_point,
 )
 
 SCHEMA_VERSION = 1
@@ -387,12 +384,9 @@ def _build_model(cfg: dict, species: list[ParticleMeasure]):
     if kind == "sedimentation":
         return sedimentation_field(kernel_library(dim=1, **cfg["kernel"]), mass=mass)
     if kind == "pedestrian":
-        speed = congestion_speed(cfg["speed"]["v_max"], cfg["speed"]["r_crit"])
         way = cfg["direction"]
-        direction = (
-            constant_direction(way["vector"]) if way["type"] == "constant" else toward_point(way["target"])
-        )
-        return pedestrian_field(speed, direction, kernel_library(dim=dim, **cfg["kernel"]))
+        kernel = kernel_library(dim=dim, **cfg["kernel"])
+        return pedestrian_field(kernel, **cfg["speed"], vector=way.get("vector"), target=way.get("target"))
     if kind == "linear-local":
         return linear_local_field(cfg["alpha"], cfg["domain_radius"], dim)
     if kind == "constant-drift":
@@ -416,11 +410,16 @@ def _build_model(cfg: dict, species: list[ParticleMeasure]):
 
 
 def scenario_from_config(raw: dict) -> Scenario:
-    """Validate a parsed scenario file, build its scenario and audit its model."""
+    """Validate a parsed scenario file, build its scenario, audit its model and check its step."""
     cfg = validate(raw)
     built = [_build_species(sp, i) for i, sp in enumerate(cfg["species"])]
     initial = MeasureVector(tuple(mu for mu, _ in built))
-    model = _build_model(cfg["model"], list(initial.species))
+    try:
+        model = _build_model(cfg["model"], list(initial.species))
+    except ScenarioParseError:
+        raise
+    except ValueError as exc:  # a bound derived from the model's fields is not finite
+        raise ScenarioParseError(f"model: {exc}") from None
     try:
         scenario = Scenario(
             name=cfg["name"], model=model, initial=initial, horizon=cfg["horizon"],
@@ -433,6 +432,16 @@ def scenario_from_config(raw: dict) -> Scenario:
     # the data box: no |x| grows by more than sup|V|·T from the initial data; 1 is a margin
     span = max(float(np.abs(m.positions).max()) for m in initial.species)
     audit_model(model, span + model.sup_bound * scenario.horizon + 1.0, initial.total_measure())
+    # the solver's own step: a dt above the horizon is one step of the horizon
+    _, step = _uniform_steps(0.0, scenario.horizon, scenario.step.dt)
+    c = scenario.lipschitz_b()
+    try:
+        StepControl(step).check(c)
+    except StepControlError:
+        raise ScenarioParseError(
+            f"scenario: dt {scenario.step.dt!r} gives a step of {step!r}, and step*C with C = {c!r} exceeds "
+            f"courant {StepControl.courant}; the largest allowed step is {StepControl.courant / c!r}"
+        ) from None
     return scenario
 
 

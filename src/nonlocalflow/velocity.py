@@ -1,14 +1,15 @@
 """Velocity fields V^i(t, x, r) with certified Lipschitz metadata.
 
 The gallery covers the standard models: congestion-driven pedestrian flow,
-1D sedimentation, linear local fields and constant drifts.  Every species
-is moved by its own V^i(t, x, r) with r = (rho * eta^i)(x); a
-single-particle (Dirac) species, such as a predator, is an ordinary
-one-particle species under its own field.  Metadata (sup, Lip_x, Lip_r)
-is declared analytically per model and cross-checked by the sampling
-auditor below, the one sampled check of declared bounds: kernels derive
-theirs from their terms.  Every stability constant downstream derives
-from these numbers.
+built by the one builder :func:`pedestrian_field`, 1D sedimentation, linear
+local fields and constant drifts.  A field that reads no r carries the zero
+kernel, so its convolution sums nothing.  Every species is moved by its own
+V^i(t, x, r) with r = (rho * eta^i)(x); a single-particle (Dirac) species,
+such as a predator, is an ordinary one-particle species under its own field.
+Metadata (sup, Lip_x, Lip_r) is declared analytically per model and
+cross-checked by the sampling auditor below, the one sampled check of
+declared bounds: kernels derive theirs from their terms.  Every stability
+constant downstream derives from these numbers.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import AuditError, Kernel, KernelMatrix, convolve_batch, kernel_library, sample_box
+from .kernels import AuditError, Kernel, KernelMatrix, convolve_batch, sample_box, zero_kernel
 from .measures import MeasureVector, require_positive
 
 # The auditor's sample count, and its tolerance relative to the largest declared
@@ -124,76 +125,47 @@ def velocity_batch(
     return vel
 
 
-# ---------------------------------------------------------------------------
-# scalar speed laws and direction fields for the pedestrian model
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpeedLaw:
-    """Scalar speed as a function of the averaged density."""
-
-    func: Callable[[np.ndarray], np.ndarray]
-    sup_bound: float
-    lip: float
-
-
-def congestion_speed(v_max: float = 1.0, r_crit: float = 1.0) -> SpeedLaw:
-    """v(s) = v_max * clip(1 - s / r_crit, 0, 1): full speed when free, stop at congestion."""
+def pedestrian_field(
+    kernel: Kernel,
+    v_max: float,
+    r_crit: float,
+    *,
+    vector: Sequence[float] | None = None,
+    target: Sequence[float] | None = None,
+) -> VelocityModel:
+    """V(t, x, r) = v(r) * dir(x) for one species: the congestion speed
+    v(r) = v_max * clip(1 - r / r_crit, 0, 1), zero at congestion, times the
+    constant direction ``vector`` or the soft pull u / sqrt(1 + |u|^2),
+    u = ``target`` - x, whose sup and Lipschitz constant are 1 (|dir| < 1 and
+    its Jacobian has norm at most 1).  The product bounds are exact:
+    sup = sup v * sup dir, lip_x = sup v * Lip dir, lip_r = Lip v * sup dir.
+    """
     require_positive("v_max", v_max)
     require_positive("r_crit", r_crit)
+    if (vector is None) == (target is None):
+        raise ValueError("pedestrian field takes exactly one of vector and target")
+    if target is None:
+        vec = np.asarray(vector, dtype=np.float64)
+        sup_dir, lip_dir = float(np.linalg.norm(vec)), 0.0
 
-    def func(s):
-        return v_max * np.clip(1.0 - np.asarray(s) / r_crit, 0.0, 1.0)
+        def direction(xs):
+            return vec
 
-    return SpeedLaw(func, v_max, v_max / r_crit)
+    else:
+        point = np.asarray(target, dtype=np.float64)
+        sup_dir, lip_dir = 1.0, 1.0
 
+        def direction(xs):
+            u = point - xs
+            return u / np.sqrt(1.0 + np.sum(u * u, axis=1, keepdims=True))
 
-@dataclass(frozen=True)
-class DirectionField:
-    """Bounded Lipschitz direction field; func acts on (M, d) arrays."""
-
-    func: Callable[[np.ndarray], np.ndarray]
-    sup_bound: float
-    lip: float
-
-
-def constant_direction(vec: Sequence[float]) -> DirectionField:
-    v = np.asarray(vec, dtype=np.float64)
-
-    def func(x):
-        return np.broadcast_to(v, (np.atleast_2d(x).shape[0], v.size)).copy()
-
-    return DirectionField(func, float(np.linalg.norm(v)), 0.0)
-
-
-def toward_point(target: Sequence[float]) -> DirectionField:
-    """Softly normalized pull toward a target: u / sqrt(1 + |u|^2), u = p - x.
-
-    Jacobian norm is bounded by 1 and |dir| < 1, so sup = lip = 1 exactly.
-    """
-    p = np.asarray(target, dtype=np.float64)
-
-    def func(x):
-        u = p - np.atleast_2d(x)
-        return u / np.sqrt(1.0 + np.sum(u * u, axis=1, keepdims=True))
-
-    return DirectionField(func, 1.0, 1.0)
-
-
-def pedestrian_field(speed: SpeedLaw, direction: DirectionField, kernel: Kernel) -> VelocityModel:
-    """V(t, x, r) = v(r) * dir(x) for a single species.
-
-    Product metadata is exact for this form: lip_x = sup(v) * Lip(dir),
-    lip_r = Lip(v) * sup(dir), sup = sup(v) * sup(dir).
-    """
     field = VelocityField(
         kernel.dim,
         1,
-        lambda t, xs, rs: np.asarray(speed.func(rs[:, 0]))[:, None] * direction.func(xs),
-        sup_bound=speed.sup_bound * direction.sup_bound,
-        lip_x=speed.sup_bound * direction.lip,
-        lip_r=speed.lip * direction.sup_bound,
+        lambda t, xs, rs: v_max * np.clip(1.0 - rs[:, :1] / r_crit, 0.0, 1.0) * direction(xs),
+        sup_bound=v_max * sup_dir,
+        lip_x=v_max * lip_dir,
+        lip_r=v_max / r_crit * sup_dir,
     )
     return VelocityModel((field,), KernelMatrix(((kernel,),)))
 
@@ -218,7 +190,7 @@ def sedimentation_field(kernel: Kernel, mass: float = 1.0) -> VelocityModel:
 
 
 def linear_local_field(alpha: float, domain_radius: float, dim: int = 1) -> VelocityModel:
-    """Local field V = alpha * x paired with a constant kernel (r is ignored).
+    """Local field V = alpha * x; it reads no r and carries the zero kernel.
 
     Bounded only on its declared domain, the box |x_a| <= domain_radius.
     """
@@ -226,16 +198,16 @@ def linear_local_field(alpha: float, domain_radius: float, dim: int = 1) -> Velo
         dim,
         1,
         lambda t, xs, rs: alpha * xs,
-        sup_bound=abs(alpha) * domain_radius * np.sqrt(dim),
+        sup_bound=abs(alpha) * domain_radius * math.sqrt(dim),
         lip_x=abs(alpha),
         lip_r=0.0,
         domain_radius=domain_radius,
     )
-    return VelocityModel((field,), KernelMatrix(((kernel_library("constant", dim),),)))
+    return VelocityModel((field,), KernelMatrix(((zero_kernel(dim),),)))
 
 
 def constant_drift_field(vec: Sequence[float]) -> VelocityModel:
-    """V = vec, paired with a constant kernel (r is ignored)."""
+    """V = vec; it reads no r and carries the zero kernel."""
     v = np.asarray(vec, dtype=np.float64)
     field = VelocityField(
         v.size,
@@ -245,7 +217,7 @@ def constant_drift_field(vec: Sequence[float]) -> VelocityModel:
         lip_x=0.0,
         lip_r=0.0,
     )
-    return VelocityModel((field,), KernelMatrix(((kernel_library("constant", v.size),),)))
+    return VelocityModel((field,), KernelMatrix(((zero_kernel(v.size),),)))
 
 
 # ---------------------------------------------------------------------------

@@ -270,6 +270,42 @@ def test_bad_speed_law_rejected_with_field(tmp_path, capsys, speed):
     assert f"model.speed: {field} must be finite and positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, change",
+    [
+        ("predator-prey-1d", lambda model: model["repulsion"].update(scale=1e-310)),  # kernel lip h/s overflows
+        ("linear-local-expansive-1d", lambda model: model.update(alpha=1e308)),  # sup alpha * radius overflows
+    ],
+)
+@pytest.mark.parametrize("verb", ["audit", "run"])
+def test_a_model_whose_derived_bound_is_not_finite_exits_2(tmp_path, capsys, name, change, verb):
+    raw = load_raw(name)
+    change(raw["model"])
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(raw))
+    argv = [verb, str(path)] + (["--out", str(tmp_path / "out")] if verb == "run" else [])
+    assert main(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: model:") and line.endswith("got inf")
+
+
+def test_a_step_above_the_step_guard_exits_2_at_load(tmp_path, capsys):
+    # sedimentation-1d has C = 1 and a horizon of 0.5: dt 1.0 is one step of 0.5
+    out = tmp_path / "out"
+    assert main(["run", "sedimentation-1d", "--dt", "1.0", "--out", str(out)]) == 2
+    assert not out.exists()
+    path = tmp_path / "dt-1.json"
+    path.write_text(json.dumps({**load_raw("sedimentation-1d"), "dt": 1.0}))
+    assert main(["audit", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        for part in ("dt 1.0", "a step of 0.5", "C = 1.0", "the largest allowed step is 0.1"):
+            assert part in line
+    # dt * C = 0.1 is at the limit
+    assert main(["run", "sedimentation-1d", "--dt", "0.1", "--out", str(out), "--emit", "trajectories"]) == 0
+
+
 def test_odd_ramp_params_rejected_with_field(tmp_path):
     raw = load_raw("predator-prey-1d")
     raw["model"]["attraction"]["height"] = float("inf")

@@ -330,8 +330,8 @@ def test_pedestrian_with_its_lip_x_halved_fails_the_audit_at_load(monkeypatch):
     # to witness the halved declaration
     real = scenario.pedestrian_field
 
-    def halved(*args):
-        model = real(*args)
+    def halved(*args, **kwargs):
+        model = real(*args, **kwargs)
         (field,) = model.fields
         return replace(model, fields=(replace(field, lip_x=field.lip_x / 2),))
 

@@ -34,7 +34,6 @@ from nonlocalflow import (
     window_length,
 )
 from nonlocalflow import solver
-from nonlocalflow.cli import main
 from nonlocalflow.flow import integrate
 from nonlocalflow.kernels import AuditError
 from nonlocalflow.scenario import _cosine_bump_1d, load_config, load_raw, scenario_from_config
@@ -233,19 +232,20 @@ def test_window_length_factor_never_exceeds_sigma():
         assert c * tw * math.exp(c * tw) <= solver.PICARD_SIGMA, (c, tw)
 
 
-def test_picard_rejects_a_window_shorter_than_one_step(tmp_path, capsys, monkeypatch):
+def test_picard_rejects_a_window_shorter_than_one_step(monkeypatch):
     # C = 1 allows windows of about 0.3517 < dt = 0.5; a one-step window
-    # would contract with factor 0.824 > PICARD_SIGMA
+    # would contract with factor 0.824 > PICARD_SIGMA.  A scenario file with
+    # that dt fails the step guard at load, so a library caller builds it
     solved = []
     monkeypatch.setattr(solver, "picard_window", lambda *a, **k: solved.append(a))
-    argv = ["run", "sedimentation-1d", "--mode", "picard", "--dt", "0.5", "--out", str(tmp_path / "out")]
-    assert main(argv) == 3
-    assert solved == []
-    window = window_length(scenario_from_config(load_config("sedimentation-1d", {"mode": "picard", "dt": 0.5})))
+    scn = replace(scenario_from_config(load_config("sedimentation-1d")), mode="picard", step=StepControl(0.5))
+    window = window_length(scn)
     assert 0.35 < window < 0.5
-    message = capsys.readouterr().err
+    with pytest.raises(ValueError, match="shorter than one step") as err:
+        solve(scn)
+    assert solved == []
     for part in ("dt = 0.5", repr(window), repr(0.5)):
-        assert part in message
+        assert part in str(err.value)
 
 
 def test_picard_zero_velocity_single_iteration():

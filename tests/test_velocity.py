@@ -8,10 +8,9 @@ from nonlocalflow import (
     ParticleMeasure,
     VelocityField,
     VelocityModel,
+    _accel,
     audit_model,
     audit_velocity_field,
-    congestion_speed,
-    constant_direction,
     constant_drift_field,
     dirac,
     kernel_library,
@@ -21,10 +20,11 @@ from nonlocalflow import (
     pedestrian_field,
     scale_kernel,
     sedimentation_field,
-    toward_point,
+    solve_direct,
     velocity_batch,
     zero_kernel,
 )
+from nonlocalflow.scenario import load_scenario
 
 
 def velocity_at(model, rho, i, x):
@@ -63,7 +63,7 @@ def test_constant_kernel_reduces_to_local_field():
 
 def test_pedestrian_examples():
     k = kernel_library("tent", 2)
-    model = pedestrian_field(congestion_speed(), constant_direction([1.0, 0.0]), k)
+    model = pedestrian_field(k, 1.0, 1.0, vector=[1.0, 0.0])
     field = model.fields[0]
     xs = np.zeros((3, 2))
     rs = np.array([[1.0], [0.0], [0.25]])
@@ -75,14 +75,43 @@ def test_pedestrian_examples():
 
 def test_pedestrian_metadata_composition():
     k = kernel_library("bump-poly", 2, scale=0.8, height=0.5)
-    speed = congestion_speed(v_max=2.0, r_crit=0.5)
-    direction = toward_point([1.0, 1.0])
-    model = pedestrian_field(speed, direction, k)
-    f = model.fields[0]
-    assert f.sup_bound == pytest.approx(speed.sup_bound * direction.sup_bound)
-    assert f.lip_x == pytest.approx(speed.sup_bound * direction.lip)
-    assert f.lip_r == pytest.approx(speed.lip * direction.sup_bound)
+    model = pedestrian_field(k, 2.0, 0.5, target=[1.0, 1.0])
     audit_model(model, box_radius=2.0, mass=0.5)
+
+
+# (v_max, r_crit, direction kwargs, sup dir, Lip dir)
+PEDESTRIANS = [
+    (2.0, 0.5, {"target": [1.0, 1.0]}, 1.0, 1.0),
+    (1.5, 0.7, {"vector": [0.3, -0.4]}, 0.5, 0.0),
+]
+
+
+@pytest.mark.parametrize("v_max, r_crit, way, sup_dir, lip_dir", PEDESTRIANS)
+def test_pedestrian_field_is_congestion_speed_times_direction_bit_for_bit(v_max, r_crit, way, sup_dir, lip_dir):
+    model = pedestrian_field(kernel_library("tent", 2), v_max, r_crit, **way)
+    gx, gr = np.meshgrid(np.linspace(-3.0, 3.0, 7), np.linspace(-1.0, 2.0, 13))  # r above r_crit and below 0
+    xs = np.column_stack([gx.ravel(), -0.5 * gx.ravel()])
+    rs = gr.reshape(-1, 1)
+    speed = v_max * np.clip(1.0 - rs[:, 0] / r_crit, 0.0, 1.0)
+    if "target" in way:
+        u = np.asarray(way["target"]) - xs
+        direction = u / np.sqrt(1.0 + np.sum(u * u, axis=1, keepdims=True))
+    else:
+        direction = np.tile(way["vector"], (len(xs), 1))
+    assert np.array_equal(model.fields[0].evaluate(0.0, xs, rs), speed[:, None] * direction)
+
+
+@pytest.mark.parametrize("v_max, r_crit, way, sup_dir, lip_dir", PEDESTRIANS)
+def test_pedestrian_bounds_are_the_exact_products(v_max, r_crit, way, sup_dir, lip_dir):
+    (f,) = pedestrian_field(kernel_library("bump-poly", 2), v_max, r_crit, **way).fields
+    # sup v = v_max and Lip v = v_max / r_crit
+    assert (f.sup_bound, f.lip_x, f.lip_r) == (v_max * sup_dir, v_max * lip_dir, v_max / r_crit * sup_dir)
+
+
+@pytest.mark.parametrize("way", [{}, {"vector": [1.0, 0.0], "target": [1.0, 1.0]}])
+def test_pedestrian_field_takes_exactly_one_direction(way):
+    with pytest.raises(ValueError, match="exactly one of vector and target"):
+        pedestrian_field(kernel_library("tent", 2), 1.0, 1.0, **way)
 
 
 def test_lipschitz_bound_b_examples():
@@ -209,6 +238,25 @@ def test_linear_local_and_drift_metadata():
     drift = constant_drift_field([0.3, -0.4])
     assert drift.sup_bound == pytest.approx(0.5)
     audit_model(drift, box_radius=3.0, mass=1.0)
+
+
+@pytest.mark.parametrize("model", [linear_local_field(-1.5, 2.0, 2), constant_drift_field([0.3, -0.4])])
+def test_a_field_that_reads_no_r_carries_the_zero_kernel(model):
+    assert model.kernels.entries == ((zero_kernel(2),),)
+
+
+@pytest.mark.parametrize("name", ["linear-local-expansive-1d", "zero-field-1d"])
+def test_a_solve_of_a_field_that_reads_no_r_sums_no_kernel(monkeypatch, name):
+    calls = []
+    real = _accel.radial_sum
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(_accel, "radial_sum", counted)
+    solve_direct(load_scenario(name))
+    assert calls == []
 
 
 def test_velocity_audit_catches_false_lipschitz():
