@@ -15,7 +15,6 @@ the effective velocity and the time integral by the midpoint rule.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
@@ -200,13 +199,6 @@ def transported_densities(
             raise _non_finite(j, record.times[j + 1])
         densities.append(tuple(d0 * np.exp(-a) for d0, a in zip(initial, acc)))
     return densities
-
-
-def _uniform_steps(t0: float, t1: float, dt: float) -> tuple[int, float]:
-    """Fewest steps of at most ``dt`` (up to rounding) that cover [t0, t1]."""
-    span = t1 - t0
-    steps = max(1, int(math.ceil(span / dt - 1e-12)))
-    return steps, span / steps
 
 
 def integrate(

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .flow import SolutionRecord, _uniform_steps, flow_map_lipschitz_probe, integrate
+from .flow import SolutionRecord, flow_map_lipschitz_probe, integrate
 from .kernels import add_kernels, sample_box, sample_normal, scale_kernel
 from .measures import MeasureVector
 from .solver import Scenario, solve_direct
@@ -178,34 +178,30 @@ def _sup_velocity_gap(
 
 
 def check_stability_general(
-    model_a: VelocityModel,
+    scenario: Scenario,
     source_a: SolutionRecord,
     model_b: VelocityModel,
     source_b: SolutionRecord,
-    rho0: MeasureVector,
     sigma0: MeasureVector,
-    horizon: float,
-    dt: float,
-    seed: int = 0,
     fingerprint: dict | None = None,
 ) -> BoundReport:
-    """Full perturbation estimate on the frozen-coefficient problems: model
-    ``model_a`` with frozen source ``source_a`` from ``rho0``, against
-    ``model_b`` with ``source_b`` from ``sigma0``.
+    """Full perturbation estimate on the frozen-coefficient problems on
+    ``scenario``'s step grid: its model with frozen source ``source_a`` from
+    its datum rho_0, against ``model_b`` with ``source_b`` from ``sigma0``.
 
     lhs(t) = W1(rho_t, sigma_t);
     rhs(t) = e^{Ct} W1(rho_0, sigma_0)
              + C t e^{Ct} [sup_t W1(r_t, s_t) + sup|eta - nu| + sup|V - U|].
     C = Lip_x(V) + Lip_r(V) Lip_x(eta) max(masses); reported as the max over
     snapshots of lhs/rhs against 1.0.  sup|V - U| is sampled at
-    :data:`GENERAL_SAMPLES` points drawn with ``seed``; sup|eta - nu| is the
-    derived sup bound of each entry's difference.
+    :data:`GENERAL_SAMPLES` points drawn with the scenario's seed; sup|eta - nu|
+    is the derived sup bound of each entry's difference.
     """
+    model_a, rho0, horizon, seed = scenario.model, scenario.initial, scenario.horizon, scenario.seed
     mass = max(rho0.total_measure(), sigma0.total_measure())
     c = lipschitz_bound_b(model_a, mass)
-    steps, _ = _uniform_steps(0.0, horizon, dt)
-    rec_a = integrate(model_a, source_a, rho0, 0.0, horizon, steps)
-    rec_b = integrate(model_b, source_b, sigma0, 0.0, horizon, steps)
+    rec_a = integrate(model_a, source_a, rho0, 0.0, horizon, scenario.steps)
+    rec_b = integrate(model_b, source_b, sigma0, 0.0, horizon, scenario.steps)
     sup_rs = float(w1_series((source_a.at(t), source_b.at(t)) for t in rec_a.times).max())
     lo, hi = _ensemble_box([rho0, sigma0], inflate=model_a.sup_bound * horizon + 1.0)
     r_radius = mass * max(model_a.kernels.sup_bound, model_b.kernels.sup_bound)
@@ -224,7 +220,7 @@ def check_stability_general(
             worst = np.inf
     fp = {
         "T": horizon,
-        "dt": dt,
+        "dt": scenario.step.dt,
         "seed": seed,
         "sup_rs": sup_rs,
         "gap_kernel": gap_k,

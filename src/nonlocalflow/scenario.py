@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .flow import StepControl, StepControlError, _uniform_steps
+from .flow import StepControl
 from .kernels import KERNEL_LIBRARY, KernelMatrix, kernel_library, odd_ramp_kernel, scale_kernel, zero_kernel
 from .measures import (
     GridAxis,
@@ -410,7 +410,7 @@ def _build_model(cfg: dict, species: list[ParticleMeasure]):
 
 
 def scenario_from_config(raw: dict) -> Scenario:
-    """Validate a parsed scenario file, build its scenario, audit its model and check its step."""
+    """Validate a parsed scenario file, build its scenario (which checks its step) and audit its model."""
     cfg = validate(raw)
     built = [_build_species(sp, i) for i, sp in enumerate(cfg["species"])]
     initial = MeasureVector(tuple(mu for mu, _ in built))
@@ -426,22 +426,12 @@ def scenario_from_config(raw: dict) -> Scenario:
             step=StepControl(cfg["dt"]), mode=cfg["mode"], seed=cfg["seed"],
             initial_densities=tuple(dens for _, dens in built) if cfg["density_tracking"] else None,
         )
-    except ValueError as exc:  # the table checked the rest: a model that cannot move the species
+    except ValueError as exc:  # the table checked the rest: a model that cannot move the species, or its step
         raise ScenarioParseError(f"scenario: {exc}") from None
     require_in_domain(model, initial)
     # the data box: no |x| grows by more than sup|V|·T from the initial data; 1 is a margin
     span = max(float(np.abs(m.positions).max()) for m in initial.species)
     audit_model(model, span + model.sup_bound * scenario.horizon + 1.0, initial.total_measure())
-    # the solver's own step: a dt above the horizon is one step of the horizon
-    _, step = _uniform_steps(0.0, scenario.horizon, scenario.step.dt)
-    c = scenario.lipschitz_b()
-    try:
-        StepControl(step).check(c)
-    except StepControlError:
-        raise ScenarioParseError(
-            f"scenario: dt {scenario.step.dt!r} gives a step of {step!r}, and step*C with C = {c!r} exceeds "
-            f"courant {StepControl.courant}; the largest allowed step is {StepControl.courant / c!r}"
-        ) from None
     return scenario
 
 

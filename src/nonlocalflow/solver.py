@@ -21,7 +21,7 @@ from .flow import (
     NonFiniteStateError,
     SolutionRecord,
     StepControl,
-    _uniform_steps,
+    StepControlError,
     integrate,
     transported_densities,
 )
@@ -68,6 +68,10 @@ class Scenario:
     # rho_0 per species; densities are tracked exactly when these are given
     initial_densities: tuple[GridDensity | None, ...] | None = None
     seed: int = 0
+    # the solver's grid: the fewest uniform steps of at most step.dt (up to rounding)
+    # that cover the horizon, and their length dt, the solver's step, not step.dt
+    steps: int = field(init=False)
+    dt: float = field(init=False)
 
     def __post_init__(self):
         require_positive("horizon", self.horizon)
@@ -80,6 +84,25 @@ class Scenario:
                 f"model moves {self.model.k} species in dimension {self.model.dim}, "
                 f"initial data has {self.initial.k} in dimension {self.initial.dim}"
             )
+        dens = self.initial_densities
+        if dens is not None and (len(dens) != self.initial.k
+                                 or any(d is not None and d.dim != self.initial.dim for d in dens)):
+            raise ValueError(
+                f"initial_densities has {len(dens)} entries for {self.initial.k} species; "
+                f"each must be None or of dimension {self.initial.dim}"
+            )
+        object.__setattr__(self, "steps", max(1, math.ceil(self.horizon / self.step.dt - 1e-12)))
+        object.__setattr__(self, "dt", self.horizon / self.steps)
+        try:
+            c = self.lipschitz_b()
+            StepControl(self.dt).check(c)
+        except StepControlError:
+            raise StepControlError(
+                f"dt {self.step.dt!r} gives a step of {self.dt!r}, and step*C with C = {c!r} exceeds "
+                f"courant {StepControl.courant}; the largest allowed step is {StepControl.courant / c!r}"
+            ) from None
+        except ValueError as exc:  # C is not finite, so no step is small enough
+            raise StepControlError(str(exc)) from None
 
     def fingerprint(self) -> dict:
         """What a report or an error names to replay this scenario."""
@@ -104,8 +127,7 @@ class PicardConvergenceError(RuntimeError):
 def solve_direct(scenario: Scenario) -> SolutionRecord:
     """Self-consistent Lagrangian integration over the full horizon; the
     record holds particles only (:func:`solve` adds tracked densities)."""
-    steps, _ = _uniform_steps(0.0, scenario.horizon, scenario.step.dt)
-    return integrate(scenario.model, None, scenario.initial, 0.0, scenario.horizon, steps)
+    return integrate(scenario.model, None, scenario.initial, 0.0, scenario.horizon, scenario.steps)
 
 
 def window_length(scenario: Scenario) -> float:
@@ -129,10 +151,10 @@ def picard_window(
     t0: float,
     t1: float,
     rho0: MeasureVector,
-    steps: int | None = None,
+    steps: int,
 ) -> tuple[SolutionRecord, list[float]]:
     """Iterate the frozen-source map of ``scenario.model`` to its fixed point
-    on one window.
+    on one window of ``steps`` uniform steps.
 
     Every iterate pushes the same particles of ``rho0``, so pairing each
     particle with itself couples two successive iterates.  They are compared
@@ -141,8 +163,6 @@ def picard_window(
     window's snapshots; iteration stops once it is below ``picard.tol``.
     Returns the converged record and that distance sequence.
     """
-    if steps is None:
-        steps, _ = _uniform_steps(t0, t1, scenario.step.dt)
     r_prev = SolutionRecord([t0, t1], [rho0, rho0])
     masses = rho0.masses()
     distances: list[float] = []
@@ -167,27 +187,19 @@ def solve_picard(scenario: Scenario) -> SolutionRecord:
 
     Windows are snapped onto the uniform step grid, so picard and direct
     solves share snapshot times.  The record holds particles only
-    (:func:`solve` adds tracked densities).  Raises ValueError when the
-    longest contracting window is shorter than one step.
+    (:func:`solve` adds tracked densities).
     """
-    window = window_length(scenario)
-    total_steps, dtu = _uniform_steps(0.0, scenario.horizon, scenario.step.dt)
-    window_steps = int(math.floor(window / dtu + 1e-12))
-    # a window of zero steps would never advance the loop below
-    if window_steps < 1:
-        raise ValueError(
-            f"a contracting Picard window is at most {window!r} long, "
-            f"shorter than one step {dtu!r} of dt = {scenario.step.dt}; lower dt"
-        )
+    # C * dt <= courant = 0.1 < W(PICARD_SIGMA): every window but the last holds three steps or more
+    window_steps = int(math.floor(window_length(scenario) / scenario.dt + 1e-12))
     times_all = [0.0]
     states_all = [scenario.initial]
     per_window_distances: list[list[float]] = []
     window_edges = [0.0]
     step0 = 0
-    while step0 < total_steps:
-        steps = min(window_steps, total_steps - step0)
-        t0 = step0 * dtu
-        t1 = (step0 + steps) * dtu
+    while step0 < scenario.steps:
+        steps = min(window_steps, scenario.steps - step0)
+        t0 = step0 * scenario.dt
+        t1 = (step0 + steps) * scenario.dt
         rec, dists = picard_window(scenario, t0, t1, states_all[-1], steps=steps)
         per_window_distances.append(dists)
         window_edges.append(t1)
@@ -217,8 +229,7 @@ def solve(scenario: Scenario) -> SolutionRecord:
         if scenario.initial_densities is not None:
             rho0 = [np.zeros(len(mu)) if dens is None else dens.value_at(mu.positions)
                     for mu, dens in zip(scenario.initial.species, scenario.initial_densities)]
-            _, dt = _uniform_steps(0.0, scenario.horizon, scenario.step.dt)
-            record.densities = transported_densities(scenario.model, record, dt, rho0)
+            record.densities = transported_densities(scenario.model, record, scenario.dt, rho0)
         return record
     except NonFiniteStateError as exc:
         fp = json.dumps(scenario.fingerprint(), sort_keys=True)

@@ -243,16 +243,7 @@ def criterion_5_general_stability() -> list[BoundReport]:
         ):
             reports.append(
                 check_stability_general(
-                    scenario.model,
-                    source,
-                    model_b,
-                    source,
-                    scenario.initial,
-                    scenario.initial,
-                    scenario.horizon,
-                    scenario.step.dt,
-                    seed=scenario.seed,
-                    fingerprint={"perturbation": tag, "eps": eps},
+                    scenario, source, model_b, source, scenario.initial, fingerprint={"perturbation": tag, "eps": eps}
                 )
             )
     return reports

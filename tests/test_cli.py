@@ -270,23 +270,50 @@ def test_bad_speed_law_rejected_with_field(tmp_path, capsys, speed):
     assert f"model.speed: {field} must be finite and positive" in capsys.readouterr().err
 
 
+def _c_overflow_sedimentation(raw):
+    raw["species"][0]["mass"] = 1e150
+    raw["model"]["kernel"]["scale"] = 1e-200
+
+
+def _c_overflow_pedestrian(raw):
+    raw["model"]["kernel"]["scale"] = 1e-160
+    raw["model"]["speed"].update(v_max=1e10, r_crit=1e-160)
+
+
 @pytest.mark.parametrize(
     "name, change",
     [
-        ("predator-prey-1d", lambda model: model["repulsion"].update(scale=1e-310)),  # kernel lip h/s overflows
-        ("linear-local-expansive-1d", lambda model: model.update(alpha=1e308)),  # sup alpha * radius overflows
+        ("predator-prey-1d", lambda raw: raw["model"]["repulsion"].update(scale=1e-310)),  # kernel lip h/s overflows
+        ("linear-local-expansive-1d", lambda raw: raw["model"].update(alpha=1e308)),  # sup alpha * radius overflows
+        # every bound of the model is finite, and C, their product with the mass, is not
+        ("sedimentation-1d", _c_overflow_sedimentation),
+        ("pedestrian-2d", _c_overflow_pedestrian),
     ],
 )
 @pytest.mark.parametrize("verb", ["audit", "run"])
 def test_a_model_whose_derived_bound_is_not_finite_exits_2(tmp_path, capsys, name, change, verb):
     raw = load_raw(name)
-    change(raw["model"])
+    change(raw)
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(raw))
     argv = [verb, str(path)] + (["--out", str(tmp_path / "out")] if verb == "run" else [])
     assert main(argv) == 2
     (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith("error: model:") and line.endswith("got inf")
+    if name in ("sedimentation-1d", "pedestrian-2d"):  # the scenario's step guard refuses C
+        assert line == "error: scenario: Lipschitz bound of b must be finite and >= 0, got inf"
+    else:
+        assert line.startswith("error: model:") and line.endswith("got inf")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_speed_whose_square_overflows_passes_the_audit(tmp_path, capsys):
+    # sup |V| = 1e200 at C = 1: the audit's lengths must not square 1e200
+    raw = load_raw("sedimentation-1d")
+    raw["model"]["kernel"].update(height=1e200, scale=1e200)
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps(raw))
+    assert main(["audit", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("audit passed: sedimentation-1d (k=1, d=1, C=1, K=2)")
 
 
 def test_a_step_above_the_step_guard_exits_2_at_load(tmp_path, capsys):
@@ -302,6 +329,10 @@ def test_a_step_above_the_step_guard_exits_2_at_load(tmp_path, capsys):
     for line in lines:
         for part in ("dt 1.0", "a step of 0.5", "C = 1.0", "the largest allowed step is 0.1"):
             assert part in line
+    assert main(["run", "sedimentation-1d", "--dt", "1.0", "--mode", "picard", "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: scenario: dt 1.0 gives a step of 0.5")
+    assert not out.exists()
     # dt * C = 0.1 is at the limit
     assert main(["run", "sedimentation-1d", "--dt", "0.1", "--out", str(out), "--emit", "trajectories"]) == 0
 

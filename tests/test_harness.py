@@ -219,9 +219,7 @@ def test_stability_check_fails_at_k_zero_on_an_expanding_field():
 def test_general_stability_identical_problems():
     scn = bump_scenario()
     source = solve_direct(scn)
-    rep = check_stability_general(
-        scn.model, source, scn.model, source, scn.initial, scn.initial, scn.horizon, scn.step.dt
-    )
+    rep = check_stability_general(scn, source, scn.model, source, scn.initial)
     assert rep.lhs <= 1e-9
     assert rep.passed
 
@@ -230,9 +228,7 @@ def test_general_stability_perturbed_initial_data():
     scn = bump_scenario()
     source = solve_direct(scn)
     sigma0 = perturbed_initial(scn.initial, 0.03, seed=5)
-    rep = check_stability_general(
-        scn.model, source, scn.model, source, scn.initial, sigma0, scn.horizon, scn.step.dt
-    )
+    rep = check_stability_general(scn, source, scn.model, source, sigma0)
     assert rep.passed
 
 
@@ -240,9 +236,7 @@ def test_general_stability_on_a_dirac_coupling_model():
     # the velocity gap hands Dirac position blocks to the predator's field
     scn = load_scenario("predator-prey-1d")
     source = solve_direct(scn)
-    rep = check_stability_general(
-        scn.model, source, scn.model, source, scn.initial, scn.initial, scn.horizon, scn.step.dt
-    )
+    rep = check_stability_general(scn, source, scn.model, source, scn.initial)
     assert rep.passed
     assert rep.fingerprint["gap_velocity"] == 0.0
 
@@ -254,16 +248,7 @@ def test_general_check_degenerates_to_initial_check():
     sigma0 = perturbed_initial(scn.initial, 0.05, seed=9)
     rec_rho = solve_direct(scn)
     rec_sigma = solve_direct(replace(scn, initial=sigma0))
-    rep_general = check_stability_general(
-        scn.model,
-        rec_rho,
-        scn.model,
-        rec_sigma,
-        scn.initial,
-        sigma0,
-        scn.horizon,
-        scn.step.dt,
-    )
+    rep_general = check_stability_general(scn, rec_rho, scn.model, rec_sigma, sigma0)
     rep_initial = check_stability_initial(scn, rec_rho, sigma0)
     assert rep_general.passed and rep_initial.passed
 
@@ -337,9 +322,7 @@ def test_general_check_control_on_an_expansive_field(lip_x, passed):
     scn = _expansive(lip_x)
     source = solve_direct(scn)
     sigma0 = perturbed_initial(scn.initial, 0.05, seed=0)
-    rep = check_stability_general(
-        scn.model, source, scn.model, source, scn.initial, sigma0, scn.horizon, scn.step.dt
-    )
+    rep = check_stability_general(scn, source, scn.model, source, sigma0)
     # lhs / rhs = e^{(1 - lip_x) t}: about 1 when honest, e^{0.1} at the horizon when not
     assert rep.lhs == pytest.approx(math.exp(1.0 - lip_x), rel=1e-6)
     assert rep.passed is passed

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import lambertw
 
@@ -15,6 +17,7 @@ from nonlocalflow import (
     Scenario,
     SolutionRecord,
     StepControl,
+    StepControlError,
     check_linfty_growth,
     constant_drift_field,
     coupling_cost,
@@ -28,6 +31,7 @@ from nonlocalflow import (
     solve,
     solve_direct,
     solve_picard,
+    uniform_density_1d,
     w1_series,
     w1_vector,
     weak_form_residual,
@@ -36,7 +40,7 @@ from nonlocalflow import (
 from nonlocalflow import solver
 from nonlocalflow.flow import integrate
 from nonlocalflow.kernels import AuditError
-from nonlocalflow.scenario import _cosine_bump_1d, load_config, load_raw, scenario_from_config
+from nonlocalflow.scenario import _cosine_bump_1d, load_config, load_raw, load_scenario, scenario_from_config
 
 
 def bump_particles(n=30, mass=1.0, support=(-1.0, 1.0)):
@@ -228,24 +232,70 @@ def test_window_length_factor_never_exceeds_sigma():
     rng = np.random.default_rng(20)
     scn = replace(sedimentation_scenario(), horizon=1e6)
     for c in 10.0 ** rng.uniform(-3, 3, 300):
-        tw = window_length(replace(scn, model=linear_local_field(-c, 4.0, 1)))
+        tw = window_length(replace(scn, model=linear_local_field(-c, 4.0, 1), step=StepControl(0.05 / c)))
         assert c * tw * math.exp(c * tw) <= solver.PICARD_SIGMA, (c, tw)
 
 
-def test_picard_rejects_a_window_shorter_than_one_step(monkeypatch):
-    # C = 1 allows windows of about 0.3517 < dt = 0.5; a one-step window
-    # would contract with factor 0.824 > PICARD_SIGMA.  A scenario file with
-    # that dt fails the step guard at load, so a library caller builds it
-    solved = []
-    monkeypatch.setattr(solver, "picard_window", lambda *a, **k: solved.append(a))
-    scn = replace(scenario_from_config(load_config("sedimentation-1d")), mode="picard", step=StepControl(0.5))
-    window = window_length(scn)
-    assert 0.35 < window < 0.5
-    with pytest.raises(ValueError, match="shorter than one step") as err:
-        solve(scn)
-    assert solved == []
-    for part in ("dt = 0.5", repr(window), repr(0.5)):
+@pytest.mark.parametrize("mode", ["direct", "picard"])
+def test_a_scenario_with_a_step_above_the_guard_cannot_be_built(mode):
+    # C = 1 and a horizon of 0.5: dt 0.5 is one step of 0.5, where dt * C <= 0.1
+    # allows 0.1; in Picard mode it would also be longer than a contracting window
+    scn = replace(load_scenario("sedimentation-1d"), mode=mode)
+    with pytest.raises(StepControlError) as err:
+        replace(scn, step=StepControl(0.5))
+    for part in ("dt 0.5", "a step of 0.5", "C = 1.0", "the largest allowed step is 0.1"):
         assert part in str(err.value)
+    at_limit = replace(scn, step=StepControl(0.1))
+    assert (at_limit.steps, at_limit.dt) == (5, 0.1)
+    with pytest.raises(ValueError, match="init=False"):  # the grid is derived, never set
+        replace(at_limit, steps=1)
+
+
+def test_a_scenario_whose_lipschitz_bound_overflows_cannot_be_built():
+    # Lip eta = 1e200 at mass 1e150: C overflows while every field bound stays finite
+    heavy = MeasureVector((ParticleMeasure(1, np.array([[0.0]]), np.array([1e150])),))
+    model = sedimentation_field(kernel_library("tent", scale=1e-200), mass=1e150)
+    with pytest.raises(StepControlError, match="Lipschitz bound of b must be finite and >= 0, got inf"):
+        Scenario("heavy", model, heavy, horizon=0.5, step=StepControl(0.01))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    horizon=st.floats(1e-3, 1e3),
+    ratio=st.one_of(st.integers(1, 300).map(float), st.floats(1e-3, 300.0)),
+)
+def test_a_scenario_derives_the_fewest_steps_that_cover_its_horizon(horizon, ratio):
+    s = Scenario(
+        "grid", constant_drift_field([0.5]), MeasureVector((dirac([0.0]),)), horizon=horizon,
+        step=StepControl(horizon / ratio),
+    )
+    # no step is longer than the requested one, up to rounding, and one step fewer falls short
+    assert s.horizon / s.steps <= s.step.dt * (1 + 1e-12)
+    assert (s.steps - 1) * s.step.dt < s.horizon
+    assert s.dt == s.horizon / s.steps
+    times = solve_direct(s).times
+    assert len(times) == s.steps + 1
+    assert np.array_equal(times, s.dt * np.arange(s.steps + 1))
+
+
+def test_every_picard_window_but_the_last_holds_three_steps_at_the_guard():
+    # dt * C = 0.1 exactly; a window is W(PICARD_SIGMA) / C = 0.3517 long
+    scn = replace(load_scenario("sedimentation-1d"), horizon=2.0, step=StepControl(0.1), mode="picard")
+    assert scn.dt * scn.lipschitz_b() == 0.1
+    edges = np.array(solve(scn).diagnostics["window_edges"])
+    spans = np.round(np.diff(edges) / scn.dt)
+    assert spans.sum() == scn.steps
+    assert (spans[:-1] >= 3).all() and len(spans) > 2
+
+
+def test_initial_densities_need_one_entry_per_species_of_the_scenario_dimension():
+    scn = load_scenario("predator-prey-1d")
+    flat = uniform_density_1d(-1.0, 1.0, 8)
+    with pytest.raises(ValueError, match="initial_densities has 1 entries for 2 species"):
+        replace(scn, initial_densities=(flat,))
+    with pytest.raises(ValueError, match="of dimension 2"):
+        replace(load_scenario("pedestrian-2d"), initial_densities=(flat,))
+    assert replace(scn, initial_densities=(flat, None)).initial_densities == (flat, None)
 
 
 def test_picard_zero_velocity_single_iteration():
@@ -255,7 +305,7 @@ def test_picard_zero_velocity_single_iteration():
         "zero", model, MeasureVector((mu,)), horizon=0.5, step=StepControl(0.05),
         picard=PicardParams(tol=1e-12),
     )
-    traj, dists = picard_window(scn, 0.0, 0.5, scn.initial)
+    traj, dists = picard_window(scn, 0.0, 0.5, scn.initial, steps=scn.steps)
     assert len(dists) == 1
     assert dists[0] <= 1e-15
 
@@ -263,7 +313,7 @@ def test_picard_zero_velocity_single_iteration():
 def test_picard_window_matches_direct():
     scn = sedimentation_scenario(n=50, horizon=0.1, dt=0.002,
                                  picard=PicardParams(tol=1e-10, max_iter=60))
-    traj, dists = picard_window(scn, 0.0, 0.1, scn.initial)
+    traj, dists = picard_window(scn, 0.0, 0.1, scn.initial, steps=scn.steps)
     direct = solve_direct(replace(scn, horizon=0.1))
     gap = max(
         w1_vector(a, b)
@@ -277,7 +327,7 @@ def test_picard_contraction_ratio_bound():
     scn = sedimentation_scenario(n=40, horizon=0.3, dt=0.003,
                                  picard=PicardParams(tol=1e-10, max_iter=60))
     c = scn.lipschitz_b()
-    traj, dists = picard_window(scn, 0.0, 0.3, scn.initial)
+    traj, dists = picard_window(scn, 0.0, 0.3, scn.initial, steps=scn.steps)
     bound = c * 0.3 * math.exp(c * 0.3) + 0.05
     for a, b in zip(dists, dists[1:]):
         if a > 1e-9 and b > 1e-9:
@@ -288,7 +338,7 @@ def test_picard_max_iter_error_carries_distances():
     scn = sedimentation_scenario(n=20, horizon=0.3, dt=0.003,
                                  picard=PicardParams(tol=1e-16, max_iter=3))
     with pytest.raises(PicardConvergenceError) as err:
-        picard_window(scn, 0.0, 0.3, scn.initial)
+        picard_window(scn, 0.0, 0.3, scn.initial, steps=scn.steps)
     assert len(err.value.distances) == 3
 
 

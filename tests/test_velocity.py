@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -310,6 +313,18 @@ def test_velocity_audit_rejects_a_nan_witness(call, message):
 
     field = VelocityField(1, 2, law, sup_bound=5.0, lip_x=1.0, lip_r=2.0)
     with pytest.raises(AuditError, match=f"{message} failed: .*nan"):
+        audit_velocity_field(field, box_radius=2.0, r_radius=1.0)
+
+
+@pytest.mark.parametrize("share, passed", [(1.0, True), (0.9, False)])
+def test_velocity_audit_measures_a_speed_whose_square_overflows(share, passed):
+    # |V| = 1e200 * sqrt(2), and each component's square overflows
+    speed = math.hypot(1e200, 1e200)
+    field = VelocityField(2, 1, lambda t, xs, rs: np.full(xs.shape, 1e200), share * speed, 0.0, 0.0)
+    if passed:
+        audit_velocity_field(field, box_radius=2.0, r_radius=1.0)
+        return
+    with pytest.raises(AuditError, match=rf"velocity sup audit failed: .* = {re.escape(repr(speed))} > declared"):
         audit_velocity_field(field, box_radius=2.0, r_radius=1.0)
 
 
