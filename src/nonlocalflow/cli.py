@@ -1,9 +1,8 @@
-"""The ``nonlocalflow`` command line: argument parsing, the verbs, ``run``
-and the checks a scenario file requests.
+"""The ``nonlocalflow`` command line: argument parsing, the verbs and ``run``.
 
-Scenario files are read by :mod:`nonlocalflow.scenario`, the checks are
-measured by :mod:`nonlocalflow.harness` and result files are written by
-:mod:`nonlocalflow.output`.
+Scenario files are read by :mod:`nonlocalflow.scenario`, the checks a file
+requests are the table :data:`nonlocalflow.harness.CHECKS` and result files
+are written by :mod:`nonlocalflow.output`.
 """
 
 from __future__ import annotations
@@ -17,14 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import (
-    BoundReport,
-    check_flow_lipschitz,
-    check_lemma_perturbed,
-    check_linfty_growth,
-    check_mass_conservation,
-    stability_battery,
-)
+from .harness import CHECKS, BoundReport
 from .kernels import AuditError
 from .measures import ParticleMeasure
 from .output import emit_plotdata, write_reports, write_trajectory
@@ -61,29 +53,11 @@ class RunConfig:
                 raise ScenarioParseError(f"unknown emit flag {kind!r}")
 
 
-# check type of a scenario file -> the harness check of one run
-_CHECKS = {
-    "mass-conservation": check_mass_conservation,
-    "linfty-growth": check_linfty_growth,
-    "lemma-stability": check_lemma_perturbed,
-    "flow-lipschitz": check_flow_lipschitz,
-}
-
-
-def _check_reports(scenario: Scenario, record: SolutionRecord, cfg: dict) -> list[BoundReport]:
-    """The reports of one check of a scenario file."""
-    if cfg["type"] == "stability-initial":
-        # a direct solve is the base solve the stability pairs share
-        direct = record if scenario.mode == "direct" else None
-        return stability_battery(scenario, cfg["pairs"], direct)
-    return [_CHECKS[cfg["type"]](scenario, record)]
-
-
 def run_checks(scenario: Scenario, record: SolutionRecord, checks: list[dict]) -> list[BoundReport]:
     """Every check's reports, for the validated ``checks`` of a scenario's
     config; a check whose exact W1 exceeds the pair cap is one failing
     report that carries the cap message."""
-    return [rep for cfg in checks for rep in _check_reports(scenario, record, cfg)]
+    return [rep for cfg in checks for rep in CHECKS[cfg["type"]](scenario, record, cfg)]
 
 
 def run(config: RunConfig) -> int:

@@ -219,9 +219,7 @@ def check_stability_general(
         elif lhs_t > 0:
             worst = np.inf
     fp = {
-        "T": horizon,
-        "dt": scenario.step.dt,
-        "seed": seed,
+        **scenario.fingerprint(),
         "sup_rs": sup_rs,
         "gap_kernel": gap_k,
         "gap_velocity": gap_v,
@@ -281,3 +279,17 @@ def stability_battery(
     except PairCapError as exc:
         fp = {**scenario.fingerprint(), "error": str(exc)}
         return [BoundReport.make("stability-initial", math.nan, math.nan, STABILITY_SLACK, fp)]
+
+
+# check type of a scenario file -> its reports on (scenario, the run's record,
+# the check's settings); a direct run's record is the base solve the
+# stability pairs share
+CHECKS = {
+    "mass-conservation": lambda scenario, record, cfg: [check_mass_conservation(scenario, record)],
+    "stability-initial": lambda scenario, record, cfg: stability_battery(
+        scenario, cfg["pairs"], record if scenario.mode == "direct" else None
+    ),
+    "linfty-growth": lambda scenario, record, cfg: [check_linfty_growth(scenario, record)],
+    "lemma-stability": lambda scenario, record, cfg: [check_lemma_perturbed(scenario, record)],
+    "flow-lipschitz": lambda scenario, record, cfg: [check_flow_lipschitz(scenario, record)],
+}

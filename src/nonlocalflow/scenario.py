@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import harness
 from .flow import StepControl
 from .kernels import KERNEL_LIBRARY, KernelMatrix, kernel_library, odd_ramp_kernel, scale_kernel, zero_kernel
 from .measures import (
@@ -132,7 +133,6 @@ MODELS = {
             "pursuit": {},
             "spring": {"target": _VECTOR, "rate": Field("number", range="at least 0"),
                        "domain_radius": _positive(5.0)},
-            "drift": {"vector": _VECTOR},
         }),
     },
 }
@@ -152,14 +152,8 @@ SPECIES = {
     "dirac": {"point": _VECTOR, "weight": _positive(1.0)},
     "particles": {"positions": Field("points"), "weights": Field("vector", range="positive")},
 }
-# a check's gate and perturbation size are fixed in the harness
-CHECKS = {
-    "mass-conservation": {},
-    "stability-initial": {"pairs": _count(3)},
-    "linfty-growth": {},
-    "lemma-stability": {},
-    "flow-lipschitz": {},
-}
+# the check types are the harness's; a check's gate and perturbation size are fixed there
+CHECKS = {name: {} for name in harness.CHECKS} | {"stability-initial": {"pairs": _count(3)}}
 SCENARIO = Field("object", fields={
     "schema": Field("integer", choices=(SCHEMA_VERSION,)),
     "name": Field("string"),
@@ -367,14 +361,10 @@ def _build_phi(cfg: dict, ball: float) -> VelocityField:
     # VelocityField(dim, k, evaluate, sup_bound, lip_x, lip_r[, domain_radius])
     if cfg["type"] == "pursuit":
         return VelocityField(1, 2, lambda t, xs, rs: rs[:, :1].copy(), ball, 0.0, 1.0)
-    if cfg["type"] == "spring":
-        target, rate = np.asarray(cfg["target"]), cfg["rate"]
-        radius = cfg["domain_radius"]
-        sup = rate * (float(np.linalg.norm(target)) + radius)
-        return VelocityField(1, 2, lambda t, xs, rs: rate * (target - xs), sup, rate, 0.0, radius)
-    vec = np.asarray(cfg["vector"])
-    drift = float(np.linalg.norm(vec))
-    return VelocityField(1, 2, lambda t, xs, rs: np.broadcast_to(vec, xs.shape).copy(), drift, 0.0, 0.0)
+    target, rate = np.asarray(cfg["target"]), cfg["rate"]
+    radius = cfg["domain_radius"]
+    sup = rate * (float(np.linalg.norm(target)) + radius)
+    return VelocityField(1, 2, lambda t, xs, rs: rate * (target - xs), sup, rate, 0.0, radius)
 
 
 def _build_model(cfg: dict, species: list[ParticleMeasure]):

@@ -91,7 +91,10 @@ class Scenario:
                 f"initial_densities has {len(dens)} entries for {self.initial.k} species; "
                 f"each must be None or of dimension {self.initial.dim}"
             )
-        object.__setattr__(self, "steps", max(1, math.ceil(self.horizon / self.step.dt - 1e-12)))
+        count = self.horizon / self.step.dt
+        if not math.isfinite(count):
+            raise StepControlError(f"horizon {self.horizon!r} over dt {self.step.dt!r} overflows the step count")
+        object.__setattr__(self, "steps", max(1, math.ceil(count - 1e-12)))
         object.__setattr__(self, "dt", self.horizon / self.steps)
         try:
             c = self.lipschitz_b()

@@ -306,6 +306,19 @@ def test_a_model_whose_derived_bound_is_not_finite_exits_2(tmp_path, capsys, nam
     assert not (tmp_path / "out").exists()
 
 
+def test_a_step_count_that_overflows_exits_2(tmp_path, capsys):
+    # horizon / dt is inf: no step count covers the horizon
+    line = "error: scenario: horizon 1e+300 over dt 1e-10 overflows the step count\n"
+    out = tmp_path / "out"
+    assert main(["run", "zero-field-1d", "--horizon", "1e300", "--dt", "1e-10", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == line
+    assert not out.exists()
+    path = tmp_path / "overflow-steps.json"
+    path.write_text(json.dumps({**load_raw("zero-field-1d"), "horizon": 1e300, "dt": 1e-10}))
+    assert main(["audit", str(path)]) == 2
+    assert capsys.readouterr().err == line
+
+
 def test_a_speed_whose_square_overflows_passes_the_audit(tmp_path, capsys):
     # sup |V| = 1e200 at C = 1: the audit's lengths must not square 1e200
     raw = load_raw("sedimentation-1d")

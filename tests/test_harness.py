@@ -35,7 +35,7 @@ from nonlocalflow import harness, solver, w1_series, w1_vector, wasserstein
 from nonlocalflow.harness import PERTURBATION, perturbed_initial
 from nonlocalflow.kernels import sample_normal
 from nonlocalflow.cli import run_checks
-from nonlocalflow.scenario import _cosine_bump_1d, load_config, load_scenario, scenario_from_config
+from nonlocalflow.scenario import CHECKS, _cosine_bump_1d, load_config, load_scenario, scenario_from_config
 from nonlocalflow.solver import solve
 
 
@@ -189,6 +189,28 @@ def test_run_checks_reuses_the_run_record_for_linfty(monkeypatch, mode, own_dire
     assert report.lhs == check_linfty_growth(scn, record).lhs
 
 
+# check type -> a bundle that requests it
+_REQUESTED_BY = {
+    "mass-conservation": "zero-field-1d",
+    "stability-initial": "sedimentation-1d",
+    "linfty-growth": "linear-local-compressive-1d",
+    "lemma-stability": "predator-prey-1d",
+    "flow-lipschitz": "sedimentation-1d",
+}
+
+
+@pytest.mark.parametrize("kind", list(harness.CHECKS))
+def test_every_check_type_is_one_row_of_harness_checks(kind):
+    # the file table's check types are the harness's rows, in order
+    assert list(CHECKS) == list(harness.CHECKS)
+    cfg = load_config(_REQUESTED_BY[kind])
+    (check,) = [c for c in cfg["checks"] if c["type"] == kind]
+    scn = scenario_from_config(cfg)
+    reports = run_checks(scn, solve(scn), [check])
+    assert len(reports) == check.get("pairs", 1)
+    assert all(isinstance(rep, BoundReport) and rep.passed for rep in reports)
+
+
 def test_run_checks_measures_the_lemma_on_the_perturbed_datum():
     scn = load_scenario("sedimentation-1d")
     (rep,) = run_checks(scn, solve(scn), [{"type": "lemma-stability"}])
@@ -230,6 +252,8 @@ def test_general_stability_perturbed_initial_data():
     sigma0 = perturbed_initial(scn.initial, 0.03, seed=5)
     rep = check_stability_general(scn, source, scn.model, source, sigma0)
     assert rep.passed
+    # a failing report names its scenario for replay
+    assert scn.fingerprint().items() <= rep.fingerprint.items()
 
 
 def test_general_stability_on_a_dirac_coupling_model():

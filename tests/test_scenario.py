@@ -103,6 +103,11 @@ def _three_particle_predator(raw):
     raw["species"][1] = {**raw["species"][0], "particles": 3}
 
 
+def _drifting_predator(raw):
+    raw.update(load_raw("predator-prey-1d"))
+    raw["model"]["phi"] = {"type": "drift", "vector": [1.0]}
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -148,6 +153,7 @@ def _three_particle_predator(raw):
             _set(["model"], {"type": "constant-drift", "vector": [1.0, 0.0]}),
             "scenario: model moves 1 species in dimension 2, initial data has 1 in dimension 1",
         ),
+        (_drifting_predator, "model.phi: type must be one of 'pursuit', 'spring', got 'drift'"),
         (
             _three_particle_predator,
             "model.dirac-coupling: gallery form needs one 1D prey species "
